@@ -12,7 +12,8 @@ where q0, q1 are the silent/transmit successors and V' is the next-stage
 value. The value is the pointwise minimum with ties resolved to staying
 silent, the terminal slice is the squared error itself, and masked channel
 states are forced silent. Gaussian expectations run through one reused
-:class:`~remest.quadrature.GaussianExpectationOperator`.
+:class:`~remest.quadrature.GaussianExpectationOperator`, applied once per
+stage to all channel states and shared with the growth check.
 
 The module also houses the structure checks: symmetry/monotonicity of every
 value slice, the linear-in-horizon bound on difference quotients of the
@@ -33,7 +34,7 @@ import numpy as np
 from .channel import ChannelFsm, fsm_to_dict, validate_fsm
 from .policy import ThresholdFit, TransmitPolicy, extract_threshold
 from .process import PlantModel, plant_to_dict
-from .quadrature import (ErrorGrid, GaussianExpectationOperator, GridFunction,
+from .quadrature import (ErrorGrid, GridFunction, expectation_operator,
                          is_symmetric_nondecreasing)
 
 
@@ -71,10 +72,16 @@ class SolverSettings:
                    max_half_width=float(data.get("max_half_width", 100.0)))
 
 
-def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings) -> str:
-    """Stable digest of everything that determines solver output."""
+def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings,
+                    grid: Optional[ErrorGrid] = None) -> str:
+    """Stable digest of everything that determines solver output, including
+    the grid solved on (by default the one ``settings`` resolves for ``plant``)."""
+    if grid is None:
+        grid = settings.make_grid(plant)
     blob = json.dumps({"plant": plant_to_dict(plant), "fsm": fsm_to_dict(fsm),
-                       "settings": settings.to_dict()}, sort_keys=True)
+                       "settings": settings.to_dict(),
+                       "grid": {"half_width": grid.half_width,
+                                "num_points": grid.num_points}}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -103,10 +110,6 @@ class ValueTable:
     def horizon(self) -> int:
         return self.plant.horizon
 
-    def value_function(self, n: int, q: int) -> GridFunction:
-        """Stage-n value slice for channel state q, n in 1..horizon+1."""
-        return GridFunction(self.grid, self.values[n - 1, q])
-
     def value_at_origin(self, q: Optional[int] = None) -> float:
         """Optimal cost from zero initial error (default: initial state)."""
         if q is None:
@@ -131,28 +134,27 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
         grid = settings.make_grid(plant)
     m = fsm.num_states
     n_stages = plant.horizon
-    x = grid.points
     center = grid.center_index
-    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
+    op = expectation_operator(grid, plant.a, plant.sigma2)
 
     values = np.empty((n_stages + 1, m, grid.num_points))
     cost_wait = np.empty((n_stages, m, grid.num_points))
     cost_send = np.full((n_stages, m, grid.num_points), np.nan)
     transmit = np.zeros((n_stages, m, grid.num_points), dtype=bool)
 
-    x_sq = x ** 2
+    x_sq = grid.points ** 2
     values[n_stages, :, :] = x_sq[None, :]
 
     for s in range(n_stages - 1, -1, -1):
-        smoothed = [op.apply(GridFunction(grid, values[s + 1, q])) for q in range(m)]
+        smoothed = op.apply(values[s + 1])
         for q in range(m):
             q0, q1 = fsm.transitions[q]
-            c0 = x_sq + smoothed[q0].values
+            c0 = x_sq + smoothed[q0]
             cost_wait[s, q] = c0
             if fsm.transmit_allowed[q]:
                 p = fsm.drop_probs[q]
-                reset_value = smoothed[q1].values[center]
-                c1 = p * (x_sq + smoothed[q1].values) + (1.0 - p) * reset_value
+                reset_value = smoothed[q1, center]
+                c1 = p * (x_sq + smoothed[q1]) + (1.0 - p) * reset_value
                 cost_send[s, q] = c1
                 send = c1 < c0
                 transmit[s, q] = send
@@ -168,7 +170,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     table = ValueTable(grid=grid, values=values, cost_wait=cost_wait,
                        cost_send=cost_send, transmit=transmit, plant=plant,
                        fsm=fsm, settings=settings,
-                       provenance=provenance_hash(plant, fsm, settings))
+                       provenance=provenance_hash(plant, fsm, settings, grid))
     policy = TransmitPolicy.gridded(grid, transmit, symmetric_flag=True)
     return table, policy
 
@@ -262,23 +264,15 @@ def check_growth_rate_bound(table: ValueTable, plant: PlantModel, slack: float,
     plus ``slack``.
     """
     grid = table.grid
-    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
     bounds = growth_rate_bounds(plant)
     center = grid.center_index
     last = grid.num_points - 1 - max(1, int(grid.num_points * boundary_fraction))
     x = grid.points
     denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
-    n_slices, m = table.values.shape[0], table.fsm.num_states
-    max_quotient = np.full((n_slices, m), -np.inf)
-    violations = []
-    for s in range(n_slices):
-        for q in range(m):
-            h = op.apply(GridFunction(grid, table.values[s, q])).values
-            quotients = (h[center + 1:last + 1] - h[center:last]) / denom
-            worst = float(quotients.max())
-            max_quotient[s, q] = worst
-            if worst > bounds[s] + slack:
-                violations.append((s + 1, q, worst, float(bounds[s])))
+    h = expectation_operator(grid, plant.a, plant.sigma2).apply(table.values)
+    max_quotient = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
+    violations = [(int(s) + 1, int(q), float(max_quotient[s, q]), float(bounds[s]))
+                  for s, q in zip(*np.nonzero(max_quotient > bounds[:, None] + slack))]
     return GrowthRateReport(ok=not violations, bounds=bounds,
                             max_quotient=max_quotient, violations=violations,
                             slack=slack)
@@ -344,22 +338,18 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
 
 
 def export_value_table_csv(table: ValueTable, path):
-    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per point."""
-    import csv
-
+    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per point, in the
+    ``csv`` module's default dialect with floats as ``repr``."""
+    e_strs = [repr(e) for e in table.grid.points.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(f"# provenance={table.provenance}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "q", "e", "V", "C0", "C1", "transmit"])
-        x = table.grid.points
-        n_stages = table.horizon
-        for s in range(n_stages):
+        fh.write("n,q,e,V,C0,C1,transmit\r\n")
+        for s in range(table.horizon):
             for q in range(table.fsm.num_states):
-                for i, e in enumerate(x):
-                    writer.writerow([
-                        s + 1, q, repr(float(e)),
-                        repr(float(table.values[s, q, i])),
-                        repr(float(table.cost_wait[s, q, i])),
-                        repr(float(table.cost_send[s, q, i])),
-                        int(table.transmit[s, q, i]),
-                    ])
+                prefix = f"{s + 1},{q},"
+                rows = zip(e_strs, table.values[s, q].tolist(),
+                           table.cost_wait[s, q].tolist(),
+                           table.cost_send[s, q].tolist(),
+                           table.transmit[s, q].tolist())
+                fh.write("".join(f"{prefix}{e},{v!r},{c0!r},{c1!r},{t:d}\r\n"
+                                 for e, v, c0, c1, t in rows))

@@ -14,7 +14,8 @@ from remest.dp_iid import (NEVER_TRANSMIT, conditional_estimates,
 def quad_stage_cost(sigma2, p_drop, lo, hi):
     """Adaptive-integration reference for the interval stage cost."""
     sigma = math.sqrt(sigma2)
-    pdf = lambda x: norm.pdf(x, scale=sigma)
+    scale = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    pdf = lambda x: scale * math.exp(-0.5 * (x / sigma) ** 2)
 
     def piece(fn, a, b):
         if a >= b:

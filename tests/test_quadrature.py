@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from remest.channel import energy_harvesting_fsm
+from remest.dp_symmetric import (SolverSettings, check_growth_rate_bound,
+                                 solve_and_extract)
+from remest.process import PlantModel
 from remest.quadrature import (DegenerateIntervalError, ErrorGrid,
                                GaussianExpectationOperator, GridFunction,
-                               directional_difference_quotient,
-                               gaussian_expectation, gaussian_partial_moments,
+                               ShapeViolation, directional_difference_quotient,
+                               expectation_operator, gaussian_expectation,
+                               gaussian_partial_moments,
                                is_symmetric_nondecreasing, truncated_moments)
 
 
@@ -145,8 +151,8 @@ class TestGaussianExpectation:
         f = GridFunction(grid, rng.normal(size=grid.num_points))
         g = GridFunction(grid, rng.normal(size=grid.num_points))
         combo = GridFunction(grid, 2.5 * f.values - 0.7 * g.values)
-        direct = op.apply(combo).values
-        split = 2.5 * op.apply(f).values - 0.7 * op.apply(g).values
+        direct = op.apply(combo.values)
+        split = 2.5 * op.apply(f.values) - 0.7 * op.apply(g.values)
         assert np.max(np.abs(direct - split)) < 1e-12
 
     def test_preserves_symmetric_monotone_shape(self):
@@ -155,8 +161,8 @@ class TestGaussianExpectation:
             rng = np.random.default_rng(500 + trial)
             op = GaussianExpectationOperator(grid, float(rng.uniform(0, 1.3)),
                                              float(rng.uniform(0.3, 2.0)))
-            h = op.apply(random_step_function(grid, rng))
-            ok, violation = is_symmetric_nondecreasing(h, 1e-8)
+            h = op.apply(random_step_function(grid, rng).values)
+            ok, violation = is_symmetric_nondecreasing(GridFunction(grid, h), 1e-8)
             assert ok, violation
 
     def test_min_of_shapes_stays_shaped(self):
@@ -181,6 +187,94 @@ class TestGaussianExpectation:
                 assert v[k] <= max(v[i], v[j]) + 1e-12
 
 
+def dense_expectation(grid, a, sigma2, values):
+    """Reference h = E[f(a e + W)] from a dense matrix of every cell's
+    closed-form weights plus the analytic tail moments, one slice at a time."""
+    sigma = math.sqrt(sigma2)
+    xs, dx, hw = grid.points, grid.spacing, grid.half_width
+    c = a * xs[:, None]
+    cdf = ndtr((xs[None, :] - c) / sigma)
+    dens = norm.pdf(xs[None, :], loc=c, scale=sigma)
+    p0 = cdf[:, 1:] - cdf[:, :-1]
+    p1 = c * p0 + sigma2 * (dens[:, :-1] - dens[:, 1:])
+    weights = np.zeros((grid.num_points, grid.num_points))
+    weights[:, :-1] += (xs[None, 1:] * p0 - p1) / dx
+    weights[:, 1:] += (p1 - xs[None, :-1] * p0) / dx
+    c = c[:, 0]
+    sr, pr = norm.sf(hw, loc=c, scale=sigma), norm.pdf(hw, loc=c, scale=sigma)
+    sl, pl = norm.cdf(-hw, loc=c, scale=sigma), norm.pdf(-hw, loc=c, scale=sigma)
+    right = np.stack([(c ** 2 + sigma2) * sr + sigma2 * pr * (hw + c),
+                      c * sr + sigma2 * pr, sr])
+    left = np.stack([(c ** 2 + sigma2) * sl - sigma2 * pl * (c - hw),
+                     c * sl - sigma2 * pl, sl])
+    out = []
+    for v in values:
+        f = GridFunction(grid, v)
+        out.append(weights @ v + f.tails[1] @ right + f.tails[0] @ left)
+    return np.array(out)
+
+
+class TestBandedOperator:
+    @pytest.mark.parametrize("a", [0.0, 0.6, 1.1, -0.9])
+    @pytest.mark.parametrize("half_width,num_points", [
+        (3.0, 61),    # sigma = 1: every node lies inside each row's band
+        (40.0, 801),  # a band a quarter of the grid wide, slid at both ends
+    ])
+    def test_matches_dense_reference(self, a, half_width, num_points):
+        grid = ErrorGrid(half_width, num_points)
+        rng = np.random.default_rng(17)
+        values = np.cumsum(rng.normal(size=(4, grid.num_points)), axis=1)
+        values[0] = grid.points ** 2
+        h = GaussianExpectationOperator(grid, a, 1.0).apply(values)
+        ref = dense_expectation(grid, a, 1.0, values)
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_stacked_apply_equals_row_by_row(self):
+        grid = ErrorGrid(20.0, 401)
+        op = GaussianExpectationOperator(grid, 1.1, 0.7)
+        rng = np.random.default_rng(5)
+        stack = np.cumsum(rng.normal(size=(3, 4, grid.num_points)), axis=-1)
+        h = op.apply(stack)
+        assert h.shape == stack.shape
+        rows = np.array([[op.apply(v) for v in block] for block in stack])
+        # the stacked tail fit differs from the one-slice fit only by rounding
+        assert np.max(np.abs(h - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_solve_and_growth_check_build_the_operator_once(self, monkeypatch):
+        builds = []
+        real_init = GaussianExpectationOperator.__init__
+
+        def counting_init(self, grid, a, sigma2):
+            builds.append((grid, a, sigma2))
+            real_init(self, grid, a, sigma2)
+
+        monkeypatch.setattr(GaussianExpectationOperator, "__init__", counting_init)
+        expectation_operator.cache_clear()
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=4)
+        result = solve_and_extract(plant, energy_harvesting_fsm(4, 2, 0.3),
+                                   SolverSettings(num_points=401))
+        check_growth_rate_bound(result.table, plant, slack=0.1)
+        assert len(builds) == 1
+        op = expectation_operator(result.table.grid, plant.a, plant.sigma2)
+        assert not op._weights.data.flags.writeable
+
+
+def scalar_shape_scan(f, tol):
+    """Point-by-point scan the vectorized checker must reproduce exactly."""
+    v, x, c = f.values, f.grid.points, f.grid.center_index
+    for i in range(1, c + 1):
+        d = v[c + i] - v[c - i]
+        if abs(d) > tol:
+            return False, ShapeViolation("asymmetry", x[c + i], abs(d))
+    for i in range(c, f.grid.num_points - 1):
+        if v[i] - v[i + 1] > tol:
+            return False, ShapeViolation("decrease", x[i + 1], v[i] - v[i + 1])
+    for i in range(c, 0, -1):
+        if v[i] - v[i - 1] > tol:
+            return False, ShapeViolation("decrease", x[i - 1], v[i] - v[i - 1])
+    return True, None
+
+
 class TestShapeChecks:
     def test_square_is_shaped(self):
         grid = ErrorGrid(4.0, 101)
@@ -194,6 +288,41 @@ class TestShapeChecks:
         assert not ok
         assert violation.kind == "asymmetry"
         assert violation.e == pytest.approx(grid.spacing)
+
+
+    def test_matches_scalar_scan(self):
+        grid = ErrorGrid(4.0, 41)
+        base = np.floor(np.abs(grid.points))  # symmetric steps with flat runs
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            tol = float(rng.uniform(0.05, 0.2))
+            noise = rng.uniform(-tol, tol, grid.num_points)
+            sparse = 3.0 * noise * (rng.random(grid.num_points) < 0.1)
+            v = [base + sparse,  # asymmetries
+                 base + 0.5 * (sparse + sparse[::-1]),  # symmetric dips
+                 base + np.where(grid.points < 0, noise, 0.0),  # left-only drops
+                 ][trial % 3]
+            f = GridFunction(grid, v)
+            assert is_symmetric_nondecreasing(f, tol) == scalar_shape_scan(f, tol)
+
+    @pytest.mark.parametrize("tol,values,expected", [
+        # the innermost asymmetry wins over a larger one further out
+        (0.1, [25, 16, 9, 4, 1, 0, 1, 4.5, 9, 19, 25],
+         ShapeViolation("asymmetry", 2.0, 0.5)),
+        # symmetric dips: the right half is scanned before the left
+        (0.1, [10, 16, 2, 4, 1, 0, 1, 4, 2, 16, 10],
+         ShapeViolation("decrease", 3.0, 2.0)),
+        # asymmetries and right-half drops all within tol
+        (1.0, [-1.5, -1.5, -1.5, 0.75, 0.5, 0, 0, 0, -0.75, -0.75, -0.75],
+         ShapeViolation("decrease", -3.0, 2.25)),
+    ])
+    def test_first_violation_of_each_kind(self, tol, values, expected):
+        grid = ErrorGrid(5.0, 11)
+        ok, violation = is_symmetric_nondecreasing(GridFunction(grid, values), tol)
+        assert not ok
+        assert violation.kind == expected.kind
+        assert violation.e == expected.e
+        assert violation.magnitude == pytest.approx(expected.magnitude, abs=1e-15)
 
 
 class TestDifferenceQuotient:
