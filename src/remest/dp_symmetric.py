@@ -94,6 +94,7 @@ class ValueTable:
     cover stages 1..N; ``cost_send`` is NaN at masked states where
     transmitting is undefined. ``transmit[s, q, i]`` is the optimal
     decision indicator (strict improvement required, so ties stay silent).
+    The four arrays are read-only; corrupt a copy for a defect test.
     """
 
     grid: ErrorGrid
@@ -105,6 +106,10 @@ class ValueTable:
     fsm: ChannelFsm
     settings: SolverSettings
     provenance: str
+
+    def __post_init__(self):
+        for arr in (self.values, self.cost_wait, self.cost_send, self.transmit):
+            arr.flags.writeable = False
 
     @property
     def horizon(self) -> int:
@@ -155,6 +160,8 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
                 p = fsm.drop_probs[q]
                 reset_value = smoothed[q1, center]
                 c1 = p * (x_sq + smoothed[q1]) + (1.0 - p) * reset_value
+                if q1 == q0:  # an exact tie at e = 0, which must stay silent
+                    c1[center] = reset_value
                 cost_send[s, q] = c1
                 send = c1 < c0
                 transmit[s, q] = send

@@ -34,6 +34,10 @@ from .process import PlantModel
 from .dp_iid import conditional_estimates
 
 ENUMERATION_LIMIT = 10 ** 7
+# Trials stepped together: a block's per-stage rows stay cache-resident.
+BLOCK_TRIALS = 2 ** 15
+_TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
+                 ("c", bool), ("q", np.intp))
 
 
 class EnumerationSizeError(ValueError):
@@ -75,15 +79,6 @@ class SimSummary:
         }
 
 
-def _draw_tables(seed: int, trials: int, stages: int, sigma: float):
-    # One counter-based stream; stage-major draw order is part of the
-    # reproducibility contract (same seed, same tables, any platform).
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    noise = rng.normal(0.0, sigma, size=(trials, stages))
-    uniforms = rng.random(size=(trials, stages))
-    return noise, uniforms
-
-
 def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
              trials: int, seed: int, collect_trace: bool = False) -> SimSummary:
     """Monte Carlo estimate of the closed-loop cost of a policy.
@@ -106,121 +101,99 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
             raise ValueError(
                 "interval policies simulate only with plant gain 0; asymmetric "
                 "rules admit no tractable estimator otherwise")
-        return _simulate_white(plant, fsm, policy, trials, seed, collect_trace)
-    if plant.a != 0.0 and not policy.symmetric_flag:
+    elif plant.a != 0.0 and not policy.symmetric_flag:
         raise ValueError("asymmetric policies with nonzero plant gain are not supported")
-    return _simulate_chain(plant, fsm, policy, trials, seed, collect_trace)
+    return _simulate(plant, fsm, policy, trials, seed, collect_trace)
 
 
-def _simulate_chain(plant, fsm, policy, trials, seed, collect_trace):
-    n_stages = plant.horizon
-    m = fsm.num_states
-    sigma = math.sqrt(plant.sigma2)
-    noise, uniforms = _draw_tables(seed, trials, n_stages, sigma)
-    trans = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
-                     dtype=np.intp)
+def _simulate(plant, fsm, policy, trials, seed, collect_trace):
+    """The draw-and-step loop of both accountings.
+
+    Stream contract (same seed, same summary): one Philox(key=seed)
+    generator draws the (trials, stages) normals, then the uniforms, both
+    trial-major. Trials are stepped in blocks of ``BLOCK_TRIALS``,
+    stage-major; each block draws its rows of uniforms in turn, continuing
+    the stream, and every step is elementwise, so blocking changes no bit.
+    Only the estimator step differs: on a white source the decision sees
+    the stage's fresh sample and an undelivered one is estimated by its
+    conditional mean given (attempt, state); on the chain it sees the
+    carried error, which a delivery resets and the plant propagates.
+    """
+    white = policy.kind == "interval_pair"
+    n_stages, m = plant.horizon, fsm.num_states
+    # per-(state, attempt) tables are flat, indexed by slot = 2 q + r
+    successor = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
+                         dtype=np.intp).reshape(-1)
+    if white:
+        xhat = np.array([[conditional_estimates(plant.sigma2, lo, hi)
+                          for lo, hi in policy.intervals[s]]
+                         for s in range(n_stages)]).reshape(n_stages, 2 * m)
     drop = np.asarray(fsm.drop_probs)
     allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
+    n_costs = n_stages if white else n_stages + 1
 
-    e = np.zeros(trials)
-    q = np.full(trials, fsm.initial_state, dtype=np.intp)
-    stage_costs = np.empty((trials, n_stages + 1))
-    transmit_rate = np.empty(n_stages)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.normal(0.0, math.sqrt(plant.sigma2), size=(trials, n_stages))
+    stage_costs = np.empty((trials, n_costs))
+    sends = np.zeros(n_stages, dtype=np.int64)
     occupancy = np.zeros(m, dtype=np.int64)
-    trace = {"x": [], "xhat": [], "e": [], "r": [], "c": [], "q": []} if collect_trace else None
-    if collect_trace:
-        xhat = np.full(trials, plant.a * plant.x0)
-        x = xhat + e
+    trace = ({key: np.empty((trials, n_stages), dtype=dtype)
+              for key, dtype in _TRACE_FIELDS} if collect_trace else None)
+    block = min(trials, BLOCK_TRIALS)
+    drawn, costs_buf = np.empty((block, n_stages)), np.empty((n_costs, block))
+    w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
+    for start in range(0, trials, block):
+        k = min(block, trials - start)
+        rows = slice(start, start + k)
+        w, u, costs = w_buf[:, :k], u_buf[:, :k], costs_buf[:, :k]
+        np.copyto(w, noise[rows].T)
+        np.copyto(u, rng.random(out=drawn[:k]).T)
+        e = np.zeros(k)
+        q = np.full(k, fsm.initial_state, dtype=np.intp)
+        if collect_trace and not white:
+            est = np.full(k, plant.a * plant.x0)
+            x = est + e
+        for s in range(n_stages):
+            occupancy += np.bincount(q, minlength=m)
+            if white:
+                e = w[s]
+            r = decide_many(policy, s + 1, q, e) & allowed[q]
+            slot = 2 * q + r
+            success = u[s] >= drop[q]
+            delivered = r & success
+            if white:
+                est = np.where(delivered, e, xhat[s][slot])
+                residual = e - est
+            else:
+                residual = np.where(delivered, 0.0, e)
+            costs[s] = residual * residual
+            sends[s] += np.count_nonzero(r)
+            if collect_trace:
+                if not white:
+                    est = np.where(delivered, x, est)
+                row = (e, est, residual) if white else (x, est, e)
+                for (key, _), value in zip(_TRACE_FIELDS, row + (r, success, q)):
+                    trace[key][rows, s] = value
+                if not white:
+                    est, x = plant.a * est, plant.a * x + w[s]
+            if not white:
+                e = plant.a * residual + w[s]
+            q = successor[slot]
+        if not white:
+            costs[n_stages] = e * e
+        stage_costs[rows] = costs.T
+    del noise  # the reductions below take a cost-table-sized temporary
 
-    for s in range(n_stages):
-        occupancy += np.bincount(q, minlength=m)
-        r = decide_many(policy, s + 1, q, e)
-        r = r & allowed[q]
-        success = uniforms[:, s] >= drop[q]
-        delivered = r & success
-        stage_costs[:, s] = np.where(delivered, 0.0, e * e)
-        transmit_rate[s] = r.mean()
-        if collect_trace:
-            xhat = np.where(delivered, x, xhat)
-            trace["x"].append(x.copy())
-            trace["xhat"].append(xhat.copy())
-            trace["e"].append(e.copy())
-            trace["r"].append(r.copy())
-            trace["c"].append(success.copy())
-            trace["q"].append(q.copy())
-            xhat = plant.a * xhat
-            x = plant.a * x + noise[:, s]
-        e = plant.a * np.where(delivered, 0.0, e) + noise[:, s]
-        q = trans[q, r.astype(np.intp)]
-    stage_costs[:, n_stages] = e * e
-
-    return _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
-                      horizon_term=True, trace=trace)
-
-
-def _simulate_white(plant, fsm, policy, trials, seed, collect_trace):
-    n_stages = plant.horizon
-    m = fsm.num_states
-    sigma = math.sqrt(plant.sigma2)
-    noise, uniforms = _draw_tables(seed, trials, n_stages, sigma)
-    trans = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
-                     dtype=np.intp)
-    drop = np.asarray(fsm.drop_probs)
-    allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
-
-    xhat0 = np.empty((n_stages, m))
-    xhat1 = np.empty((n_stages, m))
-    for s in range(n_stages):
-        for state in range(m):
-            lo, hi = policy.intervals[s, state]
-            xhat0[s, state], xhat1[s, state] = conditional_estimates(
-                plant.sigma2, lo, hi)
-
-    q = np.full(trials, fsm.initial_state, dtype=np.intp)
-    stage_costs = np.empty((trials, n_stages))
-    transmit_rate = np.empty(n_stages)
-    occupancy = np.zeros(m, dtype=np.int64)
-    trace = {"x": [], "xhat": [], "e": [], "r": [], "c": [], "q": []} if collect_trace else None
-
-    for s in range(n_stages):
-        occupancy += np.bincount(q, minlength=m)
-        x = noise[:, s]
-        r = decide_many(policy, s + 1, q, x)
-        r = r & allowed[q]
-        success = uniforms[:, s] >= drop[q]
-        delivered = r & success
-        estimate = np.where(delivered, x,
-                            np.where(r, xhat1[s, q], xhat0[s, q]))
-        err = x - estimate
-        stage_costs[:, s] = err * err
-        transmit_rate[s] = r.mean()
-        if collect_trace:
-            trace["x"].append(x.copy())
-            trace["xhat"].append(estimate.copy())
-            trace["e"].append(err.copy())
-            trace["r"].append(r.copy())
-            trace["c"].append(success.copy())
-            trace["q"].append(q.copy())
-        q = trans[q, r.astype(np.intp)]
-
-    return _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
-                      horizon_term=False, trace=trace)
-
-
-def _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
-               horizon_term, trace):
     stage_mse = stage_costs.mean(axis=0)
     stage_se = stage_costs.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(stage_costs.shape[1])
+        else np.zeros(n_costs)
     totals = stage_costs.sum(axis=1)
     total_se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    if trace is not None:
-        trace = {k: np.stack(v, axis=1) for k, v in trace.items()}
     return SimSummary(trials=trials, seed=seed, stage_mse=stage_mse,
                       stage_se=stage_se, total=float(stage_mse.sum()),
-                      total_se=total_se, transmit_rate=transmit_rate,
-                      occupancy=occupancy,
-                      horizon_term_included=horizon_term, trace=trace)
+                      total_se=total_se, transmit_rate=sends / trials,
+                      occupancy=occupancy, horizon_term_included=not white,
+                      trace=trace)
 
 
 def write_trace_csv(summary: SimSummary, path):

@@ -115,12 +115,12 @@ def decide_many(policy: TransmitPolicy, n: int, q: np.ndarray, e: np.ndarray) ->
     q = np.asarray(q, dtype=np.intp)
     e = np.asarray(e, dtype=float)
     if policy.kind == "symmetric_threshold":
-        return np.abs(e) > policy.tau[n - 1, q]
+        return np.abs(e) > policy.tau[n - 1][q]
     if policy.kind == "interval_pair":
-        iv = policy.intervals[n - 1, q]
-        return (e < iv[:, 0]) | (e > iv[:, 1])
+        iv = policy.intervals[n - 1]
+        return (e < iv[:, 0][q]) | (e > iv[:, 1][q])
     idx = policy.grid.nearest_index(e)
-    return policy.indicator[n - 1, q, idx]
+    return policy.indicator[n - 1][q, idx]
 
 
 @dataclass(frozen=True)
@@ -218,43 +218,59 @@ def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = N
 def load_policy_csv(path):
     """Load a policy written by :func:`export_policy_csv`.
 
-    Returns ``(policy, metadata)``.
+    Rows are placed by their (n, q) and, for gridded policies, by the grid
+    index of their ``e``, so row order does not matter. An off-grid,
+    duplicate or missing point raises ``ValueError``. Returns
+    ``(policy, metadata)``.
     """
     meta = {}
-    rows = []
-    header = None
-    with open(path) as fh:
+    data = []
+    with open(path, newline="") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
+            elif line:
+                data.append(line)
     kind = meta.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"{path}: unknown policy kind {kind!r}")
     horizon = int(meta["horizon"])
     m = int(meta["num_states"])
     symmetric_flag = bool(int(meta.get("symmetric_flag", "0")))
+    grid = None
     if kind == "gridded":
         grid = ErrorGrid(float(meta["grid_half_width"]), int(meta["grid_num_points"]))
-        indicator = np.zeros((horizon, m, grid.num_points), dtype=bool)
-        counters = np.zeros((horizon, m), dtype=int)
-        for n_s, q_s, _e_s, t_s in rows:
-            n, q = int(n_s) - 1, int(q_s)
-            indicator[n, q, counters[n, q]] = bool(int(t_s))
-            counters[n, q] += 1
-        policy = TransmitPolicy.gridded(grid, indicator, symmetric_flag)
-        return policy, meta
-    intervals = np.zeros((horizon, m, 2))
-    for n_s, q_s, _kind, lo_s, hi_s in rows:
-        intervals[int(n_s) - 1, int(q_s)] = (float(lo_s), float(hi_s))
-    if kind == "symmetric_threshold":
-        policy = TransmitPolicy.symmetric(intervals[..., 1], symmetric_flag=symmetric_flag)
+        cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
     else:
-        policy = TransmitPolicy.interval(intervals, symmetric_flag=symmetric_flag)
+        cells = np.zeros((horizon, m, 2))
+    seen = np.zeros(cells.shape if grid is not None else (horizon, m), dtype=bool)
+    for index, row in enumerate(csv.DictReader(data), start=1):
+        try:
+            n, q = int(row["n"]), int(row["q"])
+            if not (1 <= n <= horizon and 0 <= q < m):
+                raise ValueError(f"(n, q) = ({n}, {q}) is outside the policy shape")
+            point = (n - 1, q)
+            if grid is not None:
+                point += (grid.index_of(float(row["e"])),)
+                value = bool(int(row["transmit"]))
+            else:
+                value = (float(row["tau_lo"]), float(row["tau_hi"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: data row {index}: {exc}") from exc
+        if seen[point]:
+            raise ValueError(f"{path}: data row {index} repeats an earlier row's point")
+        seen[point] = True
+        cells[point] = value
+    if not seen.all():
+        n, q, *i = np.argwhere(~seen)[0]
+        first = f"n={n + 1}, q={q}" + (f", e={float(grid.points[i[0]])!r}" if i else "")
+        raise ValueError(f"{path}: {int((~seen).sum())} points have no row, first {first}")
+    if grid is not None:
+        policy = TransmitPolicy.gridded(grid, cells, symmetric_flag)
+    elif kind == "symmetric_threshold":
+        policy = TransmitPolicy.symmetric(cells[..., 1], symmetric_flag=symmetric_flag)
+    else:
+        policy = TransmitPolicy.interval(cells, symmetric_flag=symmetric_flag)
     return policy, meta

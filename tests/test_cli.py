@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from remest.cli import main
 from remest.policy import load_policy_csv, decide
 
@@ -144,6 +146,13 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "verification failed at: check_value_structure" in out
+
+    def test_config_flag_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--out", str(tmp_path), "verify"])
+        assert exc.value.code == 2
+        assert "takes no --config" in capsys.readouterr().err
 
 
 class TestExportExamples:

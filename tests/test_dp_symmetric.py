@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -64,6 +65,24 @@ class TestTerminalAndRecursion:
         assert not policy.indicator[0, 0, center]
         assert policy.indicator[0, 0, np.arange(x.size) != center].all()
 
+    @pytest.mark.parametrize("p_drop", [0.3, 0.7, 0.9])
+    def test_zero_error_tie_stays_silent(self, p_drop):
+        # one state is both successors, so at e = 0 sending costs exactly
+        # what staying silent does; rounding must not break the tie
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=10)
+        table, policy = backward_induction(plant, single_state(p_drop),
+                                           SolverSettings(num_points=401))
+        center = table.grid.center_index
+        assert not policy.indicator[:, :, center].any()
+        assert np.array_equal(table.cost_send[:, :, center],
+                              table.cost_wait[:, :, center])
+
+    def test_value_table_arrays_are_read_only(self, energy_solution):
+        table = energy_solution[2].table
+        for arr in (table.values, table.cost_wait, table.cost_send, table.transmit):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = arr[0, 0, 0]
+
     def test_value_is_pointwise_minimum(self, energy_solution):
         _, fsm, result = energy_solution
         table = result.table
@@ -108,7 +127,9 @@ class TestStructureChecks:
     def test_planted_defect_is_located(self, energy_solution):
         plant, fsm, _ = energy_solution
         table, _ = backward_induction(plant, fsm, SolverSettings(num_points=1201))
-        table.values[2, 2, -1] -= 1.0
+        values = table.values.copy()
+        values[2, 2, -1] -= 1.0
+        table = dataclasses.replace(table, values=values)
         report = check_value_structure(table, tol=1e-8)
         assert not report.ok
         hits = [v for v in report.violations if (v.n, v.q) == (3, 2)]

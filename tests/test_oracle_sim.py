@@ -1,17 +1,20 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from remest.channel import ChannelFsm, energy_harvesting_fsm
-from remest.dp_iid import iid_backward_induction
+from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.dp_iid import conditional_estimates, iid_backward_induction
 from remest.dp_symmetric import SolverSettings, solve_and_extract
-from remest.oracle_sim import (DiscreteInstance, EnumerationSizeError,
-                               discrete_dp, exhaustive_policy_search,
+from remest.oracle_sim import (BLOCK_TRIALS, DiscreteInstance,
+                               EnumerationSizeError, SimSummary, discrete_dp,
+                               exhaustive_policy_search,
                                minimizer_has_interval_structure, simulate,
                                write_trace_csv)
-from remest.policy import TransmitPolicy
+from remest.policy import TransmitPolicy, decide_many
 from remest.process import PlantModel, predicted_open_loop_cost
 
 
@@ -39,6 +42,137 @@ def random_symmetric_instance(rng):
     support = tuple((float(v), float(p)) for v, p in zip(vals, probs))
     return DiscreteInstance(support=support, fsm=fsm,
                             horizon=int(rng.integers(1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Reference simulator: the two whole-table loops the blocked loop replaced,
+# kept as they were. The blocked loop must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _draw_tables(seed: int, trials: int, stages: int, sigma: float):
+    # One counter-based stream: all normals, then all uniforms, trial-major.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.normal(0.0, sigma, size=(trials, stages))
+    uniforms = rng.random(size=(trials, stages))
+    return noise, uniforms
+
+
+def _simulate_chain(plant, fsm, policy, trials, seed, collect_trace):
+    n_stages = plant.horizon
+    m = fsm.num_states
+    sigma = math.sqrt(plant.sigma2)
+    noise, uniforms = _draw_tables(seed, trials, n_stages, sigma)
+    trans = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
+                     dtype=np.intp)
+    drop = np.asarray(fsm.drop_probs)
+    allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
+
+    e = np.zeros(trials)
+    q = np.full(trials, fsm.initial_state, dtype=np.intp)
+    stage_costs = np.empty((trials, n_stages + 1))
+    transmit_rate = np.empty(n_stages)
+    occupancy = np.zeros(m, dtype=np.int64)
+    trace = {"x": [], "xhat": [], "e": [], "r": [], "c": [], "q": []} if collect_trace else None
+    if collect_trace:
+        xhat = np.full(trials, plant.a * plant.x0)
+        x = xhat + e
+
+    for s in range(n_stages):
+        occupancy += np.bincount(q, minlength=m)
+        r = decide_many(policy, s + 1, q, e)
+        r = r & allowed[q]
+        success = uniforms[:, s] >= drop[q]
+        delivered = r & success
+        stage_costs[:, s] = np.where(delivered, 0.0, e * e)
+        transmit_rate[s] = r.mean()
+        if collect_trace:
+            xhat = np.where(delivered, x, xhat)
+            trace["x"].append(x.copy())
+            trace["xhat"].append(xhat.copy())
+            trace["e"].append(e.copy())
+            trace["r"].append(r.copy())
+            trace["c"].append(success.copy())
+            trace["q"].append(q.copy())
+            xhat = plant.a * xhat
+            x = plant.a * x + noise[:, s]
+        e = plant.a * np.where(delivered, 0.0, e) + noise[:, s]
+        q = trans[q, r.astype(np.intp)]
+    stage_costs[:, n_stages] = e * e
+
+    return _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
+                      horizon_term=True, trace=trace)
+
+
+def _simulate_white(plant, fsm, policy, trials, seed, collect_trace):
+    n_stages = plant.horizon
+    m = fsm.num_states
+    sigma = math.sqrt(plant.sigma2)
+    noise, uniforms = _draw_tables(seed, trials, n_stages, sigma)
+    trans = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
+                     dtype=np.intp)
+    drop = np.asarray(fsm.drop_probs)
+    allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
+
+    xhat0 = np.empty((n_stages, m))
+    xhat1 = np.empty((n_stages, m))
+    for s in range(n_stages):
+        for state in range(m):
+            lo, hi = policy.intervals[s, state]
+            xhat0[s, state], xhat1[s, state] = conditional_estimates(
+                plant.sigma2, lo, hi)
+
+    q = np.full(trials, fsm.initial_state, dtype=np.intp)
+    stage_costs = np.empty((trials, n_stages))
+    transmit_rate = np.empty(n_stages)
+    occupancy = np.zeros(m, dtype=np.int64)
+    trace = {"x": [], "xhat": [], "e": [], "r": [], "c": [], "q": []} if collect_trace else None
+
+    for s in range(n_stages):
+        occupancy += np.bincount(q, minlength=m)
+        x = noise[:, s]
+        r = decide_many(policy, s + 1, q, x)
+        r = r & allowed[q]
+        success = uniforms[:, s] >= drop[q]
+        delivered = r & success
+        estimate = np.where(delivered, x,
+                            np.where(r, xhat1[s, q], xhat0[s, q]))
+        err = x - estimate
+        stage_costs[:, s] = err * err
+        transmit_rate[s] = r.mean()
+        if collect_trace:
+            trace["x"].append(x.copy())
+            trace["xhat"].append(estimate.copy())
+            trace["e"].append(err.copy())
+            trace["r"].append(r.copy())
+            trace["c"].append(success.copy())
+            trace["q"].append(q.copy())
+        q = trans[q, r.astype(np.intp)]
+
+    return _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
+                      horizon_term=False, trace=trace)
+
+
+def _summarize(stage_costs, transmit_rate, occupancy, trials, seed,
+               horizon_term, trace):
+    stage_mse = stage_costs.mean(axis=0)
+    stage_se = stage_costs.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
+        else np.zeros(stage_costs.shape[1])
+    totals = stage_costs.sum(axis=1)
+    total_se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    if trace is not None:
+        trace = {k: np.stack(v, axis=1) for k, v in trace.items()}
+    return SimSummary(trials=trials, seed=seed, stage_mse=stage_mse,
+                      stage_se=stage_se, total=float(stage_mse.sum()),
+                      total_se=total_se, transmit_rate=transmit_rate,
+                      occupancy=occupancy,
+                      horizon_term_included=horizon_term, trace=trace)
+
+
+
+def reference_simulate(plant, fsm, policy, trials, seed, collect_trace=False):
+    if policy.kind == "interval_pair":
+        return _simulate_white(plant, fsm, policy, trials, seed, collect_trace)
+    return _simulate_chain(plant, fsm, policy, trials, seed, collect_trace)
 
 
 class TestSimulatorBasics:
@@ -236,3 +370,72 @@ class TestDiscreteOracles:
         dp_value, dp_policy = discrete_dp(inst)
         assert abs(best - dp_value) <= 1e-12
         assert all(p[(2, 1)] == 0 for p in minimizers if (2, 1) in p)
+
+
+def assert_summaries_identical(got, want):
+    for field in dataclasses.fields(SimSummary):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "trace":
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.keys() == b.keys()
+                for key in a:
+                    assert a[key].dtype == b[key].dtype, key
+                    assert a[key].shape == b[key].shape, key
+                    assert a[key].tobytes() == b[key].tobytes(), key
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+@pytest.fixture(scope="module")
+def policy_cases():
+    """(plant, channel, policy) for each policy kind the simulator runs."""
+    plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)
+    fsm = energy_harvesting_fsm(4, 2, 0.3)
+    solved = solve_and_extract(plant, fsm, SolverSettings(num_points=401))
+    white = PlantModel(a=0.0, sigma2=1.0, horizon=6)
+    chain = workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9])
+    intervals = iid_backward_induction(chain, 1.0, 6).policy()
+    return {"threshold": (plant, fsm, solved.threshold_policy),
+            "gridded": (plant, fsm, solved.gridded_policy),
+            "interval": (white, chain, intervals)}
+
+
+class TestBlockedLoopMatchesReference:
+    @pytest.mark.parametrize("kind", ["threshold", "gridded", "interval"])
+    @pytest.mark.parametrize("trials", [1, 7, BLOCK_TRIALS - 1, BLOCK_TRIALS,
+                                        BLOCK_TRIALS + 1, 3 * BLOCK_TRIALS + 5])
+    def test_bit_identical_summary_and_trace(self, policy_cases, kind, trials):
+        plant, fsm, policy = policy_cases[kind]
+        for seed in (0, 13):
+            got = simulate(plant, fsm, policy, trials, seed, collect_trace=True)
+            want = reference_simulate(plant, fsm, policy, trials, seed,
+                                      collect_trace=True)
+            assert_summaries_identical(got, want)
+
+    def test_bit_identical_without_trace(self, policy_cases):
+        for kind, (plant, fsm, policy) in policy_cases.items():
+            got = simulate(plant, fsm, policy, 2 * BLOCK_TRIALS + 3, 4)
+            assert got.trace is None
+            assert_summaries_identical(
+                got, reference_simulate(plant, fsm, policy, 2 * BLOCK_TRIALS + 3, 4))
+
+
+def test_peak_memory_is_noise_and_cost_tables_plus_blocks():
+    # the whole-table loops also held every uniform and per-stage temporaries
+    # over all trials; the blocked loop holds only one block of them
+    trials, horizon = 200_000, 20
+    plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
+    fsm = energy_harvesting_fsm(4, 2, 0.3)
+    policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
+    bound = 8 * trials * horizon + 8 * trials * (horizon + 1) + 30e6
+    tracemalloc.start()
+    try:
+        simulate(plant, fsm, policy, trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"

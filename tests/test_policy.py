@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remest.policy import (TransmitPolicy, decide, decide_many,
                            export_policy_csv, extract_threshold,
@@ -41,14 +44,18 @@ class TestDecide:
 
     def test_vectorized_matches_scalar(self):
         tau = np.array([[0.5, 2.0], [1.0, math.inf]])
-        policy = TransmitPolicy.symmetric(tau)
+        grid = ErrorGrid(3.0, 31)
         rng = np.random.default_rng(3)
         e = rng.normal(scale=2.0, size=40)
         q = rng.integers(0, 2, size=40)
-        for n in (1, 2):
-            vec = decide_many(policy, n, q, e)
-            assert [int(v) for v in vec] == [decide(policy, n, int(qq), float(ee))
-                                             for qq, ee in zip(q, e)]
+        for policy in (TransmitPolicy.symmetric(tau),
+                       TransmitPolicy.interval(np.stack([-tau / 2, tau], axis=-1)),
+                       TransmitPolicy.gridded(grid, np.abs(grid.points) > tau[..., None],
+                                              symmetric_flag=True)):
+            for n in (1, 2):
+                vec = decide_many(policy, n, q, e)
+                assert [int(v) for v in vec] == [decide(policy, n, int(qq), float(ee))
+                                                 for qq, ee in zip(q, e)]
 
     def test_stage_bounds_checked(self):
         policy = TransmitPolicy.symmetric(np.array([[1.0]]))
@@ -139,3 +146,99 @@ class TestCsvRoundTrip:
                 want = [decide(policy, n, q, float(e)) for e in errs]
                 got = [decide(again, n, q, float(e)) for e in errs]
                 assert want == got
+
+
+def _gridded_policy(seed=4):
+    rng = np.random.default_rng(seed)
+    grid = ErrorGrid(3.0, 61)
+    return TransmitPolicy.gridded(grid, rng.uniform(size=(3, 2, 61)) < 0.4,
+                                  symmetric_flag=False)
+
+
+def _split_csv(path):
+    """(comment and header lines, data rows) of an exported policy CSV."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return lines[:head], lines[head:]
+
+
+def _assert_same_policy(a, b):
+    assert (a.kind, a.horizon, a.num_states, a.symmetric_flag) == \
+        (b.kind, b.horizon, b.num_states, b.symmetric_flag)
+    for name in ("tau", "intervals", "indicator"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    assert a.grid == b.grid
+
+
+@st.composite
+def policies(draw):
+    kind = draw(st.sampled_from(["symmetric", "interval", "gridded"]))
+    horizon = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    flag = draw(st.booleans())
+    cells = horizon * m
+    bound = st.floats(-50.0, 50.0, allow_nan=False)
+    if kind == "symmetric":
+        tau = draw(st.lists(st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+                            min_size=cells, max_size=cells))
+        return TransmitPolicy.symmetric(np.reshape(tau, (horizon, m)), flag)
+    if kind == "interval":
+        ends = draw(st.lists(st.tuples(st.one_of(bound, st.just(-math.inf)),
+                                       st.one_of(bound, st.just(math.inf))),
+                             min_size=cells, max_size=cells))
+        iv = np.sort(np.reshape(ends, (horizon, m, 2)), axis=-1)
+        return TransmitPolicy.interval(iv, flag)
+    grid = ErrorGrid(draw(st.floats(0.1, 20.0)), 2 * draw(st.integers(1, 30)) + 1)
+    bits = draw(st.lists(st.booleans(), min_size=cells * grid.num_points,
+                         max_size=cells * grid.num_points))
+    return TransmitPolicy.gridded(grid, np.reshape(bits, (horizon, m, -1)), flag)
+
+
+class TestCsvLoading:
+    @settings(max_examples=60, deadline=None)
+    @given(policy=policies())
+    def test_round_trip_property(self, policy):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.csv"
+            export_policy_csv(policy, path)
+            again, _ = load_policy_csv(path)
+        _assert_same_policy(policy, again)
+
+    def test_shuffled_gridded_rows_round_trip(self, tmp_path):
+        policy = _gridded_policy()
+        path = tmp_path / "policy.csv"
+        export_policy_csv(policy, path)
+        head, rows = _split_csv(path)
+        np.random.default_rng(0).shuffle(rows)
+        path.write_text("".join(head + rows))
+        again, _ = load_policy_csv(path)
+        _assert_same_policy(policy, again)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("off_grid", "not a grid point"),
+        ("duplicate", "repeats an earlier row"),
+        ("missing", "1 points have no row, first n=1, q=0, e=-3.0"),
+    ])
+    def test_gridded_defects_are_rejected(self, tmp_path, defect, message):
+        path = tmp_path / "policy.csv"
+        export_policy_csv(_gridded_policy(), path)
+        head, rows = _split_csv(path)
+        if defect == "off_grid":
+            n, q, e, t = rows[5].strip().split(",")
+            rows[5] = f"{n},{q},{float(e) + 0.03!r},{t}\r\n"
+        elif defect == "duplicate":
+            rows.append(rows[0])
+        else:
+            del rows[0]
+        path.write_text("".join(head + rows))
+        with pytest.raises(ValueError, match=message):
+            load_policy_csv(path)
+
+    def test_missing_threshold_row_is_rejected(self, tmp_path):
+        path = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.ones((2, 2))), path)
+        head, rows = _split_csv(path)
+        path.write_text("".join(head + rows[:-1]))
+        with pytest.raises(ValueError, match="first n=2, q=1"):
+            load_policy_csv(path)
