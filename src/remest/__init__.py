@@ -16,12 +16,12 @@ this trade-off and verifies their structure:
 - :mod:`remest.oracle_sim`: reproducible closed-loop Monte Carlo plus exact
   brute-force oracles on small discretized instances.
 - :mod:`remest.channel`, :mod:`remest.process`, :mod:`remest.policy`,
-  :mod:`remest.quadrature`: the channel FSM model, the plant and error
-  recursion, policy representations, and the Gaussian grid calculus.
+  :mod:`remest.quadrature`: the channel FSM model, the plant model, policy
+  representations, and the Gaussian grid calculus.
 """
 
-from .channel import (ChannelFsm, ChannelOutcome, energy_harvesting_fsm,
-                      sample_drop, step, validate_fsm, workload_chain_fsm)
+from .channel import (ChannelFsm, energy_harvesting_fsm, validate_fsm,
+                      workload_chain_fsm)
 from .dp_iid import (IidValueTable, iid_backward_induction, iid_stage_cost,
                      optimize_interval)
 from .dp_symmetric import (SolverSettings, ValueTable, backward_induction,
@@ -29,10 +29,10 @@ from .dp_symmetric import (SolverSettings, ValueTable, backward_induction,
                            solve_and_extract, threshold_optimality_condition)
 from .oracle_sim import (DiscreteInstance, SimSummary, discrete_dp,
                          exhaustive_policy_search, simulate)
-from .policy import TransmitPolicy, decide, extract_threshold
-from .process import PlantModel, error_step, predicted_open_loop_cost
+from .policy import TransmitPolicy, extract_threshold
+from .process import PlantModel, predicted_open_loop_cost
 from .quadrature import (ErrorGrid, GaussianExpectationOperator, GridFunction,
-                         directional_difference_quotient, gaussian_expectation,
+                         directional_difference_quotient,
                          is_symmetric_nondecreasing, truncated_moments)
 
 __version__ = "0.1.0"

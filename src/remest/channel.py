@@ -10,13 +10,7 @@ a human operator is.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional
-
-
-class ForbiddenTransmitError(ValueError):
-    """A transmission was attempted in a state whose action mask forbids it."""
 
 
 @dataclass(frozen=True)
@@ -94,63 +88,19 @@ def validate_fsm(fsm: ChannelFsm):
     return violations
 
 
-def step(fsm: ChannelFsm, q: int, r: int) -> int:
-    """Next channel state after action r in state q."""
-    if not 0 <= q < fsm.num_states:
-        raise ValueError(f"invalid state {q}")
-    if r not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {r}")
-    if r == 1 and not fsm.transmit_allowed[q]:
-        raise ForbiddenTransmitError(f"transmission not allowed in state {q}")
-    nxt = fsm.transitions[q][r]
-    assert nxt is not None
-    return nxt
-
-
-def sample_drop(fsm: ChannelFsm, q: int, rng) -> bool:
-    """Sample the fate of an attempted transmission in state q.
-
-    Returns True on success. Consumes exactly one uniform draw from rng, so
-    fixed-seed runs are reproducible draw for draw.
-    """
-    if not 0 <= q < fsm.num_states:
-        raise ValueError(f"invalid state {q}")
-    return bool(rng.random() >= fsm.drop_probs[q])
-
-
-@dataclass(frozen=True)
-class ChannelOutcome:
-    """Outcome of one channel use.
-
-    ``delivered = attempted and success``; ``payload`` holds the transmitted
-    value on delivery and None (the erasure symbol) otherwise.
-    """
-
-    attempted: bool
-    success: bool
-    delivered: bool
-    payload: Optional[float]
-
-    def __post_init__(self):
-        if self.delivered != (self.attempted and self.success):
-            raise ValueError("delivered must equal attempted AND success")
-        if (self.payload is None) == self.delivered:
-            raise ValueError("payload must be present iff delivered")
-
-
-def transmit(fsm: ChannelFsm, q: int, r: int, z: float, rng):
-    """Run one channel use: returns (ChannelOutcome, next_state).
-
-    Draws from rng only when a transmission is attempted.
-    """
-    if r == 1:
-        success = sample_drop(fsm, q, rng)
-    else:
-        success = False
-    delivered = bool(r == 1 and success)
-    outcome = ChannelOutcome(attempted=bool(r == 1), success=success,
-                             delivered=delivered, payload=z if delivered else None)
-    return outcome, step(fsm, q, r)
+def reachable_pairs(fsm: ChannelFsm, horizon: int):
+    """(stage, state) pairs reachable from (1, initial) under some actions."""
+    reachable = {(1, fsm.initial_state)}
+    frontier = {fsm.initial_state}
+    for n in range(2, horizon + 1):
+        nxt = set()
+        for q in frontier:
+            nxt.add(fsm.transitions[q][0])
+            if fsm.transmit_allowed[q]:
+                nxt.add(fsm.transitions[q][1])
+        reachable.update((n, q) for q in nxt)
+        frontier = nxt
+    return reachable
 
 
 def energy_harvesting_fsm(capacity: int, tx_cost: int, p_tx: float) -> ChannelFsm:
@@ -226,11 +176,3 @@ def fsm_from_dict(data: dict) -> ChannelFsm:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed FSM description: {exc}") from exc
-
-
-def fsm_to_json(fsm: ChannelFsm) -> str:
-    return json.dumps(fsm_to_dict(fsm), indent=2)
-
-
-def fsm_from_json(text: str) -> ChannelFsm:
-    return fsm_from_dict(json.loads(text))

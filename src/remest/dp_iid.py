@@ -80,23 +80,31 @@ def _objective_vec(sigma2, p_drop, gap, lo, hi):
     m1 = sigma * (pa - pb)
     m2 = sigma2 * (m0 + za * pa - zb * pb)
     m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
+    # massless regions contribute nothing, as in iid_stage_cost
     with np.errstate(divide="ignore", invalid="ignore"):
-        term_in = np.where(m0 > 1e-14, m2 - m1 * m1 / np.maximum(m0, 1e-300), 0.0)
-        term_out = np.where(m0c > 1e-14, m2c - m1c * m1c / np.maximum(m0c, 1e-300), 0.0)
+        term_in = np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0)
+        term_out = np.where(m0c >= MASS_FLOOR, m2c - m1c * m1c / m0c, 0.0)
     return term_in + p_drop * term_out + gap * m0c
 
 
 NEVER_TRANSMIT = (-math.inf, math.inf)
+# The coarse search covers [-SPAN, SPAN] source standard deviations; local
+# refinement stops once its window is below REFINE_TOL standard deviations.
+SPAN = 6.0
+REFINE_TOL = 1e-6
+# An interval optimum counts as asymmetric when it beats the best symmetric
+# rule by more than this fraction of the source variance.
+ASYMMETRY_TOL = 1e-7
 
 
 def optimize_interval(sigma2: float, p_drop: float, continuation_gap: float,
-                      coarse: int = 121, refine_tol: float = 1e-6,
-                      span: float = 6.0):
+                      coarse: int = 121):
     """Best no-transmit interval for one stage plus transition coupling.
 
     Minimizes ``stage cost + p_transmit * continuation_gap`` over
-    tau_lo <= tau_hi by a coarse grid over [-span*sigma, span*sigma]^2
-    followed by zooming local refinement down to ``refine_tol * sigma``.
+    tau_lo <= tau_hi by a ``coarse``-point grid over [-SPAN*sigma,
+    SPAN*sigma]^2 followed by zooming local refinement down to
+    ``REFINE_TOL * sigma``.
     The never-transmit rule (interval = whole line) competes as an explicit
     candidate and is returned as ``(-inf, inf)`` when it wins. Deterministic
     for fixed settings; among numerically tied optima the narrowest, most
@@ -107,9 +115,9 @@ def optimize_interval(sigma2: float, p_drop: float, continuation_gap: float,
     sigma = math.sqrt(sigma2)
     lo_best, hi_best, best = _grid_search(
         sigma2, p_drop, continuation_gap,
-        np.linspace(-span * sigma, span * sigma, coarse))
-    window = 2.0 * span * sigma / (coarse - 1)
-    while window > refine_tol * sigma:
+        np.linspace(-SPAN * sigma, SPAN * sigma, coarse))
+    window = 2.0 * SPAN * sigma / (coarse - 1)
+    while window > REFINE_TOL * sigma:
         lo_axis = lo_best + np.linspace(-window, window, 21)
         hi_axis = hi_best + np.linspace(-window, window, 21)
         lo_c, hi_c, cand = _grid_search(sigma2, p_drop, continuation_gap,
@@ -140,8 +148,7 @@ def _grid_search(sigma2, p_drop, gap, lo_axis, hi_axis=None):
 
 
 def optimize_symmetric_threshold(sigma2: float, p_drop: float,
-                                 continuation_gap: float, coarse: int = 121,
-                                 refine_tol: float = 1e-6, span: float = 6.0):
+                                 continuation_gap: float, coarse: int = 121):
     """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
 
     Same objective as :func:`optimize_interval` restricted to the symmetric
@@ -149,12 +156,12 @@ def optimize_symmetric_threshold(sigma2: float, p_drop: float,
     ``(tau, objective)`` with tau = inf when never-transmit wins.
     """
     sigma = math.sqrt(sigma2)
-    axis = np.linspace(0.0, span * sigma, coarse)
+    axis = np.linspace(0.0, SPAN * sigma, coarse)
     obj = _objective_vec(sigma2, p_drop, continuation_gap, -axis, axis)
     k = int(np.argmin(obj))
     tau_best, best = float(axis[k]), float(obj[k])
-    window = span * sigma / (coarse - 1)
-    while window > refine_tol * sigma:
+    window = SPAN * sigma / (coarse - 1)
+    while window > REFINE_TOL * sigma:
         axis = np.maximum(tau_best + np.linspace(-window, window, 21), 0.0)
         obj = _objective_vec(sigma2, p_drop, continuation_gap, -axis, axis)
         k = int(np.argmin(obj))
@@ -198,8 +205,7 @@ class IidValueTable:
 
 
 def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
-                           coarse: int = 121, refine_tol: float = 1e-6,
-                           asymmetry_tol: float = 1e-7) -> IidValueTable:
+                           coarse: int = 121) -> IidValueTable:
     """Backward induction over channel states for a white Gaussian source.
 
     Each stage solves one interval optimization per state with the
@@ -230,11 +236,10 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
                 continue
             gap = values[s + 1, q1] - values[s + 1, q0]
             lo, hi, obj = optimize_interval(sigma2, fsm.drop_probs[q], gap,
-                                            coarse=coarse, refine_tol=refine_tol)
-            _, obj_sym = optimize_symmetric_threshold(
-                sigma2, fsm.drop_probs[q], gap, coarse=coarse,
-                refine_tol=refine_tol)
-            if obj_sym - obj > asymmetry_tol * sigma2:
+                                            coarse=coarse)
+            _, obj_sym = optimize_symmetric_threshold(sigma2, fsm.drop_probs[q],
+                                                      gap, coarse=coarse)
+            if obj_sym - obj > ASYMMETRY_TOL * sigma2:
                 log.append((s + 1, q, obj_sym, obj))
             intervals[s, q] = (lo, hi)
             _, p_transmit[s, q] = iid_stage_cost(sigma2, fsm.drop_probs[q], lo, hi)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, fsm_to_dict, validate_fsm
+from .channel import ChannelFsm, fsm_to_dict, reachable_pairs, validate_fsm
 from .policy import ThresholdFit, TransmitPolicy, extract_threshold
 from .process import PlantModel, plant_to_dict
 from .quadrature import (ErrorGrid, GridFunction, expectation_operator,
@@ -182,21 +182,6 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     return table, policy
 
 
-def reachable_pairs(fsm: ChannelFsm, horizon: int):
-    """(stage, state) pairs reachable from (1, initial) under some actions."""
-    reachable = {(1, fsm.initial_state)}
-    frontier = {fsm.initial_state}
-    for n in range(2, horizon + 1):
-        nxt = set()
-        for q in frontier:
-            nxt.add(fsm.transitions[q][0])
-            if fsm.transmit_allowed[q]:
-                nxt.add(fsm.transitions[q][1])
-        reachable.update((n, q) for q in nxt)
-        frontier = nxt
-    return reachable
-
-
 @dataclass
 class StructureViolation:
     n: int
@@ -213,14 +198,13 @@ class StructureReport:
     tolerance: float
 
 
-def check_value_structure(table: ValueTable, tol: float,
-                          relative: bool = True) -> StructureReport:
+def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
     """Verify each value slice is symmetric, non-decreasing in |e|, and
     minimized at e = 0.
 
-    With ``relative=True`` the tolerance is scaled by each slice's value
-    range. Violations are reported per (stage, state) with the offending
-    grid point.
+    The tolerance is relative: it is scaled by each slice's value range.
+    Violations are reported per (stage, state) with the offending grid
+    point.
     """
     violations = []
     center = table.grid.center_index
@@ -228,7 +212,7 @@ def check_value_structure(table: ValueTable, tol: float,
         for q in range(table.fsm.num_states):
             slice_vals = table.values[s, q]
             spread = float(slice_vals.max() - slice_vals.min())
-            tol_abs = tol * max(spread, 1e-30) if relative else tol
+            tol_abs = tol * max(spread, 1e-30)
             f = GridFunction(table.grid, slice_vals)
             ok, viol = is_symmetric_nondecreasing(f, tol_abs)
             if not ok:
@@ -258,22 +242,26 @@ class GrowthRateReport:
     slack: float
 
 
-def check_growth_rate_bound(table: ValueTable, plant: PlantModel, slack: float,
-                            boundary_fraction: float = 0.1) -> GrowthRateReport:
+# Outer fraction of grid points left out of the growth check: there the
+# quadratic tail extrapolation, not the solved values, dominates.
+GROWTH_BOUNDARY_FRACTION = 0.1
+
+
+def check_growth_rate_bound(table: ValueTable, plant: PlantModel,
+                            slack: float) -> GrowthRateReport:
     """Check the difference quotients of smoothed value slices against the
     linear-in-horizon bound.
 
     For each stage n and state q the value slice is smoothed through the
     plant (h = E[V(a e + W)]) and the forward difference quotient with
     respect to e^2 is evaluated at every nonnegative grid point outside the
-    boundary band (the outer ``boundary_fraction`` of points, where tail
-    extrapolation dominates). Quotients must stay below the stage bound
-    plus ``slack``.
+    boundary band (the outer ``GROWTH_BOUNDARY_FRACTION`` of points).
+    Quotients must stay below the stage bound plus ``slack``.
     """
     grid = table.grid
     bounds = growth_rate_bounds(plant)
     center = grid.center_index
-    last = grid.num_points - 1 - max(1, int(grid.num_points * boundary_fraction))
+    last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
     x = grid.points
     denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
     h = expectation_operator(grid, plant.a, plant.sigma2).apply(table.values)

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, validate_fsm
+from .channel import ChannelFsm, reachable_pairs, validate_fsm
 from .policy import TransmitPolicy, decide_many
 from .process import PlantModel
 from .dp_iid import conditional_estimates
@@ -282,22 +282,6 @@ def _stage_cost_tables(inst: DiscreteInstance):
     return cost, p_send
 
 
-def _reachable_slots(inst: DiscreteInstance):
-    """Decision slots (stage, state) reachable from the initial state."""
-    slots = []
-    frontier = {inst.fsm.initial_state}
-    for n in range(1, inst.horizon + 1):
-        for q in sorted(frontier):
-            slots.append((n, q))
-        nxt = set()
-        for q in frontier:
-            nxt.add(inst.fsm.transitions[q][0])
-            if inst.fsm.transmit_allowed[q]:
-                nxt.add(inst.fsm.transitions[q][1])
-        frontier = nxt
-    return slots
-
-
 def _slot_maps(inst: DiscreteInstance, q: int) -> np.ndarray:
     if inst.fsm.transmit_allowed[q]:
         return np.arange(1 << len(inst.support))
@@ -313,7 +297,7 @@ def exhaustive_policy_search(inst: DiscreteInstance):
     :class:`EnumerationSizeError` above ``ENUMERATION_LIMIT`` combinations.
     """
     cost_table, p_send_table = _stage_cost_tables(inst)
-    slots = _reachable_slots(inst)
+    slots = sorted(reachable_pairs(inst.fsm, inst.horizon))
     slot_axis = {slot: axis for axis, slot in enumerate(slots)}
     slot_maps = {slot: _slot_maps(inst, slot[1]) for slot in slots}
     total_combos = 1

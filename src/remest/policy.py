@@ -95,23 +95,11 @@ class TransmitPolicy:
                    symmetric_flag, grid=grid, indicator=indicator)
 
 
-def decide(policy: TransmitPolicy, n: int, q: int, e: float) -> int:
-    """Transmit decision at stage n (1-based), channel state q, error e."""
+def decide_many(policy: TransmitPolicy, n: int, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Transmit decisions at stage n (1-based) over aligned channel-state and
+    error arrays."""
     if not 1 <= n <= policy.horizon:
         raise ValueError(f"stage {n} outside 1..{policy.horizon}")
-    if not 0 <= q < policy.num_states:
-        raise ValueError(f"invalid channel state {q}")
-    if policy.kind == "symmetric_threshold":
-        return int(abs(e) > policy.tau[n - 1, q])
-    if policy.kind == "interval_pair":
-        lo, hi = policy.intervals[n - 1, q]
-        return int(e < lo or e > hi)
-    idx = policy.grid.nearest_index(e)
-    return int(policy.indicator[n - 1, q, idx])
-
-
-def decide_many(policy: TransmitPolicy, n: int, q: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`decide` over aligned state and error arrays."""
     q = np.asarray(q, dtype=np.intp)
     e = np.asarray(e, dtype=float)
     if policy.kind == "symmetric_threshold":
@@ -236,12 +224,16 @@ def load_policy_csv(path):
     kind = meta.get("kind")
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown policy kind {kind!r}")
-    horizon = int(meta["horizon"])
-    m = int(meta["num_states"])
+    try:
+        horizon = int(meta["horizon"])
+        m = int(meta["num_states"])
+        grid = None
+        if kind == "gridded":
+            grid = ErrorGrid(float(meta["grid_half_width"]), int(meta["grid_num_points"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing header line '# {exc.args[0]}='") from exc
     symmetric_flag = bool(int(meta.get("symmetric_flag", "0")))
-    grid = None
-    if kind == "gridded":
-        grid = ErrorGrid(float(meta["grid_half_width"]), int(meta["grid_num_points"]))
+    if grid is not None:
         cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
     else:
         cells = np.zeros((horizon, m, 2))

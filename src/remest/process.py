@@ -1,10 +1,8 @@
-"""Scalar Gauss-Markov plant and the closed-loop estimation error recursion."""
+"""Scalar Gauss-Markov plant model."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -25,34 +23,6 @@ class PlantModel:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-
-
-@dataclass
-class EstimatorState:
-    """Remote-estimator bookkeeping for one time step.
-
-    ``conditional_estimates`` carries the pair (xhat given silence, xhat
-    given an attempted-but-dropped packet) used by the white-noise
-    estimator; both coincide with 0 under symmetric policies.
-    """
-
-    estimate: float
-    error: float
-    conditional_estimates: Optional[Tuple[float, float]] = None
-
-
-def error_step(plant: PlantModel, e: float, delivered: bool, w: float) -> float:
-    """One step of the estimation-error recursion under a symmetric policy.
-
-    A delivered packet resets the error to zero; otherwise the error
-    propagates through the plant gain and picks up the process noise.
-    Valid only when the policy in force is symmetric in the error (the
-    caller's responsibility): only then does the conditional-mean estimate
-    stay unchanged on silence and on a drop alike.
-    """
-    if delivered:
-        return 0.0
-    return plant.a * e + w
 
 
 def predicted_open_loop_cost(plant: PlantModel) -> float:
@@ -82,11 +52,3 @@ def plant_from_dict(data: dict) -> PlantModel:
                           horizon=int(data["horizon"]))
     except KeyError as exc:
         raise ValueError(f"malformed plant description: missing {exc}") from exc
-
-
-def plant_to_json(plant: PlantModel) -> str:
-    return json.dumps(plant_to_dict(plant), indent=2)
-
-
-def plant_from_json(text: str) -> PlantModel:
-    return plant_from_dict(json.loads(text))

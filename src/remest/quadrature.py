@@ -305,11 +305,6 @@ def expectation_operator(grid: ErrorGrid, a: float, sigma2: float
     return GaussianExpectationOperator(grid, a, sigma2)
 
 
-def gaussian_expectation(f: GridFunction, a: float, sigma2: float) -> GridFunction:
-    """One-shot h(e) = E[f(a*e + W)], W ~ N(0, sigma2), on f's grid."""
-    return GridFunction(f.grid, expectation_operator(f.grid, a, sigma2).apply(f.values))
-
-
 class ShapeViolation(NamedTuple):
     kind: str  # "asymmetry" or "decrease"
     e: float

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from remest.channel import (ChannelFsm, ChannelOutcome, ForbiddenTransmitError,
-                            energy_harvesting_fsm, fsm_from_json, fsm_to_json,
-                            sample_drop, step, transmit, validate_fsm,
-                            workload_chain_fsm)
+from remest.channel import (ChannelFsm, energy_harvesting_fsm, fsm_from_dict,
+                            fsm_to_dict, validate_fsm, workload_chain_fsm)
+from remest.oracle_sim import simulate
+from remest.policy import TransmitPolicy
+from remest.process import PlantModel
 
 
 @pytest.fixture
@@ -21,23 +24,19 @@ class TestEnergyBuilder:
         assert validate_fsm(energy) == []
 
     def test_transition_examples(self, energy):
-        assert step(energy, 4, 1) == 2
-        assert step(energy, 4, 0) == 4
-        assert step(energy, 0, 0) == 1
-        assert step(energy, 2, 1) == 0
+        assert energy.transitions[4][1] == 2
+        assert energy.transitions[4][0] == 4
+        assert energy.transitions[0][0] == 1
+        assert energy.transitions[2][1] == 0
 
     def test_smallest_instance(self):
         fsm = energy_harvesting_fsm(1, 1, 0.5)
-        assert step(fsm, 0, 0) == 1
-        assert step(fsm, 1, 1) == 0
+        assert fsm.transitions[0][0] == 1
+        assert fsm.transitions[1][1] == 0
 
     def test_capacity_below_cost_rejected(self):
         with pytest.raises(ValueError):
             energy_harvesting_fsm(1, 2, 0.3)
-
-    def test_masked_transmit_raises(self, energy):
-        with pytest.raises(ForbiddenTransmitError):
-            step(energy, 1, 1)
 
     def test_battery_bookkeeping_along_trajectories(self, energy):
         rng = np.random.default_rng(0)
@@ -45,7 +44,7 @@ class TestEnergyBuilder:
             q = energy.initial_state
             for _ in range(30):
                 r = int(rng.integers(0, 2)) if energy.transmit_allowed[q] else 0
-                nxt = step(energy, q, r)
+                nxt = energy.transitions[q][r]
                 if r:
                     assert nxt == q - 2
                 else:
@@ -61,13 +60,13 @@ class TestWorkloadBuilder:
         assert fsm.drop_probs[0] == 0.1 and fsm.drop_probs[1] == 0.3
         assert all(fsm.transmit_allowed)
         assert validate_fsm(fsm) == []
-        assert step(fsm, 4, 1) == 4  # saturates
-        assert step(fsm, 0, 0) == 0
+        assert fsm.transitions[4][1] == 4  # saturates
+        assert fsm.transitions[0][0] == 0
 
     def test_two_state_chain(self):
         fsm = workload_chain_fsm(1, [0.0, 1.0])
-        assert step(fsm, 0, 1) == 1
-        assert step(fsm, 1, 0) == 0
+        assert fsm.transitions[0][1] == 1
+        assert fsm.transitions[1][0] == 0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -103,63 +102,52 @@ class TestValidation:
                 tuple(True for _ in range(m)))
             for q in fsm.states():
                 for r in (0, 1):
-                    assert 0 <= step(fsm, q, r) < m
+                    assert 0 <= fsm.transitions[q][r] < m
+
+
+def channel_trace(fsm, horizon, trials, seed):
+    """Trace of a simulated run: ``c[t, s]`` is the sampled fate (True = an
+    attempt gets through) of trial t's channel use at stage s, drawn whether
+    or not the policy attempts."""
+    policy = TransmitPolicy.symmetric(np.zeros((horizon, fsm.num_states)))
+    plant = PlantModel(a=1.0, sigma2=1.0, horizon=horizon)
+    return simulate(plant, fsm, policy, trials, seed, collect_trace=True).trace
 
 
 class TestSampling:
     def test_degenerate_drop_probabilities(self, energy):
-        rng = np.random.default_rng(1)
         sure = ChannelFsm(1, ((0, 0),), (0.0,), 0, (True,))
         never = ChannelFsm(1, ((0, 0),), (1.0,), 0, (True,))
-        assert all(sample_drop(sure, 0, rng) for _ in range(200))
-        assert not any(sample_drop(never, 0, rng) for _ in range(200))
+        assert channel_trace(sure, 4, 50, seed=1)["c"].all()
+        assert not channel_trace(never, 4, 50, seed=1)["c"].any()
 
     def test_empirical_success_rate(self, energy):
-        # one uniform per call: check the empirical rate on the same stream
-        rng = np.random.default_rng(123)
+        # one uniform per trial-stage; every trial starts in state 4
         n = 10 ** 6
-        hits = sum(sample_drop(energy, 4, rng) for _ in range(n))
-        rate = hits / n
+        trace = channel_trace(energy, 1, n, seed=123)
+        assert (trace["q"] == 4).all()
+        rate = trace["c"].mean()
         se = (0.3 * 0.7 / n) ** 0.5
         assert abs(rate - 0.7) <= 3 * se
 
     def test_fixed_seed_reproducible(self, energy):
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        seq1 = [sample_drop(energy, 3, rng1) for _ in range(100)]
-        seq2 = [sample_drop(energy, 3, rng2) for _ in range(100)]
-        assert seq1 == seq2
-
-
-class TestOutcome:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelOutcome(attempted=True, success=True, delivered=False, payload=None)
-        with pytest.raises(ValueError):
-            ChannelOutcome(attempted=False, success=False, delivered=False, payload=1.0)
-        ok = ChannelOutcome(attempted=True, success=True, delivered=True, payload=2.0)
-        assert ok.payload == 2.0
-
-    def test_transmit_helper(self, energy):
-        rng = np.random.default_rng(2)
-        outcome, nxt = transmit(energy, 4, 1, z=1.5, rng=rng)
-        assert outcome.attempted and nxt == 2
-        assert outcome.delivered == (outcome.payload is not None)
-        outcome, nxt = transmit(energy, 4, 0, z=1.5, rng=rng)
-        assert not outcome.attempted and outcome.payload is None and nxt == 4
+        seq1 = channel_trace(energy, 20, 5, seed=7)["c"]
+        seq2 = channel_trace(energy, 20, 5, seed=7)["c"]
+        assert np.array_equal(seq1, seq2)
 
 
 class TestJsonSchema:
     def test_round_trip(self, energy):
-        again = fsm_from_json(fsm_to_json(energy))
+        again = fsm_from_dict(json.loads(json.dumps(fsm_to_dict(energy))))
         assert again == energy
 
     def test_null_transmit_target_only_when_masked(self, energy):
-        data = fsm_to_json(energy)
+        data = json.dumps(fsm_to_dict(energy))
         assert '"transitions"' in data
-        again = fsm_from_json(data)
+        again = fsm_from_dict(json.loads(data))
         assert again.transitions[0][1] is None
         assert not again.transmit_allowed[0]
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
-            fsm_from_json('{"num_states": 2}')
+            fsm_from_dict(json.loads('{"num_states": 2}'))

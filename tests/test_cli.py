@@ -3,7 +3,7 @@ import json
 import pytest
 
 from remest.cli import main
-from remest.policy import load_policy_csv, decide
+from remest.policy import decide_many, load_policy_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -81,7 +81,7 @@ class TestSolveIid:
         policy, meta = load_policy_csv(out / "policy.csv")
         assert policy.kind == "interval_pair"
         # masked battery levels never transmit
-        assert decide(policy, 1, 0, 100.0) == 0
+        assert not decide_many(policy, 1, [0], [100.0])[0]
 
 
 class TestSimulate:
@@ -122,6 +122,19 @@ class TestSimulate:
         code = main(["--config", str(cfg), "--out", str(out / "sim"),
                      "--trials", "0", "simulate", str(out / "policy.csv")])
         assert code == 2
+
+    def test_missing_header_line_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        main(["--config", str(cfg), "--out", str(out), "solve-symmetric"])
+        policy_csv = out / "policy.csv"
+        lines = policy_csv.read_text().splitlines(keepends=True)
+        policy_csv.write_text("".join(line for line in lines
+                                      if not line.startswith("# horizon=")))
+        code = main(["--config", str(cfg), "--out", str(out / "sim"),
+                     "--trials", "50", "simulate", str(policy_csv)])
+        assert code == 2
+        assert "missing header line '# horizon='" in capsys.readouterr().err
 
     def test_trace_flag_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)

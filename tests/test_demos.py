@@ -1,0 +1,15 @@
+"""Smoke test: every bundled demo runs to completion against the package."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos may write files into the working directory
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from remest.channel import ChannelFsm, energy_harvesting_fsm
-from remest.dp_iid import (NEVER_TRANSMIT, conditional_estimates,
+from remest.dp_iid import (NEVER_TRANSMIT, _objective_vec, conditional_estimates,
                            iid_backward_induction, iid_stage_cost,
                            optimize_interval, optimize_symmetric_threshold)
 
@@ -101,6 +101,13 @@ class TestStageCost:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             iid_stage_cost(1.0, 0.5, 2.0, -2.0)
+
+    def test_optimizer_objective_uses_the_same_mass_floor(self):
+        # a far-tail silence interval (mass about 6e-16) counts in both
+        cost, _ = iid_stage_cost(1.0, 0.0, -9.0, -8.0)
+        objective = _objective_vec(1.0, 0.0, 0.0, np.array([-9.0]), np.array([-8.0]))
+        assert cost > 0.0
+        assert objective[0] == cost
 
     def test_conditional_estimates(self):
         xin, xout = conditional_estimates(1.0, 0.0, math.inf)

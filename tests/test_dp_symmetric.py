@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
+                            workload_chain_fsm)
 from remest.dp_symmetric import (SolverSettings, SolverOverflowError,
                                  backward_induction, check_growth_rate_bound,
                                  check_value_structure, export_value_table_csv,
                                  growth_rate_bounds, provenance_hash,
-                                 reachable_pairs, solve_and_extract,
+                                 solve_and_extract,
                                  threshold_optimality_condition)
 from remest.process import PlantModel, predicted_open_loop_cost
 from remest.quadrature import ErrorGrid

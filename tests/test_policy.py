@@ -6,41 +6,59 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.policy import (TransmitPolicy, decide, decide_many,
-                           export_policy_csv, extract_threshold,
-                           load_policy_csv)
+from remest.channel import ChannelFsm
+from remest.oracle_sim import simulate
+from remest.policy import (TransmitPolicy, decide_many, export_policy_csv,
+                           extract_threshold, load_policy_csv)
+from remest.process import PlantModel
 from remest.quadrature import ErrorGrid
+
+
+def decide_one(policy, n, q, e):
+    """One decision through :func:`decide_many` on 1-element arrays."""
+    return int(decide_many(policy, n, [q], [e])[0])
+
+
+def reference_decide(policy, n, q, e):
+    """Scalar reference for :func:`decide_many`: one point at a time."""
+    if policy.kind == "symmetric_threshold":
+        return int(abs(e) > policy.tau[n - 1, q])
+    if policy.kind == "interval_pair":
+        lo, hi = policy.intervals[n - 1, q]
+        return int(e < lo or e > hi)
+    idx = policy.grid.nearest_index(e)
+    return int(policy.indicator[n - 1, q, idx])
 
 
 class TestDecide:
     def test_symmetric_threshold(self):
         policy = TransmitPolicy.symmetric(np.array([[2.0]]))
-        assert decide(policy, 1, 0, 3.0) == 1
-        assert decide(policy, 1, 0, 1.0) == 0
-        assert decide(policy, 1, 0, -2.5) == 1
-        assert decide(policy, 1, 0, 2.0) == 0  # boundary stays silent
+        assert decide_one(policy, 1, 0, 3.0) == 1
+        assert decide_one(policy, 1, 0, 1.0) == 0
+        assert decide_one(policy, 1, 0, -2.5) == 1
+        assert decide_one(policy, 1, 0, 2.0) == 0  # boundary stays silent
 
     def test_interval_pair(self):
         policy = TransmitPolicy.interval(np.array([[[-1.0, 4.0]]]))
-        assert decide(policy, 1, 0, -2.0) == 1
-        assert decide(policy, 1, 0, 0.0) == 0
-        assert decide(policy, 1, 0, 5.0) == 1
+        assert decide_one(policy, 1, 0, -2.0) == 1
+        assert decide_one(policy, 1, 0, 0.0) == 0
+        assert decide_one(policy, 1, 0, 5.0) == 1
 
     def test_masked_state_sentinel_never_transmits(self):
         tau = np.array([[math.inf, 1.0]])
         policy = TransmitPolicy.symmetric(tau)
         for e in (-100.0, 0.0, 1e6):
-            assert decide(policy, 1, 0, e) == 0
+            assert decide_one(policy, 1, 0, e) == 0
 
     def test_gridded_nearest_point(self):
         grid = ErrorGrid(2.0, 5)  # points -2,-1,0,1,2
         indicator = np.zeros((1, 1, 5), dtype=bool)
         indicator[0, 0] = [True, False, False, False, True]
         policy = TransmitPolicy.gridded(grid, indicator, symmetric_flag=True)
-        assert decide(policy, 1, 0, -1.9) == 1
-        assert decide(policy, 1, 0, 0.4) == 0
-        assert decide(policy, 1, 0, 1.51) == 1
-        assert decide(policy, 1, 0, 50.0) == 1  # clips to the boundary point
+        assert decide_one(policy, 1, 0, -1.9) == 1
+        assert decide_one(policy, 1, 0, 0.4) == 0
+        assert decide_one(policy, 1, 0, 1.51) == 1
+        assert decide_one(policy, 1, 0, 50.0) == 1  # clips to the boundary point
 
     def test_vectorized_matches_scalar(self):
         tau = np.array([[0.5, 2.0], [1.0, math.inf]])
@@ -54,15 +72,18 @@ class TestDecide:
                                               symmetric_flag=True)):
             for n in (1, 2):
                 vec = decide_many(policy, n, q, e)
-                assert [int(v) for v in vec] == [decide(policy, n, int(qq), float(ee))
-                                                 for qq, ee in zip(q, e)]
+                assert [int(v) for v in vec] == [
+                    reference_decide(policy, n, int(qq), float(ee)) for qq, ee in zip(q, e)]
 
     def test_stage_bounds_checked(self):
         policy = TransmitPolicy.symmetric(np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            decide(policy, 2, 0, 0.0)
-        with pytest.raises(ValueError):
-            decide(policy, 1, 1, 0.0)
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="outside 1..1"):
+                decide_many(policy, n, [0], [0.0])
+        # a channel state outside the policy is caught where states come from
+        two_states = ChannelFsm(2, ((1, 0), (0, 1)), (0.5, 0.5), 0, (True, True))
+        with pytest.raises(ValueError, match="policy shape does not match"):
+            simulate(PlantModel(a=1.0, sigma2=1.0, horizon=1), two_states, policy, 10, 0)
 
 
 class TestExtractThreshold:
@@ -114,8 +135,8 @@ class TestExtractThreshold:
             fit = extract_threshold(grid, planted, symmetric=True)
             assert fit.is_threshold and fit.tau is not None
             policy = TransmitPolicy.symmetric(np.array([[fit.tau]]))
-            redecided = np.array([decide(policy, 1, 0, float(e))
-                                  for e in grid.points], dtype=bool)
+            redecided = decide_many(policy, 1, np.zeros(grid.num_points, dtype=int),
+                                    grid.points)
             assert np.array_equal(redecided, planted)
 
 
@@ -143,9 +164,10 @@ class TestCsvRoundTrip:
         errs = np.linspace(-4, 4, 101)
         for n in range(1, 4):
             for q in range(2):
-                want = [decide(policy, n, q, float(e)) for e in errs]
-                got = [decide(again, n, q, float(e)) for e in errs]
-                assert want == got
+                states = np.full(errs.size, q)
+                want = decide_many(policy, n, states, errs)
+                got = decide_many(again, n, states, errs)
+                assert np.array_equal(want, got)
 
 
 def _gridded_policy(seed=4):
@@ -241,4 +263,19 @@ class TestCsvLoading:
         head, rows = _split_csv(path)
         path.write_text("".join(head + rows[:-1]))
         with pytest.raises(ValueError, match="first n=2, q=1"):
+            load_policy_csv(path)
+
+    @pytest.mark.parametrize("policy, key", [
+        pytest.param(TransmitPolicy.symmetric(np.ones((2, 2))), key, id=key)
+        for key in ("horizon", "num_states")] + [
+        pytest.param(_gridded_policy(), key, id=key)
+        for key in ("grid_half_width", "grid_num_points")])
+    def test_missing_header_line_is_rejected(self, tmp_path, policy, key):
+        path = tmp_path / "policy.csv"
+        export_policy_csv(policy, path)
+        head, rows = _split_csv(path)
+        kept = [line for line in head if not line.startswith(f"# {key}=")]
+        assert len(kept) == len(head) - 1
+        path.write_text("".join(kept + rows))
+        with pytest.raises(ValueError, match=f"missing header line '# {key}='"):
             load_policy_csv(path)

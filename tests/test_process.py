@@ -1,9 +1,27 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from remest.process import (EstimatorState, PlantModel, error_step,
-                            plant_from_json, plant_to_json,
+from remest.channel import ChannelFsm
+from remest.oracle_sim import simulate
+from remest.policy import TransmitPolicy
+from remest.process import (PlantModel, plant_from_dict, plant_to_dict,
                             predicted_open_loop_cost)
+
+
+def error_run(plant, tau, drop=0.5, trials=8, seed=0):
+    """(trace, noise) of a simulated run on a one-state channel under the
+    threshold ``tau`` at every stage. ``trace["e"][:, s]`` is the error the
+    stage-(s + 1) decision sees; ``noise`` is the run's process noise, drawn
+    first from the simulator's Philox(key=seed) stream."""
+    fsm = ChannelFsm(1, ((0, 0),), (drop,), 0, (True,))
+    policy = TransmitPolicy.symmetric(np.full((plant.horizon, 1), tau))
+    trace = simulate(plant, fsm, policy, trials, seed, collect_trace=True).trace
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.normal(0.0, math.sqrt(plant.sigma2), size=(trials, plant.horizon))
+    return trace, noise
 
 
 class TestPlantModel:
@@ -15,32 +33,38 @@ class TestPlantModel:
 
     def test_json_round_trip(self):
         plant = PlantModel(a=1.1, sigma2=2.0, x0=0.5, horizon=7)
-        assert plant_from_json(plant_to_json(plant)) == plant
+        assert plant_from_dict(json.loads(json.dumps(plant_to_dict(plant)))) == plant
 
 
 class TestErrorStep:
     def test_propagation(self):
-        plant = PlantModel(a=1.1, sigma2=1.0, horizon=1)
-        assert error_step(plant, 2.0, delivered=False, w=0.5) == pytest.approx(2.7)
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=4)
+        trace, w = error_run(plant, tau=math.inf)
+        assert not trace["r"].any()
+        assert np.array_equal(trace["e"][:, 1:], plant.a * trace["e"][:, :-1] + w[:, :-1])
 
     def test_delivery_resets(self):
-        plant = PlantModel(a=3.0, sigma2=1.0, horizon=1)
-        assert error_step(plant, 17.0, delivered=True, w=-4.0) == 0.0
+        # drop 0 and tau 0: every nonzero error is sent and delivered
+        plant = PlantModel(a=3.0, sigma2=1.0, horizon=4)
+        trace, w = error_run(plant, tau=0.0, drop=0.0)
+        delivered = (trace["r"] & trace["c"])[:, :-1]
+        assert delivered[:, 1:].all()
+        assert np.array_equal(trace["e"][:, 1:][delivered], w[:, :-1][delivered])
 
     def test_white_source_forgets_error(self):
-        plant = PlantModel(a=0.0, sigma2=1.0, horizon=1)
-        assert error_step(plant, 5.0, delivered=False, w=-1.0) == -1.0
+        plant = PlantModel(a=0.0, sigma2=1.0, horizon=4)
+        trace, w = error_run(plant, tau=math.inf)
+        assert np.array_equal(trace["e"][:, 1:], w[:, :-1])
 
     def test_telescopes_against_direct_plant_run(self):
         # with x0 = 0 the undelivered error path is the state path, bitwise
-        plant = PlantModel(a=1.07, sigma2=1.0, x0=0.0, horizon=1)
-        rng = np.random.default_rng(21)
-        w = rng.normal(size=40)
-        e, x = 0.0, 0.0
-        for wn in w:
-            e = error_step(plant, e, delivered=False, w=wn)
-            x = plant.a * x + wn
-            assert e == x
+        plant = PlantModel(a=1.07, sigma2=1.0, x0=0.0, horizon=40)
+        trace, w = error_run(plant, tau=math.inf, seed=21)
+        x = np.zeros(w.shape[0])
+        for s in range(plant.horizon):
+            assert np.array_equal(trace["e"][:, s], x)
+            x = plant.a * x + w[:, s]
+        assert np.array_equal(trace["e"], trace["x"])
 
 
 class TestOpenLoopCost:
@@ -56,9 +80,3 @@ class TestOpenLoopCost:
         assert predicted_open_loop_cost(
             PlantModel(a=1.1, sigma2=1.0, horizon=3)) == pytest.approx(6.8841)
 
-
-class TestEstimatorState:
-    def test_holds_conditionals(self):
-        st = EstimatorState(estimate=0.4, error=-0.1,
-                            conditional_estimates=(0.0, 1.2))
-        assert st.conditional_estimates == (0.0, 1.2)

@@ -13,8 +13,7 @@ from remest.process import PlantModel
 from remest.quadrature import (DegenerateIntervalError, ErrorGrid,
                                GaussianExpectationOperator, GridFunction,
                                ShapeViolation, directional_difference_quotient,
-                               expectation_operator, gaussian_expectation,
-                               gaussian_partial_moments,
+                               expectation_operator, gaussian_partial_moments,
                                is_symmetric_nondecreasing, truncated_moments)
 
 
@@ -109,24 +108,23 @@ class TestTruncatedMoments:
 class TestGaussianExpectation:
     def test_constant_invariance(self):
         grid = ErrorGrid(8.0, 501)
-        h = gaussian_expectation(grid_function(grid, lambda x: np.full_like(x, 2.75)),
-                                 a=0.9, sigma2=1.3)
-        assert np.max(np.abs(h.values - 2.75)) < 1e-12
+        h = expectation_operator(grid, 0.9, 1.3).apply(np.full(grid.num_points, 2.75))
+        assert np.max(np.abs(h - 2.75)) < 1e-12
 
     @pytest.mark.parametrize("a,sigma2", [(1.1, 1.0), (0.0, 0.5), (0.7, 2.0)])
     def test_quadratic_maps_to_quadratic(self, a, sigma2):
         grid = ErrorGrid(8.0, 2001)
-        h = gaussian_expectation(grid_function(grid, np.square), a, sigma2)
+        h = expectation_operator(grid, a, sigma2).apply(grid.points ** 2)
         expected = a * a * grid.points ** 2 + sigma2
         # piecewise-linear model bias is spacing^2 / 6, uniform over the grid
-        assert np.max(np.abs(h.values - expected)) < grid.spacing ** 2 / 2
+        assert np.max(np.abs(h - expected)) < grid.spacing ** 2 / 2
 
     def test_matches_fine_simpson_oracle_on_piecewise_linear(self):
         grid = ErrorGrid(14.0, 701)
         rng = np.random.default_rng(7)
         f = GridFunction(grid, np.cumsum(rng.normal(size=grid.num_points)) * 0.1)
         a, sigma2 = 0.8, 1.0
-        h = gaussian_expectation(f, a, sigma2)
+        h = expectation_operator(grid, a, sigma2).apply(f.values)
         sigma = math.sqrt(sigma2)
         # ten subdivisions per cell keep the interpolant's kinks on Simpson
         # panel boundaries, where the oracle actually converges
@@ -140,7 +138,7 @@ class TestGaussianExpectation:
                 continue  # keep the kernel mass inside the grid
             ref = integrate.simpson(f_fine * norm.pdf(fine - a * e, scale=sigma),
                                     x=fine)
-            assert h.values[i] == pytest.approx(ref, rel=1e-6, abs=1e-9)
+            assert h[i] == pytest.approx(ref, rel=1e-6, abs=1e-9)
             checked += 1
         assert checked > 10
 
