@@ -45,7 +45,7 @@ for n in range(1, plant.horizon + 1):
     print(f"{n:5d} " + "".join(cells))
 
 structure = check_value_structure(table, tol=1e-8)
-growth = check_growth_rate_bound(table, plant, slack=10 * table.grid.spacing)
+growth = check_growth_rate_bound(table, slack=10 * table.grid.spacing)
 print(f"\nvalue slices symmetric and unimodal: {structure.ok}; "
       f"growth-rate bound holds: {growth.ok}")
 

@@ -31,8 +31,7 @@ from .oracle_sim import (DiscreteInstance, SimSummary, discrete_dp,
                          exhaustive_policy_search, simulate)
 from .policy import TransmitPolicy, extract_threshold
 from .process import PlantModel, predicted_open_loop_cost
-from .quadrature import (ErrorGrid, GaussianExpectationOperator, GridFunction,
-                         directional_difference_quotient,
-                         is_symmetric_nondecreasing, truncated_moments)
+from .quadrature import (ErrorGrid, GaussianExpectationOperator,
+                         is_symmetric_nondecreasing)
 
 __version__ = "0.1.0"

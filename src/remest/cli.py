@@ -91,9 +91,7 @@ def fsm_from_config(config: dict) -> ch.ChannelFsm:
 def settings_from_config(config: dict, grid_points=None) -> dps.SolverSettings:
     settings = dps.SolverSettings.from_dict(config.get("solver", {}))
     if grid_points is not None:
-        settings = dps.SolverSettings(
-            half_width=settings.half_width, num_points=grid_points,
-            value_cap=settings.value_cap, max_half_width=settings.max_half_width)
+        settings = dataclasses.replace(settings, num_points=grid_points)
     return settings
 
 
@@ -120,7 +118,7 @@ def cmd_solve_symmetric(args) -> int:
 
     structure = dps.check_value_structure(table, tol=1e-8)
     slack = 10.0 * table.grid.spacing
-    growth = dps.check_growth_rate_bound(table, plant, slack=slack)
+    growth = dps.check_growth_rate_bound(table, slack=slack)
     v, margin, satisfied = dps.threshold_optimality_condition(plant, fsm)
     report = {
         "provenance": table.provenance,
@@ -237,14 +235,14 @@ def cmd_export_examples(args) -> int:
 def _verify_properties(grid_points=None, inject_defect=None):
     """Yield (name, ok, detail) for each bundled property."""
     from .quadrature import (ErrorGrid, GaussianExpectationOperator,
-                             GridFunction, is_symmetric_nondecreasing)
+                             is_symmetric_nondecreasing)
 
     rng = np.random.default_rng(20240817)
 
     grid = ErrorGrid(10.0, 801)
     op = GaussianExpectationOperator(grid, 1.1, 1.0)
     const = op.apply(np.full(grid.num_points, 3.25))
-    yield ("gaussian_expectation constant invariance",
+    yield ("expectation operator constant invariance",
            bool(np.max(np.abs(const - 3.25)) < 1e-10), "")
 
     step_fns = []
@@ -254,9 +252,9 @@ def _verify_properties(grid_points=None, inject_defect=None):
         steps = np.sort(rng.uniform(0, 0.75 * grid.half_width, size=4))
         levels = np.cumsum(rng.uniform(0, 1, size=5))
         step_fns.append(levels[np.searchsorted(steps, np.abs(grid.points))])
-    ok = all(is_symmetric_nondecreasing(GridFunction(grid, h), 1e-8)[0]
+    ok = all(is_symmetric_nondecreasing(grid, h, 1e-8)[0]
              for h in op.apply(np.array(step_fns)))
-    yield ("gaussian_expectation preserves symmetric monotone shape", ok, "")
+    yield ("expectation operator preserves symmetric monotone shape", ok, "")
 
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=8)
     fsm = ch.energy_harvesting_fsm(4, 2, 0.3)
@@ -270,8 +268,7 @@ def _verify_properties(grid_points=None, inject_defect=None):
     structure = dps.check_value_structure(table, tol=1e-8)
     yield ("check_value_structure", structure.ok,
            f"{len(structure.violations)} violations")
-    growth = dps.check_growth_rate_bound(table, plant,
-                                         slack=10 * table.grid.spacing)
+    growth = dps.check_growth_rate_bound(table, slack=10 * table.grid.spacing)
     yield ("check_growth_rate_bound", growth.ok, f"{len(growth.violations)} violations")
     yield ("terminal slice is squared error",
            bool(np.array_equal(table.values[-1, 0], table.grid.points ** 2)), "")

@@ -11,9 +11,11 @@ channel state q with drop probability p, compares
 where q0, q1 are the silent/transmit successors and V' is the next-stage
 value. The value is the pointwise minimum with ties resolved to staying
 silent, the terminal slice is the squared error itself, and masked channel
-states are forced silent. Gaussian expectations run through one reused
-:class:`~remest.quadrature.GaussianExpectationOperator`, applied once per
-stage to all channel states and shared with the growth check.
+states are forced silent. Gaussian expectations run through one
+:class:`~remest.quadrature.GaussianExpectationOperator`, built per solve and
+applied once per stage to all channel states. The value table keeps those
+smoothed slices E[V(a e + W, q)], so the growth check reads them instead of
+smoothing the values again.
 
 The module also houses the structure checks: symmetry/monotonicity of every
 value slice, the linear-in-horizon bound on difference quotients of the
@@ -34,7 +36,7 @@ import numpy as np
 from .channel import ChannelFsm, fsm_to_dict, reachable_pairs, validate_fsm
 from .policy import ThresholdFit, TransmitPolicy, extract_threshold
 from .process import PlantModel, plant_to_dict
-from .quadrature import (ErrorGrid, GridFunction, expectation_operator,
+from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
 
 
@@ -94,11 +96,15 @@ class ValueTable:
     cover stages 1..N; ``cost_send`` is NaN at masked states where
     transmitting is undefined. ``transmit[s, q, i]`` is the optimal
     decision indicator (strict improvement required, so ties stay silent).
-    The four arrays are read-only; corrupt a copy for a defect test.
+    ``smoothed[s, q]`` is the Gaussian smoothing E[V(a e + W)] of
+    ``values[s, q]``: the expectations backward induction took of every
+    next-stage slice, plus one of the stage-1 slices. The growth check reads
+    it. The five arrays are read-only; corrupt a copy for a defect test.
     """
 
     grid: ErrorGrid
     values: np.ndarray
+    smoothed: np.ndarray
     cost_wait: np.ndarray
     cost_send: np.ndarray
     transmit: np.ndarray
@@ -108,7 +114,8 @@ class ValueTable:
     provenance: str
 
     def __post_init__(self):
-        for arr in (self.values, self.cost_wait, self.cost_send, self.transmit):
+        for arr in (self.values, self.smoothed, self.cost_wait, self.cost_send,
+                    self.transmit):
             arr.flags.writeable = False
 
     @property
@@ -140,9 +147,10 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     m = fsm.num_states
     n_stages = plant.horizon
     center = grid.center_index
-    op = expectation_operator(grid, plant.a, plant.sigma2)
+    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
 
     values = np.empty((n_stages + 1, m, grid.num_points))
+    smoothed = np.empty_like(values)
     cost_wait = np.empty((n_stages, m, grid.num_points))
     cost_send = np.full((n_stages, m, grid.num_points), np.nan)
     transmit = np.zeros((n_stages, m, grid.num_points), dtype=bool)
@@ -151,15 +159,15 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     values[n_stages, :, :] = x_sq[None, :]
 
     for s in range(n_stages - 1, -1, -1):
-        smoothed = op.apply(values[s + 1])
+        h = smoothed[s + 1] = op.apply(values[s + 1])
         for q in range(m):
             q0, q1 = fsm.transitions[q]
-            c0 = x_sq + smoothed[q0]
+            c0 = x_sq + h[q0]
             cost_wait[s, q] = c0
             if fsm.transmit_allowed[q]:
                 p = fsm.drop_probs[q]
-                reset_value = smoothed[q1, center]
-                c1 = p * (x_sq + smoothed[q1]) + (1.0 - p) * reset_value
+                reset_value = h[q1, center]
+                c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset_value
                 if q1 == q0:  # an exact tie at e = 0, which must stay silent
                     c1[center] = reset_value
                 cost_send[s, q] = c1
@@ -173,10 +181,11 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
             raise SolverOverflowError(
                 f"stage {s + 1}: value magnitude {worst:.3g} exceeds cap "
                 f"{settings.value_cap:.3g}; widen the grid")
+    smoothed[0] = op.apply(values[0])
 
-    table = ValueTable(grid=grid, values=values, cost_wait=cost_wait,
-                       cost_send=cost_send, transmit=transmit, plant=plant,
-                       fsm=fsm, settings=settings,
+    table = ValueTable(grid=grid, values=values, smoothed=smoothed,
+                       cost_wait=cost_wait, cost_send=cost_send,
+                       transmit=transmit, plant=plant, fsm=fsm, settings=settings,
                        provenance=provenance_hash(plant, fsm, settings, grid))
     policy = TransmitPolicy.gridded(grid, transmit, symmetric_flag=True)
     return table, policy
@@ -213,8 +222,7 @@ def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
             slice_vals = table.values[s, q]
             spread = float(slice_vals.max() - slice_vals.min())
             tol_abs = tol * max(spread, 1e-30)
-            f = GridFunction(table.grid, slice_vals)
-            ok, viol = is_symmetric_nondecreasing(f, tol_abs)
+            ok, viol = is_symmetric_nondecreasing(table.grid, slice_vals, tol_abs)
             if not ok:
                 violations.append(StructureViolation(
                     s + 1, q, viol.kind, viol.e, viol.magnitude))
@@ -247,24 +255,23 @@ class GrowthRateReport:
 GROWTH_BOUNDARY_FRACTION = 0.1
 
 
-def check_growth_rate_bound(table: ValueTable, plant: PlantModel,
-                            slack: float) -> GrowthRateReport:
+def check_growth_rate_bound(table: ValueTable, slack: float) -> GrowthRateReport:
     """Check the difference quotients of smoothed value slices against the
     linear-in-horizon bound.
 
-    For each stage n and state q the value slice is smoothed through the
-    plant (h = E[V(a e + W)]) and the forward difference quotient with
-    respect to e^2 is evaluated at every nonnegative grid point outside the
-    boundary band (the outer ``GROWTH_BOUNDARY_FRACTION`` of points).
-    Quotients must stay below the stage bound plus ``slack``.
+    For each stage n and state q the smoothed value slice h = E[V(a e + W)]
+    (``table.smoothed``) has its forward difference quotient with respect
+    to e^2 evaluated at every nonnegative grid point outside the boundary
+    band (the outer ``GROWTH_BOUNDARY_FRACTION`` of points). Quotients must
+    stay below the stage bound plus ``slack``.
     """
     grid = table.grid
-    bounds = growth_rate_bounds(plant)
+    bounds = growth_rate_bounds(table.plant)
     center = grid.center_index
     last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
     x = grid.points
     denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
-    h = expectation_operator(grid, plant.a, plant.sigma2).apply(table.values)
+    h = table.smoothed
     max_quotient = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
     violations = [(int(s) + 1, int(q), float(max_quotient[s, q]), float(bounds[s]))
                   for s, q in zip(*np.nonzero(max_quotient > bounds[:, None] + slack))]

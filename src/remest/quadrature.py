@@ -1,30 +1,21 @@
 """Gaussian integration on uniform symmetric error grids.
 
 Value functions and transmit sets in this package are sampled on a uniform
-grid of estimation-error values that is symmetric about zero. A
-:class:`GridFunction` represents the piecewise-linear interpolant of those
-samples inside the grid, extended by a fitted quadratic on each side beyond
-it. The central operation is the Gaussian expectation
+grid of estimation-error values that is symmetric about zero. The central
+operation is the Gaussian expectation
 
     h(e) = E[f(a*e + W)],   W ~ N(0, sigma2),
 
-computed cell by cell in closed form against the interpolation model, so the
-operator is exact (up to rounding) for piecewise-linear data and for the
-quadratic tails. Sampled quadratics pick up only the interpolation bias of
-the model, about ``spacing**2 / 6`` in absolute terms, which cancels in
-difference quotients. The operator is banded: building it costs O(n * band),
-and one application is a sparse product over a stack of sample vectors.
-
-The module also provides truncated-normal moments and the shape checkers
-(symmetry, monotonicity in |e|, directional difference quotients) used to
-validate solver output.
+applied by :class:`GaussianExpectationOperator` to a stack of sampled
+slices at once. The module also provides the unnormalized truncated-normal
+moments behind the white-source solver and the symmetry/monotonicity check
+used to validate solver output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,10 +25,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # Probability mass below this is treated as an empty interval.
 MASS_FLOOR = 1e-300
-
-
-class DegenerateIntervalError(ValueError):
-    """An integration interval carries no usable probability mass."""
 
 
 def _std_pdf(z):
@@ -71,39 +58,6 @@ def gaussian_partial_moments(sigma2, lo, hi):
     m1 = sigma * (pa - pb)
     m2 = sigma2 * (m0 + zpa - zpb)
     return m0, m1, m2
-
-
-def truncated_moments(sigma2, lo, hi):
-    """Conditional moments of X ~ N(0, sigma2) given X in [lo, hi].
-
-    Parameters
-    ----------
-    sigma2 : float
-        Variance, must be positive.
-    lo, hi : float
-        Interval endpoints, ``lo < hi``; either may be infinite.
-
-    Returns
-    -------
-    (mass, mean, second_moment) : tuple of float
-        ``P(X in [lo, hi])``, ``E[X | X in [lo, hi]]`` and
-        ``E[X**2 | X in [lo, hi]]``.
-
-    Raises
-    ------
-    DegenerateIntervalError
-        If the interval mass underflows below ``MASS_FLOOR``; the
-        conditional moments are undefined there.
-    """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    m0, m1, m2 = gaussian_partial_moments(sigma2, lo, hi)
-    if m0 < MASS_FLOOR:
-        raise DegenerateIntervalError(
-            f"interval [{lo}, {hi}] has mass {m0!r} below {MASS_FLOOR!r}")
-    return m0, m1 / m0, m2 / m0
 
 
 @dataclass(frozen=True)
@@ -165,52 +119,17 @@ class ErrorGrid:
         return np.clip(idx, 0, self.num_points - 1).astype(np.intp)
 
 
+# Fraction of the grid's points on each side that its quadratic tail is
+# least-squares fitted to.
+TAIL_FRACTION = 0.1
+
+
 def _fit_tails(x, values):
     """(left, right) quadratic least-squares fits to the outer samples on each
     side, along the last axis of ``values``: one column per stacked slice."""
-    k = max(3, int(len(x) * GridFunction.TAIL_FRACTION))
+    k = max(3, int(len(x) * TAIL_FRACTION))
     y = np.moveaxis(values, -1, 0)
     return np.polyfit(x[:k], y[:k], 2), np.polyfit(x[-k:], y[-k:], 2)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function sampled on an ErrorGrid with quadratic tail extrapolation.
-
-    ``values[i]`` is the function value at ``grid.points[i]``. Inside the
-    grid the function is the piecewise-linear interpolant; beyond each end
-    it is the quadratic fitted to the outer ``TAIL_FRACTION`` of points on
-    that side (``tails`` = (left, right) in ``np.polyval`` order, fitted on
-    first use).
-    """
-
-    TAIL_FRACTION = 0.1
-
-    grid: ErrorGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.num_points,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid ({self.grid.num_points},)")
-        object.__setattr__(self, "values", v)
-
-    @cached_property
-    def tails(self):
-        return _fit_tails(self.grid.points, self.values)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.grid.points, self.values)
-        hw = self.grid.half_width
-        right = x > hw
-        left = x < -hw
-        if np.any(right):
-            out = np.where(right, np.polyval(self.tails[1], x), out)
-        if np.any(left):
-            out = np.where(left, np.polyval(self.tails[0], x), out)
-        return out[()] if out.ndim == 0 else out
 
 
 # Half-width of each operator row's band, in noise standard deviations.
@@ -222,14 +141,21 @@ BAND_Z = 10.0
 class GaussianExpectationOperator:
     """Precomputed linear map of grid samples f to h(e) = E[f(a*e + W)].
 
-    Row i integrates the interpolation model of f against the normal density
-    centered at ``a * points[i]``: closed-form integrals over the grid cells
-    within ``BAND_Z`` standard deviations of the center, stored as a sparse
-    matrix with a fixed band width per row, plus analytic integrals of the
-    quadratic tails beyond the grid. The build costs O(n * band) rather than
-    O(n^2), and one application is a sparse product over a stack of sample
-    vectors. :func:`expectation_operator` shares one read-only instance per
-    ``(grid, a, sigma2)``.
+    The map integrates an interpolation model of f: the piecewise-linear
+    interpolant of the samples inside the grid, extended beyond each end by
+    the quadratic least-squares fitted to the outer ``TAIL_FRACTION`` of
+    samples on that side. Row i integrates that model against the normal
+    density centered at ``a * points[i]``, cell by cell in closed form, so
+    the map is exact (up to rounding) for piecewise-linear data and for the
+    quadratic tails. Sampled quadratics pick up only the interpolation bias
+    of the model, about ``spacing**2 / 6`` in absolute terms, which cancels
+    in difference quotients.
+
+    The cells within ``BAND_Z`` standard deviations of the center are stored
+    as a sparse matrix with a fixed band width per row, plus analytic
+    integrals of the quadratic tails beyond the grid. The build costs
+    O(n * band) rather than O(n^2), and one application is a sparse product
+    over a stack of sample vectors. The stored arrays are read-only.
     """
 
     def __init__(self, grid: ErrorGrid, a: float, sigma2: float):
@@ -297,31 +223,24 @@ class GaussianExpectationOperator:
         return h.reshape(v.shape)
 
 
-@lru_cache(maxsize=1)
-def expectation_operator(grid: ErrorGrid, a: float, sigma2: float
-                         ) -> GaussianExpectationOperator:
-    """The operator for ``(grid, a, sigma2)``, built once and shared by every
-    caller asking for the same key (the solver and its growth check)."""
-    return GaussianExpectationOperator(grid, a, sigma2)
-
-
 class ShapeViolation(NamedTuple):
     kind: str  # "asymmetry" or "decrease"
     e: float
     magnitude: float
 
 
-def is_symmetric_nondecreasing(f: GridFunction, tol: float):
-    """Check that f is symmetric and non-decreasing in |e|, up to tol.
+def is_symmetric_nondecreasing(grid: ErrorGrid, values, tol: float):
+    """Check that the samples ``values`` on ``grid`` are symmetric and
+    non-decreasing in |e|, up to tol.
 
     Returns ``(ok, violation)`` where ``violation`` is the first
     :class:`ShapeViolation` found scanning outward from the center
     (symmetry first, then monotonicity on each half), or None.
     """
-    v = f.values
-    c = f.grid.center_index
-    right, x_right = v[c:], f.grid.points[c:]
-    left, x_left = v[c::-1], f.grid.points[c::-1]
+    v = np.asarray(values, dtype=float)
+    c = grid.center_index
+    right, x_right = v[c:], grid.points[c:]
+    left, x_left = v[c::-1], grid.points[c::-1]
     # each array runs outward from the center; a violation is reported at
     # the outer point of the first failing pair
     for kind, gap, x in (("asymmetry", np.abs(right[1:] - left[1:]), x_right),
@@ -332,18 +251,3 @@ def is_symmetric_nondecreasing(f: GridFunction, tol: float):
             i = int(np.argmax(bad))
             return False, ShapeViolation(kind, x[i + 1], gap[i])
     return True, None
-
-
-def directional_difference_quotient(f: GridFunction, e: float) -> float:
-    """Forward difference of f with respect to e**2 at grid point e >= 0.
-
-    Surrogate for the one-sided derivative d f / d(e^2): with D the grid
-    spacing, returns ``(f(e+D) - f(e)) / ((e+D)**2 - e**2)``.
-    """
-    if e < -1e-12:
-        raise ValueError(f"e must be nonnegative, got {e}")
-    i = f.grid.index_of(max(e, 0.0))
-    if i + 1 >= f.grid.num_points:
-        raise ValueError(f"e + spacing falls outside the grid at e={e}")
-    x = f.grid.points
-    return (f.values[i + 1] - f.values[i]) / (x[i + 1] ** 2 - x[i] ** 2)

@@ -25,7 +25,7 @@ from remest.oracle_sim import (DiscreteInstance, discrete_dp,
 from remest.policy import TransmitPolicy
 from remest.process import PlantModel, predicted_open_loop_cost
 from remest.quadrature import (ErrorGrid, GaussianExpectationOperator,
-                               GridFunction, is_symmetric_nondecreasing)
+                               is_symmetric_nondecreasing)
 
 PLANT_20 = PlantModel(a=1.1, sigma2=1.0, x0=0.0, horizon=20)
 
@@ -117,7 +117,7 @@ def test_criterion_04_value_slices_are_symmetric_unimodal(energy_run,
 def test_criterion_05_growth_rate_bound(energy_run):
     _, result, _ = energy_run
     slack = 10.0 * result.table.grid.spacing
-    growth = check_growth_rate_bound(result.table, PLANT_20, slack=slack)
+    growth = check_growth_rate_bound(result.table, slack=slack)
     excess = float(np.max(growth.max_quotient - growth.bounds[:, None]))
     report(5, growth.ok,
            "difference quotients of smoothed values respect the "
@@ -134,16 +134,14 @@ def test_criterion_06_expectation_preserves_shape():
         n_steps = int(rng.integers(1, 6))
         edges = np.sort(rng.uniform(0, 0.75 * grid.half_width, n_steps))
         levels = np.cumsum(rng.uniform(0.0, 2.0, n_steps + 1))
-        f = GridFunction(grid, levels[np.searchsorted(edges, np.abs(grid.points))])
-        h = GridFunction(grid, op.apply(f.values))
-        good, _ = is_symmetric_nondecreasing(h, 1e-8)
+        f = levels[np.searchsorted(edges, np.abs(grid.points))]
+        good, _ = is_symmetric_nondecreasing(grid, op.apply(f), 1e-8)
         ok = ok and good
         # min-closure on the same corpus, exact tolerance
         g_edges = np.sort(rng.uniform(0, 0.75 * grid.half_width, n_steps))
         g_levels = np.cumsum(rng.uniform(0.0, 2.0, n_steps + 1))
         g = g_levels[np.searchsorted(g_edges, np.abs(grid.points))]
-        merged = GridFunction(grid, np.minimum(f.values, g))
-        good, _ = is_symmetric_nondecreasing(merged, 0.0)
+        good, _ = is_symmetric_nondecreasing(grid, np.minimum(f, g), 0.0)
         ok = ok and good
     report(6, ok, "100 random symmetric step functions stay symmetric "
                   "non-decreasing after the Gaussian expectation (tol 1e-8); "

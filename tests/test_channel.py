@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remest.channel import (ChannelFsm, energy_harvesting_fsm, fsm_from_dict,
                             fsm_to_dict, validate_fsm, workload_chain_fsm)
@@ -151,3 +154,80 @@ class TestJsonSchema:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             fsm_from_dict(json.loads('{"num_states": 2}'))
+
+
+@st.composite
+def built_fsms(draw):
+    """An FSM from either builder over random valid parameters."""
+    if draw(st.booleans()):
+        tx_cost = draw(st.integers(1, 5))
+        return energy_harvesting_fsm(draw(st.integers(tx_cost, 8)), tx_cost,
+                                     draw(st.floats(0.0, 1.0)))
+    window = draw(st.integers(1, 6))
+    return workload_chain_fsm(window, draw(st.lists(
+        st.floats(0.0, 1.0), min_size=window + 1, max_size=window + 1)))
+
+
+def with_state(fsm, q, **fields):
+    """``fsm`` with state q's entry of each named per-state field replaced."""
+    changes = {}
+    for name, value in fields.items():
+        entries = list(getattr(fsm, name))
+        entries[q] = value
+        changes[name] = tuple(entries)
+    return dataclasses.replace(fsm, **changes)
+
+
+class TestBuilderProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=built_fsms())
+    def test_builders_validate_clean(self, fsm):
+        assert validate_fsm(fsm) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=built_fsms())
+    def test_dict_round_trip(self, fsm):
+        assert fsm_from_dict(json.loads(json.dumps(fsm_to_dict(fsm)))) == fsm
+
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=built_fsms(), data=st.data())
+    def test_dangling_transition_reported(self, fsm, data):
+        q = data.draw(st.integers(0, fsm.num_states - 1))
+        r = data.draw(st.integers(0, 1))
+        target = data.draw(st.one_of(st.integers(-20, -1),
+                                     st.integers(fsm.num_states, fsm.num_states + 20)))
+        arcs = list(fsm.transitions[q])
+        arcs[r] = target
+        problems = validate_fsm(with_state(fsm, q, transitions=tuple(arcs)))
+        assert f"state {q}: dangling transition on r={r} to {target}" in problems
+
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=built_fsms(), data=st.data())
+    def test_out_of_range_probability_reported(self, fsm, data):
+        q = data.draw(st.integers(0, fsm.num_states - 1))
+        p = data.draw(st.floats().filter(lambda p: not 0.0 <= p <= 1.0))
+        problems = validate_fsm(with_state(fsm, q, drop_probs=p))
+        assert f"state {q}: probability out of range ({p})" in problems
+
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=built_fsms(), data=st.data())
+    def test_masked_state_with_uncertain_drop_reported(self, fsm, data):
+        q = data.draw(st.integers(0, fsm.num_states - 1))
+        p = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        problems = validate_fsm(with_state(fsm, q, transmit_allowed=False, drop_probs=p))
+        assert any(f"state {q}: masked state must carry drop probability 1" in m
+                   for m in problems)
+
+    @settings(max_examples=25, deadline=None)
+    @given(fsm=built_fsms(), horizon=st.integers(1, 4), trials=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.0, 1.5), data=st.data())
+    def test_simulate_repeats_bitwise(self, fsm, horizon, trials, seed, a, data):
+        tau = data.draw(st.lists(st.one_of(st.floats(0.0, 5.0), st.just(math.inf)),
+                                 min_size=horizon * fsm.num_states,
+                                 max_size=horizon * fsm.num_states))
+        policy = TransmitPolicy.symmetric(np.reshape(tau, (horizon, fsm.num_states)))
+        plant = PlantModel(a=a, sigma2=1.0, horizon=horizon)
+        first = simulate(plant, fsm, policy, trials, seed)
+        second = simulate(plant, fsm, policy, trials, seed)
+        # NaN standard errors (a single trial) compare equal as JSON text
+        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())

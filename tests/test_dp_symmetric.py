@@ -8,14 +8,15 @@ import pytest
 
 from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
                             workload_chain_fsm)
-from remest.dp_symmetric import (SolverSettings, SolverOverflowError,
-                                 backward_induction, check_growth_rate_bound,
+from remest.dp_symmetric import (GROWTH_BOUNDARY_FRACTION, SolverSettings,
+                                 SolverOverflowError, backward_induction,
+                                 check_growth_rate_bound,
                                  check_value_structure, export_value_table_csv,
                                  growth_rate_bounds, provenance_hash,
                                  solve_and_extract,
                                  threshold_optimality_condition)
 from remest.process import PlantModel, predicted_open_loop_cost
-from remest.quadrature import ErrorGrid
+from remest.quadrature import ErrorGrid, GaussianExpectationOperator
 
 
 def single_state(p_drop):
@@ -80,7 +81,8 @@ class TestTerminalAndRecursion:
 
     def test_value_table_arrays_are_read_only(self, energy_solution):
         table = energy_solution[2].table
-        for arr in (table.values, table.cost_wait, table.cost_send, table.transmit):
+        for arr in (table.values, table.smoothed, table.cost_wait, table.cost_send,
+                    table.transmit):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0, 0] = arr[0, 0, 0]
 
@@ -149,7 +151,7 @@ class TestGrowthRateBound:
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
         table, _ = backward_induction(plant, single_state(0.3),
                                       SolverSettings(num_points=1601))
-        report = check_growth_rate_bound(table, plant, slack=1e-5)
+        report = check_growth_rate_bound(table, slack=1e-5)
         assert report.bounds[-1] == pytest.approx(plant.a ** 2)
         assert report.max_quotient[-1, 0] == pytest.approx(plant.a ** 2, abs=1e-5)
 
@@ -164,16 +166,30 @@ class TestGrowthRateBound:
         plant = PlantModel(a=0.0, sigma2=1.0, horizon=4)
         table, _ = backward_induction(plant, single_state(0.5),
                                       SolverSettings(num_points=801))
-        report = check_growth_rate_bound(table, plant, slack=1e-9)
+        report = check_growth_rate_bound(table, slack=1e-9)
         assert report.ok
         assert np.all(report.bounds == 0.0)
         assert report.max_quotient.max() <= 1e-9
 
     def test_energy_instance_respects_bound(self, energy_solution):
-        plant, _, result = energy_solution
+        _, _, result = energy_solution
         slack = 10.0 * result.table.grid.spacing
-        report = check_growth_rate_bound(result.table, plant, slack=slack)
+        report = check_growth_rate_bound(result.table, slack=slack)
         assert report.ok, report.violations[:3]
+
+    def test_max_quotient_matches_a_fresh_smoothing_bitwise(self):
+        # the check as it ran before the table carried its smoothings: one
+        # stacked apply of a fresh operator over every value slice
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=20)
+        table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3))
+        grid, x = table.grid, table.grid.points
+        center = grid.center_index
+        last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
+        denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
+        h = GaussianExpectationOperator(grid, plant.a, plant.sigma2).apply(table.values)
+        expected = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
+        report = check_growth_rate_bound(table, slack=10.0 * grid.spacing)
+        assert report.max_quotient.tobytes() == expected.tobytes()
 
 
 class TestOptimalityMargin:
