@@ -13,7 +13,9 @@ Commands
   agreement, solver/simulator agreement); exit 1 names the first failure.
 - ``export-examples``: writes the two bundled application configs.
 
-Exit codes: 0 success, 1 property failure, 2 usage or config error.
+Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
+config, flag or policy CSV, or solver overflow), 3 internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +35,11 @@ from . import dp_symmetric as dps
 from . import oracle_sim
 from .policy import export_policy_csv, load_policy_csv
 from .process import PlantModel, plant_from_dict, plant_to_dict
+from .quadrature import ErrorGrid
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad user input: the config, a flag or a policy CSV. Exit code 2."""
 
 
 BUILDERS = {
@@ -47,11 +51,14 @@ BUILDERS = {
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return config
 
 
 def plant_from_config(config: dict) -> PlantModel:
@@ -59,8 +66,8 @@ def plant_from_config(config: dict) -> PlantModel:
         raise ConfigError("config is missing the 'plant' section")
     try:
         return plant_from_dict(config["plant"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"plant: {exc}") from exc
 
 
 def fsm_from_config(config: dict) -> ch.ChannelFsm:
@@ -81,17 +88,27 @@ def fsm_from_config(config: dict) -> ch.ChannelFsm:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"channel builder {name!r}: {exc}") from exc
     else:
-        fsm = ch.fsm_from_dict(section["fsm"])
+        try:
+            fsm = ch.fsm_from_dict(section["fsm"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     problems = ch.validate_fsm(fsm)
     if problems:
         raise ConfigError("invalid channel FSM: " + "; ".join(problems))
     return fsm
 
 
-def settings_from_config(config: dict, grid_points=None) -> dps.SolverSettings:
-    settings = dps.SolverSettings.from_dict(config.get("solver", {}))
-    if grid_points is not None:
-        settings = dataclasses.replace(settings, num_points=grid_points)
+def settings_from_config(config: dict, plant: PlantModel,
+                         grid_points=None) -> dps.SolverSettings:
+    """Solver settings of the config, with ``--grid-points`` applied; checked
+    by resolving the grid they give for ``plant``."""
+    try:
+        settings = dps.SolverSettings.from_dict(config.get("solver", {}))
+        if grid_points is not None:
+            settings = dataclasses.replace(settings, num_points=grid_points)
+        settings.make_grid(plant)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"solver settings: {exc}") from exc
     return settings
 
 
@@ -105,14 +122,14 @@ def cmd_solve_symmetric(args) -> int:
     config = load_config(args.config)
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
-    settings = settings_from_config(config, args.grid_points)
+    settings = settings_from_config(config, plant, args.grid_points)
     out = _out_dir(args)
 
     result = dps.solve_and_extract(plant, fsm, settings=settings)
     table = result.table
     dps.export_value_table_csv(table, out / "value_table.csv")
     dp_value = table.value_at_origin()
-    export_policy_csv(result.threshold_policy, out / "policy.csv",
+    export_policy_csv(result.policy, out / "policy.csv",
                       metadata={"provenance": table.provenance,
                                 "dp_value": repr(dp_value)})
 
@@ -132,6 +149,7 @@ def cmd_solve_symmetric(args) -> int:
             {"n": n, "q": q, "witness": list(w)} for n, q, w in result.witnesses],
         "asymmetric_fits": [{"n": n, "q": q} for n, q in result.asymmetric],
         "reachable_pairs": sorted([list(p) for p in result.reachable]),
+        "policy_kind": result.policy.kind,
     }
     (out / "structure_report.json").write_text(json.dumps(report, indent=2))
     summary = {
@@ -174,14 +192,24 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
-    sim_cfg = config.get("sim", {})
-    trials = args.trials if args.trials is not None else int(sim_cfg.get("trials", 10000))
-    seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
+    try:
+        sim_cfg = config.get("sim", {})
+        trials = args.trials if args.trials is not None else int(sim_cfg.get("trials", 10000))
+        seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sim settings: {exc}") from exc
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    policy, meta = load_policy_csv(args.policy)
-    expected = dps.provenance_hash(plant, fsm,
-                                   settings_from_config(config, args.grid_points))
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
+    settings = settings_from_config(config, plant, args.grid_points)
+    try:
+        policy, meta = load_policy_csv(args.policy)
+        oracle_sim.check_policy_fits(plant, fsm, policy)
+        dp_value = float(meta["dp_value"]) if "dp_value" in meta else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"policy {args.policy}: {exc}") from exc
+    expected = dps.provenance_hash(plant, fsm, settings)
     if "provenance" in meta and meta["provenance"] != expected:
         print(f"warning: policy provenance {meta['provenance']} does not match "
               f"config ({expected})", file=sys.stderr)
@@ -192,8 +220,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         oracle_sim.write_trace_csv(summary, out / "trace.csv")
     line = f"empirical total {summary.total:.6f} +/- {summary.total_se:.6f}"
-    if "dp_value" in meta:
-        dp_value = float(meta["dp_value"])
+    if dp_value is not None:
         gap = abs(summary.total - dp_value)
         se = max(summary.total_se, 1e-300)
         line += (f" | solver value {dp_value:.6f} | "
@@ -234,8 +261,7 @@ def cmd_export_examples(args) -> int:
 
 def _verify_properties(grid_points=None, inject_defect=None):
     """Yield (name, ok, detail) for each bundled property."""
-    from .quadrature import (ErrorGrid, GaussianExpectationOperator,
-                             is_symmetric_nondecreasing)
+    from .quadrature import GaussianExpectationOperator, is_symmetric_nondecreasing
 
     rng = np.random.default_rng(20240817)
 
@@ -378,13 +404,21 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.config:
         parser.error("verify runs a bundled instance and takes no --config")
     try:
+        if args.grid_points is not None:
+            try:
+                ErrorGrid(1.0, args.grid_points)
+            except ValueError as exc:
+                raise ConfigError(f"--grid-points: {exc}") from exc
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except dps.SolverOverflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .channel import ChannelFsm, validate_fsm
-from .policy import TransmitPolicy
+from .policy import TransmitPolicy, write_csv
 from .quadrature import MASS_FLOOR, gaussian_partial_moments
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -251,14 +251,7 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
 
 def export_iid_table_csv(table: IidValueTable, path):
     """One row (n, q, kind, tau_lo, tau_hi, value, p_transmit) per pair."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "q", "kind", "tau_lo", "tau_hi", "value", "p_transmit"])
-        for s in range(table.horizon):
-            for q in range(table.fsm.num_states):
-                lo, hi = table.intervals[s, q]
-                writer.writerow([s + 1, q, "interval_pair", repr(float(lo)),
-                                 repr(float(hi)), repr(float(table.values[s, q])),
-                                 repr(float(table.p_transmit[s, q]))])
+    n, q = np.indices(table.p_transmit.shape)
+    write_csv(path, ("n", "q", "kind", "tau_lo", "tau_hi", "value", "p_transmit"), {},
+              [(n + 1, q, "interval_pair", table.intervals[..., 0], table.intervals[..., 1],
+                table.values[:-1], table.p_transmit)])

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelFsm, fsm_to_dict, reachable_pairs, validate_fsm
-from .policy import ThresholdFit, TransmitPolicy, extract_threshold
+from .policy import ThresholdFit, TransmitPolicy, extract_threshold, write_csv
 from .process import PlantModel, plant_to_dict
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
@@ -52,13 +52,11 @@ class SolverSettings:
     half_width: object = "auto"  # "auto" or a positive float
     num_points: int = 2001
     value_cap: float = 1e12
-    max_half_width: float = 100.0
 
     def make_grid(self, plant: PlantModel) -> ErrorGrid:
         if self.half_width == "auto":
             return ErrorGrid.auto(plant.a, plant.sigma2, plant.horizon,
-                                  num_points=self.num_points,
-                                  max_half_width=self.max_half_width)
+                                  num_points=self.num_points)
         return ErrorGrid(float(self.half_width), self.num_points)
 
     def to_dict(self) -> dict:
@@ -67,11 +65,16 @@ class SolverSettings:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverSettings":
+        """Settings from a config's ``solver`` section; unknown keys raise
+        ``ValueError``."""
         grid = data.get("grid", {})
+        unknown = sorted(set(data) - {"grid", "value_cap"}) + sorted(
+            f"grid.{key}" for key in set(grid) - {"half_width", "num_points"})
+        if unknown:
+            raise ValueError(f"unknown solver keys {unknown}")
         return cls(half_width=grid.get("half_width", "auto"),
                    num_points=int(grid.get("num_points", 2001)),
-                   value_cap=float(data.get("value_cap", 1e12)),
-                   max_half_width=float(data.get("max_half_width", 100.0)))
+                   value_cap=float(data.get("value_cap", 1e12)))
 
 
 def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings,
@@ -122,11 +125,9 @@ class ValueTable:
     def horizon(self) -> int:
         return self.plant.horizon
 
-    def value_at_origin(self, q: Optional[int] = None) -> float:
-        """Optimal cost from zero initial error (default: initial state)."""
-        if q is None:
-            q = self.fsm.initial_state
-        return float(self.values[0, q, self.grid.center_index])
+    def value_at_origin(self) -> float:
+        """Optimal cost from zero initial error in the initial channel state."""
+        return float(self.values[0, self.fsm.initial_state, self.grid.center_index])
 
 
 def backward_induction(plant: PlantModel, fsm: ChannelFsm,
@@ -204,7 +205,6 @@ class StructureViolation:
 class StructureReport:
     ok: bool
     violations: List[StructureViolation]
-    tolerance: float
 
 
 def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
@@ -231,7 +231,7 @@ def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
                     s + 1, q, "argmin not at zero",
                     float(table.grid.points[int(np.argmin(slice_vals))]),
                     float(slice_vals[center] - slice_vals.min())))
-    return StructureReport(ok=not violations, violations=violations, tolerance=tol)
+    return StructureReport(ok=not violations, violations=violations)
 
 
 def growth_rate_bounds(plant: PlantModel) -> np.ndarray:
@@ -247,7 +247,6 @@ class GrowthRateReport:
     bounds: np.ndarray
     max_quotient: np.ndarray  # per (stage, state)
     violations: List[Tuple[int, int, float, float]]  # (n, q, quotient, bound)
-    slack: float
 
 
 # Outer fraction of grid points left out of the growth check: there the
@@ -276,8 +275,7 @@ def check_growth_rate_bound(table: ValueTable, slack: float) -> GrowthRateReport
     violations = [(int(s) + 1, int(q), float(max_quotient[s, q]), float(bounds[s]))
                   for s, q in zip(*np.nonzero(max_quotient > bounds[:, None] + slack))]
     return GrowthRateReport(ok=not violations, bounds=bounds,
-                            max_quotient=max_quotient, violations=violations,
-                            slack=slack)
+                            max_quotient=max_quotient, violations=violations)
 
 
 def threshold_optimality_condition(plant: PlantModel, fsm: ChannelFsm):
@@ -305,6 +303,13 @@ class ExtractionResult:
     asymmetric: List[Tuple[int, int]]  # interval fits that failed symmetry
     reachable: set
 
+    @property
+    def policy(self) -> TransmitPolicy:
+        """The policy to export: the threshold policy, or the gridded one when
+        a reachable (stage, state) has a witness or an asymmetric fit."""
+        failed = {(n, q) for n, q, _ in self.witnesses}.union(self.asymmetric)
+        return self.gridded_policy if failed & self.reachable else self.threshold_policy
+
 
 def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
                       settings: SolverSettings = SolverSettings(),
@@ -314,7 +319,8 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
     Masked states and never-transmit slices get the tau = +inf sentinel.
     Structure failures are collected as witnesses rather than raised; the
     returned threshold policy uses the fitted tau where extraction
-    succeeded and the sentinel elsewhere.
+    succeeded and the sentinel elsewhere, and ``result.policy`` falls back
+    to the gridded policy when that matters at a reachable pair.
     """
     table, gridded = backward_induction(plant, fsm, settings=settings, grid=grid)
     n_stages, m = plant.horizon, fsm.num_states
@@ -340,18 +346,10 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
 
 
 def export_value_table_csv(table: ValueTable, path):
-    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per point, in the
-    ``csv`` module's default dialect with floats as ``repr``."""
-    e_strs = [repr(e) for e in table.grid.points.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# provenance={table.provenance}\n")
-        fh.write("n,q,e,V,C0,C1,transmit\r\n")
-        for s in range(table.horizon):
-            for q in range(table.fsm.num_states):
-                prefix = f"{s + 1},{q},"
-                rows = zip(e_strs, table.values[s, q].tolist(),
-                           table.cost_wait[s, q].tolist(),
-                           table.cost_send[s, q].tolist(),
-                           table.transmit[s, q].tolist())
-                fh.write("".join(f"{prefix}{e},{v!r},{c0!r},{c1!r},{t:d}\r\n"
-                                 for e, v, c0, c1, t in rows))
+    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point."""
+    e = list(map(repr, table.grid.points.tolist()))
+    write_csv(path, ("n", "q", "e", "V", "C0", "C1", "transmit"),
+              {"provenance": table.provenance},
+              ((str(s + 1), str(q), e, table.values[s, q], table.cost_wait[s, q],
+                table.cost_send[s, q], table.transmit[s, q])
+               for s in range(table.horizon) for q in range(table.fsm.num_states)))

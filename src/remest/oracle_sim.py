@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelFsm, reachable_pairs, validate_fsm
-from .policy import TransmitPolicy, decide_many
+from .policy import TransmitPolicy, decide_many, write_csv
 from .process import PlantModel
 from .dp_iid import conditional_estimates
 
@@ -94,6 +94,13 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     problems = validate_fsm(fsm)
     if problems:
         raise ValueError("invalid channel FSM: " + "; ".join(problems))
+    check_policy_fits(plant, fsm, policy)
+    return _simulate(plant, fsm, policy, trials, seed, collect_trace)
+
+
+def check_policy_fits(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy):
+    """Raise ``ValueError`` unless :func:`simulate` can run ``policy`` against
+    the plant and channel."""
     if policy.horizon != plant.horizon or policy.num_states != fsm.num_states:
         raise ValueError("policy shape does not match plant horizon / channel states")
     if policy.kind == "interval_pair":
@@ -103,7 +110,6 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                 "rules admit no tractable estimator otherwise")
     elif plant.a != 0.0 and not policy.symmetric_flag:
         raise ValueError("asymmetric policies with nonzero plant gain are not supported")
-    return _simulate(plant, fsm, policy, trials, seed, collect_trace)
 
 
 def _simulate(plant, fsm, policy, trials, seed, collect_trace):
@@ -197,23 +203,21 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
 
 def write_trace_csv(summary: SimSummary, path):
-    """Dump the recorded per-trial trace as (trial, n, x, xhat, e, r, c, q)."""
+    """Dump the recorded per-trial trace as (trial, n, x, xhat, e, r, c, q),
+    about ``BLOCK_TRIALS`` rows per write."""
     if summary.trace is None:
         raise ValueError("simulation was run without collect_trace")
-    import csv
-
     tr = summary.trace
     trials, stages = tr["e"].shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "n", "x", "xhat", "e", "r", "c", "q"])
-        for t in range(trials):
-            for s in range(stages):
-                writer.writerow([t, s + 1, repr(float(tr["x"][t, s])),
-                                 repr(float(tr["xhat"][t, s])),
-                                 repr(float(tr["e"][t, s])),
-                                 int(tr["r"][t, s]), int(tr["c"][t, s]),
-                                 int(tr["q"][t, s])])
+    step = max(1, BLOCK_TRIALS // stages)
+
+    def blocks():
+        for start in range(0, trials, step):
+            rows = slice(start, start + step)
+            t, n = np.indices(tr["e"][rows].shape)
+            yield (t + start, n + 1, *(tr[key][rows] for key, _ in _TRACE_FIELDS))
+
+    write_csv(path, ("trial", "n") + tuple(key for key, _ in _TRACE_FIELDS), {}, blocks())
 
 
 # ---------------------------------------------------------------------------

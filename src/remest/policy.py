@@ -16,6 +16,7 @@ interval (-inf, +inf)); masked channel states carry that sentinel.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -128,10 +129,6 @@ class ThresholdFit:
     tau: Optional[float] = None
     witness: Optional[Tuple[float, float, float]] = None
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.tau is not None
-
 
 def extract_threshold(grid: ErrorGrid, transmit: np.ndarray,
                       symmetric: bool = False) -> ThresholdFit:
@@ -168,6 +165,30 @@ def extract_threshold(grid: ErrorGrid, transmit: np.ndarray,
     return fit
 
 
+def write_csv(path, header, metadata, blocks):
+    """Write ``# key=value`` lines, the header row and each block's rows in
+    one ``write``, as the ``csv`` module's default dialect would. A block is
+    a tuple of aligned columns: a ``str`` repeats, a float array (C order)
+    prints as ``repr``, an int or bool array as integers, and a list of
+    strings passes through. :func:`load_policy_csv` reads the format back."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"# {key}={value}\n" for key, value in metadata.items()))
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write("\r\n".join(map(",".join, zip(*map(_fields, block)))) + "\r\n")
+
+
+def _fields(column):
+    """One block column as field strings (see :func:`write_csv`)."""
+    if isinstance(column, str):
+        return itertools.repeat(column)
+    if isinstance(column, list):
+        return column
+    if column.dtype == bool:
+        return np.where(column.ravel(), "1", "0").tolist()
+    return list(map(repr, column.ravel().tolist()))
+
+
 def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = None):
     """Write a policy to CSV with full round-trip float precision.
 
@@ -175,32 +196,21 @@ def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = N
     one row per grid point. Metadata goes into leading ``# key=value``
     comment lines.
     """
-    with open(path, "w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"# kind={policy.kind}\n")
-        fh.write(f"# horizon={policy.horizon}\n")
-        fh.write(f"# num_states={policy.num_states}\n")
-        fh.write(f"# symmetric_flag={int(policy.symmetric_flag)}\n")
-        writer = csv.writer(fh)
-        if policy.kind == "gridded":
-            fh.write(f"# grid_half_width={policy.grid.half_width!r}\n")
-            fh.write(f"# grid_num_points={policy.grid.num_points}\n")
-            writer.writerow(["n", "q", "e", "transmit"])
-            for n in range(policy.horizon):
-                for q in range(policy.num_states):
-                    for e, t in zip(policy.grid.points, policy.indicator[n, q]):
-                        writer.writerow([n + 1, q, repr(float(e)), int(t)])
-            return
-        writer.writerow(["n", "q", "kind", "tau_lo", "tau_hi"])
-        for n in range(policy.horizon):
-            for q in range(policy.num_states):
-                if policy.kind == "symmetric_threshold":
-                    t = policy.tau[n, q]
-                    lo, hi = -t, t
-                else:
-                    lo, hi = policy.intervals[n, q]
-                writer.writerow([n + 1, q, policy.kind, repr(float(lo)), repr(float(hi))])
+    meta = {**(metadata or {}), "kind": policy.kind, "horizon": policy.horizon,
+            "num_states": policy.num_states, "symmetric_flag": int(policy.symmetric_flag)}
+    if policy.kind == "gridded":
+        meta.update(grid_half_width=repr(float(policy.grid.half_width)),
+                    grid_num_points=policy.grid.num_points)
+        e = list(map(repr, policy.grid.points.tolist()))
+        write_csv(path, ("n", "q", "e", "transmit"), meta,
+                  ((str(n + 1), str(q), e, policy.indicator[n, q])
+                   for n in range(policy.horizon) for q in range(policy.num_states)))
+        return
+    lo, hi = ((-policy.tau, policy.tau) if policy.kind == "symmetric_threshold"
+              else np.moveaxis(policy.intervals, -1, 0))
+    n, q = np.indices(lo.shape)
+    write_csv(path, ("n", "q", "kind", "tau_lo", "tau_hi"), meta,
+              [(n + 1, q, policy.kind, lo, hi)])
 
 
 def load_policy_csv(path):

@@ -60,6 +60,10 @@ def gaussian_partial_moments(sigma2, lo, hi):
     return m0, m1, m2
 
 
+# Half-width cap of the grids ErrorGrid.auto sizes.
+MAX_HALF_WIDTH = 100.0
+
+
 @dataclass(frozen=True)
 class ErrorGrid:
     """Uniform symmetric grid on [-half_width, half_width].
@@ -94,17 +98,17 @@ class ErrorGrid:
         return self.num_points // 2
 
     @classmethod
-    def auto(cls, a, sigma2, horizon, num_points=2001, max_half_width=100.0):
+    def auto(cls, a, sigma2, horizon, num_points=2001):
         """Grid sized for a horizon of Gaussian propagation steps.
 
         Width ``8 * sigma * max(1, |a|)**horizon`` covers the mass a gain-a
-        recursion can spread over the horizon, clipped to ``max_half_width``
+        recursion can spread over the horizon, clipped to ``MAX_HALF_WIDTH``
         to keep capped growth detectable by the solver's value cap instead
         of silently extrapolating.
         """
         sigma = math.sqrt(sigma2)
         hw = 8.0 * sigma * max(1.0, abs(a)) ** horizon
-        return cls(min(hw, max_half_width), num_points)
+        return cls(min(hw, MAX_HALF_WIDTH), num_points)
 
     def index_of(self, e: float) -> int:
         """Index of the grid point equal to e (raises if e is off-grid)."""

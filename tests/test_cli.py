@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from remest import dp_symmetric
 from remest.cli import main
 from remest.policy import decide_many, load_policy_csv
 
@@ -36,6 +37,7 @@ class TestSolveSymmetric:
         report = json.loads((out / "structure_report.json").read_text())
         assert report["structure_ok"] and report["growth_bound_ok"]
         assert not report["drop_margin"]["satisfied"]
+        assert report["policy_kind"] == "symmetric_threshold"
 
     def test_invalid_fsm_exits_2_with_violations(self, tmp_path, capsys):
         cfg = write_config(tmp_path, channel={"fsm": {
@@ -61,6 +63,68 @@ class TestSolveSymmetric:
                      "--grid-points", "401", "solve-symmetric"]) == 0
         policy, meta = load_policy_csv(out / "policy.csv")
         assert policy.horizon == 6
+
+
+    def test_reachable_witnesses_export_the_gridded_policy(self, tmp_path, capsys):
+        # outside the drop margin: non-threshold optima at q = 2, two of them
+        # at reachable (stage, state) pairs
+        cfg = write_config(
+            tmp_path, plant={"a": 0.9, "sigma2": 1.0, "x0": 0.0, "horizon": 7},
+            channel={"fsm": {"num_states": 4,
+                             "transitions": [[1, 3], [2, 3], [0, 3], [3, 0]],
+                             "drop_probs": [0.103, 0.617, 0.909, 0.432],
+                             "initial_state": 0,
+                             "transmit_allowed": [True, True, True, True]}})
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "solve-symmetric"]) == 0
+        report = json.loads((out / "structure_report.json").read_text())
+        witnesses = {(w["n"], w["q"]) for w in report["threshold_witnesses"]}
+        reachable = {tuple(p) for p in report["reachable_pairs"]}
+        assert witnesses & reachable
+        assert report["policy_kind"] == "gridded"
+        assert "# kind=gridded\n" in (out / "policy.csv").read_text()
+        policy, meta = load_policy_csv(out / "policy.csv")
+        assert meta["provenance"] == report["provenance"]
+        assert main(["--config", str(cfg), "--out", str(out / "sim"),
+                     "--trials", "20000", "--seed", "0", "simulate",
+                     str(out / "policy.csv")]) == 0
+        sim = json.loads((out / "sim" / "sim_summary.json").read_text())
+        assert abs(sim["total"] - float(meta["dp_value"])) <= 5 * sim["total_se"]
+
+    @pytest.mark.parametrize("solver", [
+        {"grid": {"num_point": 8001}},
+        {"grid": {"num_points": 801}, "max_half_width": 50.0},
+    ], ids=["grid", "solver"])
+    def test_unknown_solver_key_exits_2(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path, solver=solver)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "solve-symmetric"])
+        assert code == 2
+        assert "unknown solver" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args, message", [
+        (["--grid-points", "400", "solve-symmetric"], "--grid-points: num_points must be odd"),
+        (["--grid-points", "400", "verify"], "--grid-points: num_points must be odd"),
+        (["--seed", "-1", "simulate", "policy.csv"], "seed must lie in [0, 2**128)"),
+    ], ids=["solve-symmetric", "verify", "simulate"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, args, message):
+        config = [] if "verify" in args else ["--config", str(write_config(tmp_path))]
+        assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
+        assert message in capsys.readouterr().err
+
+    def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def planted(*args, **kwargs):
+            raise ValueError("planted solver bug")
+
+        monkeypatch.setattr(dp_symmetric, "backward_induction", planted)
+        code = main(["--config", str(write_config(tmp_path)), "--out",
+                     str(tmp_path / "x"), "solve-symmetric"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: planted solver bug" in err
 
 
 class TestSolveIid:

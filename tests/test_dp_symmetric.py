@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -283,41 +281,8 @@ class TestExports:
         i = result.table.grid.index_of(float(e))
         assert float(v) == result.table.values[0, 0, i]
 
-    def test_value_table_csv_matches_csv_writer_bytes(self, tmp_path):
-        # masked battery levels give NaN send costs, and 0 is a grid point
-        plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
-        table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3),
-                                      SolverSettings(num_points=41))
-        path = tmp_path / "values.csv"
-        export_value_table_csv(table, path)
-        expected = io.StringIO(newline="")
-        expected.write(f"# provenance={table.provenance}\n")
-        writer = csv.writer(expected)
-        writer.writerow(["n", "q", "e", "V", "C0", "C1", "transmit"])
-        for s in range(table.horizon):
-            for q in range(table.fsm.num_states):
-                for i, e in enumerate(table.grid.points):
-                    writer.writerow([
-                        s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
-                        repr(float(table.cost_wait[s, q, i])),
-                        repr(float(table.cost_send[s, q, i])),
-                        int(table.transmit[s, q, i])])
-        assert np.isnan(table.cost_send).any() and table.transmit.any()
-        assert path.read_bytes() == expected.getvalue().encode()
-
 
 class TestProvenance:
-    def test_grid_cap_changes_the_hash(self):
-        # with a = 1.5 over 20 stages the auto width hits either cap, so the
-        # two settings solve on different grids
-        plant = PlantModel(a=1.5, sigma2=1.0, horizon=20)
-        fsm = energy_harvesting_fsm(4, 2, 0.3)
-        wide, narrow = (SolverSettings(max_half_width=cap) for cap in (100.0, 50.0))
-        assert wide.make_grid(plant) != narrow.make_grid(plant)
-        assert provenance_hash(plant, fsm, wide) != provenance_hash(plant, fsm, narrow)
-        assert provenance_hash(plant, fsm, wide) == provenance_hash(
-            plant, fsm, SolverSettings(max_half_width=100.0))
-
     def test_explicit_grid_is_hashed(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
         fsm = energy_harvesting_fsm(4, 2, 0.3)

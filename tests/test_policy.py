@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.channel import ChannelFsm
-from remest.oracle_sim import simulate
+from remest.channel import ChannelFsm, energy_harvesting_fsm
+from remest.dp_iid import export_iid_table_csv, iid_backward_induction
+from remest.dp_symmetric import SolverSettings, backward_induction, export_value_table_csv
+from remest.oracle_sim import BLOCK_TRIALS, simulate, write_trace_csv
 from remest.policy import (TransmitPolicy, decide_many, export_policy_csv,
                            extract_threshold, load_policy_csv)
 from remest.process import PlantModel
@@ -279,3 +283,100 @@ class TestCsvLoading:
         path.write_text("".join(kept + rows))
         with pytest.raises(ValueError, match=f"missing header line '# {key}='"):
             load_policy_csv(path)
+
+
+def _csv_writer_bytes(metadata, header, rows):
+    """Reference bytes: ``# key=value`` lines, then the ``csv`` module's
+    default dialect."""
+    out = io.StringIO(newline="")
+    out.write("".join(f"# {key}={value}\n" for key, value in metadata.items()))
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def _value_table_case(path):
+    # masked battery levels give NaN send costs, and 0 is a grid point
+    plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
+    table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3),
+                                  SolverSettings(num_points=41))
+    assert np.isnan(table.cost_send).any() and table.transmit.any()
+    export_value_table_csv(table, path)
+    rows = [[s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
+             repr(float(table.cost_wait[s, q, i])), repr(float(table.cost_send[s, q, i])),
+             int(table.transmit[s, q, i])]
+            for s in range(table.horizon) for q in range(table.fsm.num_states)
+            for i, e in enumerate(table.grid.points)]
+    return _csv_writer_bytes({"provenance": table.provenance},
+                             ["n", "q", "e", "V", "C0", "C1", "transmit"], rows)
+
+
+def _policy_case(policy):
+    def case(path):
+        metadata = {"provenance": "0123abcd", "dp_value": repr(2.5)}
+        export_policy_csv(policy, path, metadata=metadata)
+        metadata.update(kind=policy.kind, horizon=policy.horizon,
+                        num_states=policy.num_states,
+                        symmetric_flag=int(policy.symmetric_flag))
+        cells = [(n, q) for n in range(policy.horizon) for q in range(policy.num_states)]
+        if policy.kind == "gridded":
+            metadata.update(grid_half_width=repr(policy.grid.half_width),
+                            grid_num_points=policy.grid.num_points)
+            rows = [[n + 1, q, repr(float(e)), int(t)] for n, q in cells
+                    for e, t in zip(policy.grid.points, policy.indicator[n, q])]
+            return _csv_writer_bytes(metadata, ["n", "q", "e", "transmit"], rows)
+        if policy.kind == "symmetric_threshold":
+            ends = [(-policy.tau[n, q], policy.tau[n, q]) for n, q in cells]
+        else:
+            ends = [tuple(policy.intervals[n, q]) for n, q in cells]
+        rows = [[n + 1, q, policy.kind, repr(float(lo)), repr(float(hi))]
+                for (n, q), (lo, hi) in zip(cells, ends)]
+        return _csv_writer_bytes(metadata, ["n", "q", "kind", "tau_lo", "tau_hi"], rows)
+    return case
+
+
+def _iid_table_case(path):
+    table = iid_backward_induction(energy_harvesting_fsm(4, 2, 0.3), 1.0, 3)
+    export_iid_table_csv(table, path)
+    rows = [[s + 1, q, "interval_pair", repr(float(table.intervals[s, q, 0])),
+             repr(float(table.intervals[s, q, 1])), repr(float(table.values[s, q])),
+             repr(float(table.p_transmit[s, q]))]
+            for s in range(table.horizon) for q in range(table.fsm.num_states)]
+    return _csv_writer_bytes(
+        {}, ["n", "q", "kind", "tau_lo", "tau_hi", "value", "p_transmit"], rows)
+
+
+def _trace_case(path):
+    # more rows than the BLOCK_TRIALS of one write
+    plant = PlantModel(a=1.1, sigma2=1.0, horizon=8)
+    fsm = energy_harvesting_fsm(4, 2, 0.3)
+    trials = BLOCK_TRIALS // plant.horizon + 100
+    summary = simulate(plant, fsm, TransmitPolicy.symmetric(np.ones((8, 5))),
+                       trials=trials, seed=3, collect_trace=True)
+    write_trace_csv(summary, path)
+    tr = summary.trace
+    rows = [[t, s + 1, repr(float(tr["x"][t, s])), repr(float(tr["xhat"][t, s])),
+             repr(float(tr["e"][t, s])), int(tr["r"][t, s]), int(tr["c"][t, s]),
+             int(tr["q"][t, s])] for t in range(trials) for s in range(plant.horizon)]
+    return _csv_writer_bytes({}, ["trial", "n", "x", "xhat", "e", "r", "c", "q"], rows)
+
+
+ARTIFACTS = {
+    "value_table": _value_table_case,
+    "threshold_policy": _policy_case(TransmitPolicy.symmetric(
+        [[0.0, math.inf], [1.25, 1e-3]])),
+    "interval_policy": _policy_case(TransmitPolicy.interval(
+        [[[-math.inf, math.inf], [-0.5, 2.0]], [[0.0, 0.0], [-3.0, math.inf]]])),
+    "gridded_policy": _policy_case(_gridded_policy()),
+    "iid_table": _iid_table_case,
+    "trace": _trace_case,
+}
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("artifact", list(ARTIFACTS))
+    def test_artifact_matches_csv_writer_bytes(self, tmp_path, artifact):
+        path = tmp_path / f"{artifact}.csv"
+        expected = ARTIFACTS[artifact](path)
+        assert path.read_bytes() == expected

@@ -50,7 +50,7 @@ class TestErrorGrid:
     def test_auto_rule(self):
         grid = ErrorGrid.auto(1.1, 1.0, 20)
         assert grid.half_width == pytest.approx(8.0 * 1.1 ** 20)
-        capped = ErrorGrid.auto(1.2, 1.0, 40, max_half_width=100.0)
+        capped = ErrorGrid.auto(1.2, 1.0, 40)
         assert capped.half_width == 100.0
         # gains below one do not shrink the window
         assert ErrorGrid.auto(0.5, 1.0, 10).half_width == pytest.approx(8.0)
