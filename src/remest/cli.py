@@ -103,9 +103,10 @@ def settings_from_config(config: dict, plant: PlantModel,
     """Solver settings of the config, with ``--grid-points`` applied; checked
     by resolving the grid they give for ``plant``."""
     try:
-        settings = dps.SolverSettings.from_dict(config.get("solver", {}))
+        solver = config.get("solver", {})
         if grid_points is not None:
-            settings = dataclasses.replace(settings, num_points=grid_points)
+            solver = {**solver, "grid": {**solver.get("grid", {}), "num_points": grid_points}}
+        settings = dps.SolverSettings.from_dict(solver)
         settings.make_grid(plant)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"solver settings: {exc}") from exc
@@ -407,6 +408,7 @@ def main(argv=None) -> int:
         if args.grid_points is not None:
             try:
                 ErrorGrid(1.0, args.grid_points)
+                dps.SolverSettings(num_points=args.grid_points)
             except ValueError as exc:
                 raise ConfigError(f"--grid-points: {exc}") from exc
         return handlers[args.command](args)

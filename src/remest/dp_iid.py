@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import ChannelFsm, validate_fsm
 from .policy import TransmitPolicy, write_csv
@@ -70,8 +69,17 @@ def conditional_estimates(sigma2: float, tau_lo: float, tau_hi: float):
     return xhat0, xhat1
 
 
-def _objective_vec(sigma2, p_drop, gap, lo, hi):
-    """Vectorized stage cost + transition coupling over interval arrays."""
+def _interval_terms(sigma2, lo, hi):
+    """``(term_in, term_out, m0c)`` of the no-transmit intervals [lo, hi]:
+    the unnormalized squared error inside and outside, and the attempt
+    probability, so the search objective is ``term_in + p * term_out +
+    gap * m0c``. ``lo`` and ``hi`` broadcast against each other and the CDF
+    and density see each alone, so axes shaped (..., k, 1) and (..., 1, k)
+    cost 2k evaluations for a k-by-k table. Massless regions contribute
+    nothing, as in :func:`iid_stage_cost`; ``term_in`` is +inf where lo > hi.
+    """
+    from scipy.special import ndtr  # deferred: importing the CLI skips scipy
+
     sigma = math.sqrt(sigma2)
     za, zb = lo / sigma, hi / sigma
     m0 = ndtr(zb) - ndtr(za)
@@ -80,11 +88,11 @@ def _objective_vec(sigma2, p_drop, gap, lo, hi):
     m1 = sigma * (pa - pb)
     m2 = sigma2 * (m0 + za * pa - zb * pb)
     m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
-    # massless regions contribute nothing, as in iid_stage_cost
     with np.errstate(divide="ignore", invalid="ignore"):
-        term_in = np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0)
+        term_in = np.where(lo > hi, np.inf,
+                           np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0))
         term_out = np.where(m0c >= MASS_FLOOR, m2c - m1c * m1c / m0c, 0.0)
-    return term_in + p_drop * term_out + gap * m0c
+    return term_in, term_out, m0c
 
 
 NEVER_TRANSMIT = (-math.inf, math.inf)
@@ -97,8 +105,16 @@ REFINE_TOL = 1e-6
 ASYMMETRY_TOL = 1e-7
 
 
-def optimize_interval(sigma2: float, p_drop: float, continuation_gap: float,
-                      coarse: int = 121):
+def _per_state(p_drop, continuation_gap):
+    """``(p, gap, scalar)``: the settings as equal-length 1-D arrays, and
+    whether both were scalars."""
+    scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
+    p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
+                                 np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
+    return p, gap, scalar
+
+
+def optimize_interval(sigma2: float, p_drop, continuation_gap, coarse: int = 121):
     """Best no-transmit interval for one stage plus transition coupling.
 
     Minimizes ``stage cost + p_transmit * continuation_gap`` over
@@ -110,67 +126,81 @@ def optimize_interval(sigma2: float, p_drop: float, continuation_gap: float,
     for fixed settings; among numerically tied optima the narrowest, most
     centered interval is preferred.
 
-    Returns ``(tau_lo, tau_hi, objective)``.
+    ``p_drop`` and ``continuation_gap`` are scalars, or equal-length 1-D
+    arrays with one entry per state; all states share one coarse table and
+    are refined together. Returns ``(tau_lo, tau_hi, objective)``: floats
+    for scalar settings, arrays otherwise.
     """
     sigma = math.sqrt(sigma2)
-    lo_best, hi_best, best = _grid_search(
-        sigma2, p_drop, continuation_gap,
-        np.linspace(-SPAN * sigma, SPAN * sigma, coarse))
+    p, gap, scalar = _per_state(p_drop, continuation_gap)
+    axis = np.linspace(-SPAN * sigma, SPAN * sigma, coarse)[None, :]
+    lo_best, hi_best, best = _interval_search(sigma2, p, gap, axis, axis)
     window = 2.0 * SPAN * sigma / (coarse - 1)
     while window > REFINE_TOL * sigma:
-        lo_axis = lo_best + np.linspace(-window, window, 21)
-        hi_axis = hi_best + np.linspace(-window, window, 21)
-        lo_c, hi_c, cand = _grid_search(sigma2, p_drop, continuation_gap,
-                                        lo_axis, hi_axis)
-        if cand <= best:
-            lo_best, hi_best, best = lo_c, hi_c, cand
+        offsets = np.linspace(-window, window, 21)
+        lo_c, hi_c, cand = _interval_search(sigma2, p, gap, lo_best[:, None] + offsets,
+                                            hi_best[:, None] + offsets)
+        better = cand <= best
+        lo_best[better], hi_best[better], best[better] = lo_c[better], hi_c[better], cand[better]
         window /= 8.0
-    never = sigma2  # silence forever: estimate 0, p_transmit 0
-    if never < best:
-        return NEVER_TRANSMIT[0], NEVER_TRANSMIT[1], never
-    return float(lo_best), float(hi_best), float(best)
+    never = sigma2 < best  # silence forever: estimate 0, p_transmit 0
+    lo_best[never], hi_best[never], best[never] = (*NEVER_TRANSMIT, sigma2)
+    if scalar:
+        return float(lo_best[0]), float(hi_best[0]), float(best[0])
+    return lo_best, hi_best, best
 
 
-def _grid_search(sigma2, p_drop, gap, lo_axis, hi_axis=None):
-    if hi_axis is None:
-        hi_axis = lo_axis
-    lo_m, hi_m = np.meshgrid(lo_axis, hi_axis, indexing="ij")
-    valid = lo_m <= hi_m
-    obj = np.where(valid, _objective_vec(sigma2, p_drop, gap, lo_m, hi_m), np.inf)
-    best = float(obj.min())
-    # tie polish: narrowest interval first, then the most centered one
-    tied = np.argwhere(obj <= best + 1e-15)
-    widths = hi_m[tied[:, 0], tied[:, 1]] - lo_m[tied[:, 0], tied[:, 1]]
-    centers = np.abs(hi_m[tied[:, 0], tied[:, 1]] + lo_m[tied[:, 0], tied[:, 1]])
-    order = np.lexsort((centers, widths))
-    i, j = tied[order[0]]
-    return float(lo_m[i, j]), float(hi_m[i, j]), best
+def _interval_search(sigma2, p, gap, lo_axes, hi_axes):
+    """Per-state minimum over the tables lo_axes[k] x hi_axes[k] (one row per
+    state, or one row shared by all): ``(lo, hi, objective)`` arrays."""
+    term_in, term_out, m0c = _interval_terms(sigma2, lo_axes[:, :, None], hi_axes[:, None, :])
+    obj = term_in + p[:, None, None] * term_out + gap[:, None, None] * m0c
+    best = obj.min(axis=(1, 2))
+    # tie polish within each state: narrowest interval first, then the most
+    # centered one, then the first in row-major order
+    k, i, j = np.nonzero(obj <= best[:, None, None] + 1e-15)
+    lo = np.broadcast_to(lo_axes, (len(p), lo_axes.shape[1]))[k, i]
+    hi = np.broadcast_to(hi_axes, (len(p), hi_axes.shape[1]))[k, j]
+    order = np.lexsort((np.abs(hi + lo), hi - lo, k))
+    first = order[np.searchsorted(k[order], np.arange(len(p)))]
+    return lo[first], hi[first], best
 
 
-def optimize_symmetric_threshold(sigma2: float, p_drop: float,
-                                 continuation_gap: float, coarse: int = 121):
+def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap,
+                                 coarse: int = 121):
     """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
 
     Same objective as :func:`optimize_interval` restricted to the symmetric
-    diagonal; used to quantify how much asymmetry buys. Returns
+    diagonal; used to quantify how much asymmetry buys. Takes scalar or
+    per-state settings like :func:`optimize_interval`. Returns
     ``(tau, objective)`` with tau = inf when never-transmit wins.
     """
     sigma = math.sqrt(sigma2)
-    axis = np.linspace(0.0, SPAN * sigma, coarse)
-    obj = _objective_vec(sigma2, p_drop, continuation_gap, -axis, axis)
-    k = int(np.argmin(obj))
-    tau_best, best = float(axis[k]), float(obj[k])
+    p, gap, scalar = _per_state(p_drop, continuation_gap)
+    tau_best, best = _symmetric_search(sigma2, p, gap,
+                                       np.linspace(0.0, SPAN * sigma, coarse)[None, :])
     window = SPAN * sigma / (coarse - 1)
     while window > REFINE_TOL * sigma:
-        axis = np.maximum(tau_best + np.linspace(-window, window, 21), 0.0)
-        obj = _objective_vec(sigma2, p_drop, continuation_gap, -axis, axis)
-        k = int(np.argmin(obj))
-        if obj[k] <= best:
-            tau_best, best = float(axis[k]), float(obj[k])
+        axes = np.maximum(tau_best[:, None] + np.linspace(-window, window, 21), 0.0)
+        tau_c, cand = _symmetric_search(sigma2, p, gap, axes)
+        better = cand <= best
+        tau_best[better], best[better] = tau_c[better], cand[better]
         window /= 8.0
-    if sigma2 < best:
-        return math.inf, sigma2
+    never = sigma2 < best
+    tau_best[never], best[never] = math.inf, sigma2
+    if scalar:
+        return float(tau_best[0]), float(best[0])
     return tau_best, best
+
+
+def _symmetric_search(sigma2, p, gap, axes):
+    """Per-state first minimum over tau in axes[k] (or one shared row):
+    ``(tau, objective)`` arrays."""
+    term_in, term_out, m0c = _interval_terms(sigma2, -axes, axes)
+    obj = term_in + p[:, None] * term_out + gap[:, None] * m0c
+    k = np.argmin(obj, axis=1)
+    rows = np.arange(len(p))
+    return np.broadcast_to(axes, obj.shape)[rows, k], obj[rows, k]
 
 
 @dataclass
@@ -208,8 +238,9 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
                            coarse: int = 121) -> IidValueTable:
     """Backward induction over channel states for a white Gaussian source.
 
-    Each stage solves one interval optimization per state with the
-    continuation folded in through the attempt probability:
+    Each stage solves one interval optimization for all transmit-allowed
+    states together, with the continuation folded in through the attempt
+    probability:
 
         V[n, q] = min_{lo<=hi} stage(lo, hi) + p_tx (V[n+1, q1] - V[n+1, q0])
                   + V[n+1, q0]
@@ -227,23 +258,24 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
     intervals = np.zeros((horizon, m, 2))
     p_transmit = np.zeros((horizon, m))
     log: List[Tuple[int, int, float, float]] = []
+    q0 = np.array([t0 for t0, _ in fsm.transitions])
+    allowed = np.flatnonzero(fsm.transmit_allowed)
+    q1 = np.array([fsm.transitions[q][1] for q in allowed], dtype=np.intp)
+    p = np.array(fsm.drop_probs)[allowed]
     for s in range(horizon - 1, -1, -1):
-        for q in range(m):
-            q0, q1 = fsm.transitions[q]
-            if not fsm.transmit_allowed[q]:
-                values[s, q] = sigma2 + values[s + 1, q0]
-                intervals[s, q] = NEVER_TRANSMIT
-                continue
-            gap = values[s + 1, q1] - values[s + 1, q0]
-            lo, hi, obj = optimize_interval(sigma2, fsm.drop_probs[q], gap,
-                                            coarse=coarse)
-            _, obj_sym = optimize_symmetric_threshold(sigma2, fsm.drop_probs[q],
-                                                      gap, coarse=coarse)
-            if obj_sym - obj > ASYMMETRY_TOL * sigma2:
-                log.append((s + 1, q, obj_sym, obj))
-            intervals[s, q] = (lo, hi)
-            _, p_transmit[s, q] = iid_stage_cost(sigma2, fsm.drop_probs[q], lo, hi)
-            values[s, q] = obj + values[s + 1, q0]
+        # every state silent; the transmit-allowed ones are overwritten below
+        values[s] = sigma2 + values[s + 1, q0]
+        intervals[s] = NEVER_TRANSMIT
+        silent_next = values[s + 1, q0[allowed]]
+        gap = values[s + 1, q1] - silent_next
+        lo, hi, obj = optimize_interval(sigma2, p, gap, coarse=coarse)
+        _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap, coarse=coarse)
+        values[s, allowed] = obj + silent_next
+        intervals[s, allowed, 0], intervals[s, allowed, 1] = lo, hi
+        for k, q in enumerate(allowed):
+            if obj_sym[k] - obj[k] > ASYMMETRY_TOL * sigma2:
+                log.append((s + 1, int(q), float(obj_sym[k]), float(obj[k])))
+            _, p_transmit[s, q] = iid_stage_cost(sigma2, p[k], lo[k], hi[k])
     return IidValueTable(fsm=fsm, sigma2=sigma2, values=values,
                          intervals=intervals, p_transmit=p_transmit,
                          asymmetry_log=log)

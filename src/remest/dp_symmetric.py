@@ -45,6 +45,11 @@ class SolverOverflowError(RuntimeError):
     for the gain-to-the-horizon growth of the instance."""
 
 
+# Fewer grid points leave no difference quotient between the grid's center
+# and the boundary band that check_growth_rate_bound excludes.
+MIN_GRID_POINTS = 5
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Grid sizing and overflow guard for the grid solver."""
@@ -52,6 +57,11 @@ class SolverSettings:
     half_width: object = "auto"  # "auto" or a positive float
     num_points: int = 2001
     value_cap: float = 1e12
+
+    def __post_init__(self):
+        if self.num_points < MIN_GRID_POINTS:
+            raise ValueError(f"num_points must be >= {MIN_GRID_POINTS} for the growth "
+                             f"check, got {self.num_points}")
 
     def make_grid(self, plant: PlantModel) -> ErrorGrid:
         if self.half_width == "auto":

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -43,6 +42,8 @@ def gaussian_partial_moments(sigma2, lo, hi):
     interval. Either endpoint may be infinite. Safe for intervals of zero
     mass (all three values underflow to 0 together).
     """
+    from scipy.special import ndtr  # deferred: importing the CLI skips scipy
+
     sigma = math.sqrt(sigma2)
     za = -math.inf if lo == -math.inf else lo / sigma
     zb = math.inf if hi == math.inf else hi / sigma
@@ -163,8 +164,9 @@ class GaussianExpectationOperator:
     """
 
     def __init__(self, grid: ErrorGrid, a: float, sigma2: float):
-        # deferred so that commands without a grid solve skip the import
+        # deferred so that commands without a grid solve skip the imports
         from scipy.sparse import csr_array
+        from scipy.special import ndtr
 
         if not sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")

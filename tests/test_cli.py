@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import remest
 from remest import dp_symmetric
 from remest.cli import main
 from remest.policy import decide_many, load_policy_csv
@@ -107,8 +112,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
         (["--grid-points", "400", "solve-symmetric"], "--grid-points: num_points must be odd"),
         (["--grid-points", "400", "verify"], "--grid-points: num_points must be odd"),
+        (["--grid-points", "3", "solve-symmetric"], "--grid-points: num_points must be >= 5"),
+        (["--grid-points", "3", "verify"], "--grid-points: num_points must be >= 5"),
         (["--seed", "-1", "simulate", "policy.csv"], "seed must lie in [0, 2**128)"),
-    ], ids=["solve-symmetric", "verify", "simulate"])
+    ], ids=["solve-symmetric", "verify", "solve-symmetric-3-points", "verify-3-points",
+            "simulate"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, args, message):
         config = [] if "verify" in args else ["--config", str(write_config(tmp_path))]
         assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
@@ -243,3 +251,13 @@ class TestExportExamples:
         run = tmp_path / "run"
         assert main(["--config", str(out / "workload_chain.json"), "--out",
                      str(run), "--grid-points", "401", "solve-symmetric"]) == 0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where it is used, so commands that solve nothing
+    # (export-examples, simulating a threshold policy) never pay for it
+    code = "import sys, remest.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(remest.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from remest.channel import ChannelFsm, energy_harvesting_fsm
-from remest.dp_iid import (NEVER_TRANSMIT, _objective_vec, conditional_estimates,
+from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.dp_iid import (ASYMMETRY_TOL, NEVER_TRANSMIT, REFINE_TOL, SPAN,
+                           IidValueTable, _interval_terms, conditional_estimates,
                            iid_backward_induction, iid_stage_cost,
                            optimize_interval, optimize_symmetric_threshold)
+from remest.quadrature import MASS_FLOOR
+from test_channel import built_fsms
 
 
 def quad_stage_cost(sigma2, p_drop, lo, hi):
@@ -105,7 +110,8 @@ class TestStageCost:
     def test_optimizer_objective_uses_the_same_mass_floor(self):
         # a far-tail silence interval (mass about 6e-16) counts in both
         cost, _ = iid_stage_cost(1.0, 0.0, -9.0, -8.0)
-        objective = _objective_vec(1.0, 0.0, 0.0, np.array([-9.0]), np.array([-8.0]))
+        term_in, term_out, m0c = _interval_terms(1.0, np.array([-9.0]), np.array([-8.0]))
+        objective = term_in + 0.0 * term_out + 0.0 * m0c
         assert cost > 0.0
         assert objective[0] == cost
 
@@ -269,3 +275,138 @@ class TestBackwardInduction:
             gaps.append(abs(value - continuous))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2.5e-3
+
+
+# --- the per-(stage, state) search the batched one replaced, kept as the
+# reference it must reproduce bit for bit ------------------------------------
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def reference_objective(sigma2, p_drop, gap, lo, hi):
+    sigma = math.sqrt(sigma2)
+    za, zb = lo / sigma, hi / sigma
+    m0 = ndtr(zb) - ndtr(za)
+    pa = np.exp(-0.5 * za * za) / _SQRT2PI
+    pb = np.exp(-0.5 * zb * zb) / _SQRT2PI
+    m1 = sigma * (pa - pb)
+    m2 = sigma2 * (m0 + za * pa - zb * pb)
+    m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term_in = np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0)
+        term_out = np.where(m0c >= MASS_FLOOR, m2c - m1c * m1c / m0c, 0.0)
+    return term_in + p_drop * term_out + gap * m0c
+
+
+def reference_grid_search(sigma2, p_drop, gap, lo_axis, hi_axis=None):
+    if hi_axis is None:
+        hi_axis = lo_axis
+    lo_m, hi_m = np.meshgrid(lo_axis, hi_axis, indexing="ij")
+    valid = lo_m <= hi_m
+    obj = np.where(valid, reference_objective(sigma2, p_drop, gap, lo_m, hi_m), np.inf)
+    best = float(obj.min())
+    tied = np.argwhere(obj <= best + 1e-15)
+    widths = hi_m[tied[:, 0], tied[:, 1]] - lo_m[tied[:, 0], tied[:, 1]]
+    centers = np.abs(hi_m[tied[:, 0], tied[:, 1]] + lo_m[tied[:, 0], tied[:, 1]])
+    i, j = tied[np.lexsort((centers, widths))[0]]
+    return float(lo_m[i, j]), float(hi_m[i, j]), best
+
+
+def reference_optimize_interval(sigma2, p_drop, gap, coarse=121):
+    sigma = math.sqrt(sigma2)
+    lo_best, hi_best, best = reference_grid_search(
+        sigma2, p_drop, gap, np.linspace(-SPAN * sigma, SPAN * sigma, coarse))
+    window = 2.0 * SPAN * sigma / (coarse - 1)
+    while window > REFINE_TOL * sigma:
+        lo_c, hi_c, cand = reference_grid_search(
+            sigma2, p_drop, gap, lo_best + np.linspace(-window, window, 21),
+            hi_best + np.linspace(-window, window, 21))
+        if cand <= best:
+            lo_best, hi_best, best = lo_c, hi_c, cand
+        window /= 8.0
+    if sigma2 < best:
+        return NEVER_TRANSMIT[0], NEVER_TRANSMIT[1], sigma2
+    return float(lo_best), float(hi_best), float(best)
+
+
+def reference_optimize_symmetric(sigma2, p_drop, gap, coarse=121):
+    sigma = math.sqrt(sigma2)
+    axis = np.linspace(0.0, SPAN * sigma, coarse)
+    obj = reference_objective(sigma2, p_drop, gap, -axis, axis)
+    k = int(np.argmin(obj))
+    tau_best, best = float(axis[k]), float(obj[k])
+    window = SPAN * sigma / (coarse - 1)
+    while window > REFINE_TOL * sigma:
+        axis = np.maximum(tau_best + np.linspace(-window, window, 21), 0.0)
+        obj = reference_objective(sigma2, p_drop, gap, -axis, axis)
+        k = int(np.argmin(obj))
+        if obj[k] <= best:
+            tau_best, best = float(axis[k]), float(obj[k])
+        window /= 8.0
+    if sigma2 < best:
+        return math.inf, sigma2
+    return tau_best, best
+
+
+def reference_backward_induction(fsm, sigma2, horizon, coarse=121):
+    m = fsm.num_states
+    values = np.zeros((horizon + 1, m))
+    intervals = np.zeros((horizon, m, 2))
+    p_transmit = np.zeros((horizon, m))
+    log = []
+    for s in range(horizon - 1, -1, -1):
+        for q in range(m):
+            q0, q1 = fsm.transitions[q]
+            if not fsm.transmit_allowed[q]:
+                values[s, q] = sigma2 + values[s + 1, q0]
+                intervals[s, q] = NEVER_TRANSMIT
+                continue
+            gap = values[s + 1, q1] - values[s + 1, q0]
+            lo, hi, obj = reference_optimize_interval(sigma2, fsm.drop_probs[q], gap, coarse)
+            _, obj_sym = reference_optimize_symmetric(sigma2, fsm.drop_probs[q], gap, coarse)
+            if obj_sym - obj > ASYMMETRY_TOL * sigma2:
+                log.append((s + 1, q, obj_sym, obj))
+            intervals[s, q] = (lo, hi)
+            _, p_transmit[s, q] = iid_stage_cost(sigma2, fsm.drop_probs[q], lo, hi)
+            values[s, q] = obj + values[s + 1, q0]
+    return IidValueTable(fsm=fsm, sigma2=sigma2, values=values, intervals=intervals,
+                         p_transmit=p_transmit, asymmetry_log=log)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_tables_identical(got, want):
+    for name in ("values", "intervals", "p_transmit"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert len(got.asymmetry_log) == len(want.asymmetry_log)
+    for g, w in zip(got.asymmetry_log, want.asymmetry_log):
+        assert g[:2] == w[:2] and bits(g[2:]) == bits(w[2:])
+
+
+class TestBatchedSearchMatchesReference:
+    @pytest.mark.parametrize("fsm", [
+        energy_harvesting_fsm(4, 2, 0.3),
+        workload_chain_fsm(4, (0.1, 0.3, 0.5, 0.7, 0.9)),
+    ], ids=["energy_harvesting", "workload_chain"])
+    def test_presets_bit_identical(self, fsm):
+        assert_tables_identical(iid_backward_induction(fsm, 1.0, 20),
+                                reference_backward_induction(fsm, 1.0, 20))
+
+    @settings(max_examples=50, deadline=None)
+    @given(fsm=built_fsms(), sigma2=st.floats(0.1, 4.0), horizon=st.integers(1, 4),
+           coarse=st.sampled_from([121, 241]))
+    def test_built_fsms_bit_identical(self, fsm, sigma2, horizon, coarse):
+        assert_tables_identical(iid_backward_induction(fsm, sigma2, horizon, coarse),
+                                reference_backward_induction(fsm, sigma2, horizon, coarse))
+
+    @settings(max_examples=50, deadline=None)
+    @given(sigma2=st.floats(0.1, 4.0), p=st.floats(0.0, 1.0), gap=st.floats(-2.0, 4.0))
+    def test_scalar_calls_return_the_reference_tuples(self, sigma2, p, gap):
+        got = optimize_interval(sigma2, p, gap)
+        want = reference_optimize_interval(sigma2, p, gap)
+        assert all(type(v) is float for v in got) and bits(got) == bits(want)
+        got = optimize_symmetric_threshold(sigma2, p, gap)
+        want = reference_optimize_symmetric(sigma2, p, gap)
+        assert all(type(v) is float for v in got) and bits(got) == bits(want)
