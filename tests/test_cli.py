@@ -69,6 +69,13 @@ class TestSolveSymmetric:
         policy, meta = load_policy_csv(out / "policy.csv")
         assert policy.horizon == 6
 
+    def test_too_small_config_grid_exits_2_unless_overridden(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={"grid": {"half_width": "auto", "num_points": 3}})
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "solve-symmetric"]) == 2
+        assert "solver settings: num_points must be >= 5" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "--grid-points", "401", "solve-symmetric"]) == 0
 
     def test_reachable_witnesses_export_the_gridded_policy(self, tmp_path, capsys):
         # outside the drop margin: non-threshold optima at q = 2, two of them
