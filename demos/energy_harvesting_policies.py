@@ -44,8 +44,8 @@ for n in range(1, plant.horizon + 1):
         cells.append(f"{t:7.3f}" if np.isfinite(t) else "      -")
     print(f"{n:5d} " + "".join(cells))
 
-structure = check_value_structure(table, tol=1e-8)
-growth = check_growth_rate_bound(table, slack=10 * table.grid.spacing)
+structure = check_value_structure(table)
+growth = check_growth_rate_bound(table)
 print(f"\nvalue slices symmetric and unimodal: {structure.ok}; "
       f"growth-rate bound holds: {growth.ok}")
 

@@ -20,8 +20,7 @@ this trade-off and verifies their structure:
   representations, and the Gaussian grid calculus.
 """
 
-from .channel import (ChannelFsm, energy_harvesting_fsm, validate_fsm,
-                      workload_chain_fsm)
+from .channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from .dp_iid import (IidValueTable, iid_backward_induction, iid_stage_cost,
                      optimize_interval)
 from .dp_symmetric import (SolverSettings, ValueTable, backward_induction,

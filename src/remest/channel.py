@@ -3,9 +3,10 @@
 The channel state is driven only by the history of transmission attempts:
 attempting or skipping a transmission moves the FSM along its r=1 or r=0
 arc, and the current state sets the probability that an attempted packet is
-dropped. Two validated builders cover the bundled applications: a battery
-with deterministic energy harvesting, and a sliding-count model of how busy
-a human operator is.
+dropped. An FSM checks its own invariants when it is constructed. Two
+builders cover the bundled applications: a battery with deterministic
+energy harvesting, and a sliding-count model of how busy a human operator
+is.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ class ChannelFsm:
     initial_state : int
     transmit_allowed : tuple of bool
         Action mask; masked states must carry drop probability 1.
+
+    Construction raises ``ValueError("invalid channel FSM: ...")`` listing
+    every violated invariant.
     """
 
     num_states: int
@@ -43,17 +47,16 @@ class ChannelFsm:
                                  for a, b in self.transitions))
         object.__setattr__(self, "drop_probs", tuple(float(p) for p in self.drop_probs))
         object.__setattr__(self, "transmit_allowed", tuple(bool(t) for t in self.transmit_allowed))
+        problems = _violations(self)
+        if problems:
+            raise ValueError("invalid channel FSM: " + "; ".join(problems))
 
     def states(self):
         return range(self.num_states)
 
 
-def validate_fsm(fsm: ChannelFsm):
-    """Collect every invariant violation of an FSM description.
-
-    Returns a list of human-readable violation strings; the FSM is valid
-    iff the list is empty. Violations are data, not exceptions.
-    """
+def _violations(fsm: ChannelFsm):
+    """Every invariant violation of an FSM description, as readable strings."""
     violations = []
     m = fsm.num_states
     if m < 1:
@@ -114,8 +117,6 @@ def energy_harvesting_fsm(capacity: int, tx_cost: int, p_tx: float) -> ChannelFs
     """
     if tx_cost < 1 or capacity < tx_cost:
         raise ValueError(f"need capacity >= tx_cost >= 1, got ({capacity}, {tx_cost})")
-    if not 0.0 <= p_tx <= 1.0:
-        raise ValueError(f"p_tx must be a probability, got {p_tx}")
     transitions = []
     drop = []
     allowed = []
@@ -143,15 +144,8 @@ def workload_chain_fsm(window: int, drop_probs) -> ChannelFsm:
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    drop = tuple(float(p) for p in drop_probs)
-    if len(drop) != window + 1:
-        raise ValueError(
-            f"drop_probs must have window + 1 = {window + 1} entries, got {len(drop)}")
-    for i, p in enumerate(drop):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"drop_probs[{i}] out of range: {p}")
     transitions = tuple((max(i - 1, 0), min(i + 1, window)) for i in range(window + 1))
-    return ChannelFsm(window + 1, transitions, drop, initial_state=0,
+    return ChannelFsm(window + 1, transitions, tuple(drop_probs), initial_state=0,
                       transmit_allowed=tuple(True for _ in range(window + 1)))
 
 

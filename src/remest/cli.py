@@ -14,8 +14,10 @@ Commands
 - ``export-examples``: writes the two bundled application configs.
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
-config, flag or policy CSV, or solver overflow), 3 internal error (the
-traceback goes to stderr).
+config, flag or policy CSV, a non-finite number included, or solver
+overflow), 3 internal error (the traceback goes to stderr). Plant, channel
+and solver settings check themselves when built; ``_read`` turns the error
+into a :class:`ConfigError` that names the input.
 """
 
 from __future__ import annotations
@@ -48,69 +50,57 @@ BUILDERS = {
 }
 
 
-def load_config(path) -> dict:
+def _read(what, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)``; an error that bad input makes it raise
+    becomes a :class:`ConfigError` that begins with ``what``."""
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return reader(*args, **kwargs)
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _section(parent: dict, name: str, required: bool = False) -> dict:
+    """The JSON object under ``name``, or {} when it is optional and absent."""
+    if required and name not in parent:
+        raise ConfigError(f"config is missing the '{name}' section")
+    section = parent.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' is not a JSON object")
+    return section
+
+
+def load_config(path) -> dict:
+    config = _read(f"config {path}", lambda: json.loads(Path(path).read_text()))
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} is not a JSON object")
     return config
 
 
 def plant_from_config(config: dict) -> PlantModel:
-    if "plant" not in config:
-        raise ConfigError("config is missing the 'plant' section")
-    try:
-        return plant_from_dict(config["plant"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plant: {exc}") from exc
+    return _read("plant", plant_from_dict, _section(config, "plant", required=True))
 
 
 def fsm_from_config(config: dict) -> ch.ChannelFsm:
-    section = config.get("channel")
-    if not isinstance(section, dict):
-        raise ConfigError("config is missing the 'channel' section")
-    has_builder = "builder" in section
-    has_inline = "fsm" in section
-    if has_builder == has_inline:
+    section = _section(config, "channel", required=True)
+    if ("builder" in section) == ("fsm" in section):
         raise ConfigError("channel section needs exactly one of 'builder' or 'fsm'")
-    if has_builder:
-        name = section["builder"]
-        if name not in BUILDERS:
-            raise ConfigError(f"unknown channel builder {name!r}; "
-                              f"available: {sorted(BUILDERS)}")
-        try:
-            fsm = BUILDERS[name](**section.get("params", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"channel builder {name!r}: {exc}") from exc
-    else:
-        try:
-            fsm = ch.fsm_from_dict(section["fsm"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    problems = ch.validate_fsm(fsm)
-    if problems:
-        raise ConfigError("invalid channel FSM: " + "; ".join(problems))
-    return fsm
+    if "fsm" in section:
+        return _read("channel", ch.fsm_from_dict, section["fsm"])
+    name = section["builder"]
+    if not isinstance(name, str) or name not in BUILDERS:
+        raise ConfigError(f"unknown channel builder {name!r}; "
+                          f"available: {sorted(BUILDERS)}")
+    params = _section(section, "params")
+    return _read(f"channel builder {name!r}", BUILDERS[name], **params)
 
 
-def settings_from_config(config: dict, plant: PlantModel,
-                         grid_points=None) -> dps.SolverSettings:
-    """Solver settings of the config, with ``--grid-points`` applied; checked
-    by resolving the grid they give for ``plant``."""
-    try:
-        solver = config.get("solver", {})
-        if grid_points is not None:
-            solver = {**solver, "grid": {**solver.get("grid", {}), "num_points": grid_points}}
-        settings = dps.SolverSettings.from_dict(solver)
-        settings.make_grid(plant)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"solver settings: {exc}") from exc
-    return settings
+def settings_from_config(config: dict, grid_points=None) -> dps.SolverSettings:
+    """Solver settings of the config, with ``--grid-points`` applied."""
+    solver = _section(config, "solver")
+    grid = _section(solver, "grid")
+    if grid_points is not None:
+        solver = {**solver, "grid": {**grid, "num_points": grid_points}}
+    return _read("solver settings", dps.SolverSettings.from_dict, solver)
 
 
 def _out_dir(args) -> Path:
@@ -123,7 +113,7 @@ def cmd_solve_symmetric(args) -> int:
     config = load_config(args.config)
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
-    settings = settings_from_config(config, plant, args.grid_points)
+    settings = settings_from_config(config, args.grid_points)
     out = _out_dir(args)
 
     result = dps.solve_and_extract(plant, fsm, settings=settings)
@@ -134,9 +124,8 @@ def cmd_solve_symmetric(args) -> int:
                       metadata={"provenance": table.provenance,
                                 "dp_value": repr(dp_value)})
 
-    structure = dps.check_value_structure(table, tol=1e-8)
-    slack = 10.0 * table.grid.spacing
-    growth = dps.check_growth_rate_bound(table, slack=slack)
+    structure = dps.check_value_structure(table)
+    growth = dps.check_growth_rate_bound(table)
     v, margin, satisfied = dps.threshold_optimality_condition(plant, fsm)
     report = {
         "provenance": table.provenance,
@@ -144,7 +133,7 @@ def cmd_solve_symmetric(args) -> int:
         "structure_ok": structure.ok,
         "structure_violations": len(structure.violations),
         "growth_bound_ok": growth.ok,
-        "growth_bound_slack": slack,
+        "growth_bound_slack": growth.slack,
         "drop_margin": {"v": v, "threshold": margin, "satisfied": satisfied},
         "threshold_witnesses": [
             {"n": n, "q": q, "witness": list(w)} for n, q, w in result.witnesses],
@@ -193,23 +182,19 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
-    try:
-        sim_cfg = config.get("sim", {})
-        trials = args.trials if args.trials is not None else int(sim_cfg.get("trials", 10000))
-        seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"sim settings: {exc}") from exc
+    sim = _section(config, "sim")
+    trials = args.trials if args.trials is not None else _read(
+        "sim.trials", int, sim.get("trials", 10000))
+    seed = args.seed if args.seed is not None else _read("sim.seed", int, sim.get("seed", 0))
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
-    settings = settings_from_config(config, plant, args.grid_points)
-    try:
-        policy, meta = load_policy_csv(args.policy)
-        oracle_sim.check_policy_fits(plant, fsm, policy)
-        dp_value = float(meta["dp_value"]) if "dp_value" in meta else None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"policy {args.policy}: {exc}") from exc
+    settings = settings_from_config(config, args.grid_points)
+    where = f"policy {args.policy}"
+    policy, meta = _read(where, load_policy_csv, args.policy)
+    _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
+    dp_value = _read(where, float, meta["dp_value"]) if "dp_value" in meta else None
     expected = dps.provenance_hash(plant, fsm, settings)
     if "provenance" in meta and meta["provenance"] != expected:
         print(f"warning: policy provenance {meta['provenance']} does not match "
@@ -292,10 +277,10 @@ def _verify_properties(grid_points=None, inject_defect=None):
         values = table.values.copy()
         values[2, 2, -1] -= 1.0
         table = dataclasses.replace(table, values=values)
-    structure = dps.check_value_structure(table, tol=1e-8)
+    structure = dps.check_value_structure(table)
     yield ("check_value_structure", structure.ok,
            f"{len(structure.violations)} violations")
-    growth = dps.check_growth_rate_bound(table, slack=10 * table.grid.spacing)
+    growth = dps.check_growth_rate_bound(table)
     yield ("check_growth_rate_bound", growth.ok, f"{len(growth.violations)} violations")
     yield ("terminal slice is squared error",
            bool(np.array_equal(table.values[-1, 0], table.grid.points ** 2)), "")
@@ -406,11 +391,7 @@ def main(argv=None) -> int:
         parser.error("verify runs a bundled instance and takes no --config")
     try:
         if args.grid_points is not None:
-            try:
-                ErrorGrid(1.0, args.grid_points)
-                dps.SolverSettings(num_points=args.grid_points)
-            except ValueError as exc:
-                raise ConfigError(f"--grid-points: {exc}") from exc
+            _read("--grid-points", dps.SolverSettings, num_points=args.grid_points)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, validate_fsm
+from .channel import ChannelFsm
 from .policy import TransmitPolicy, write_csv
 from .quadrature import MASS_FLOOR, gaussian_partial_moments
 
@@ -248,9 +248,6 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
     Masked states skip the optimization and stay silent (stage cost equal
     to the source variance). The terminal slice is zero.
     """
-    problems = validate_fsm(fsm)
-    if problems:
-        raise ValueError("invalid channel FSM: " + "; ".join(problems))
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     m = fsm.num_states

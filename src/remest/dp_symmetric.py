@@ -29,12 +29,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, fsm_to_dict, reachable_pairs, validate_fsm
-from .policy import ThresholdFit, TransmitPolicy, extract_threshold, write_csv
+from .channel import ChannelFsm, fsm_to_dict, reachable_pairs
+from .policy import TransmitPolicy, extract_threshold, write_csv
 from .process import PlantModel, plant_to_dict
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
@@ -52,7 +52,8 @@ MIN_GRID_POINTS = 5
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid sizing and overflow guard for the grid solver."""
+    """Grid sizing and overflow guard for the grid solver. Construction
+    checks the grid :meth:`make_grid` will build and the cap."""
 
     half_width: object = "auto"  # "auto" or a positive float
     num_points: int = 2001
@@ -62,6 +63,13 @@ class SolverSettings:
         if self.num_points < MIN_GRID_POINTS:
             raise ValueError(f"num_points must be >= {MIN_GRID_POINTS} for the growth "
                              f"check, got {self.num_points}")
+        if self.num_points % 2 == 0:
+            raise ValueError(f"num_points must be odd, got {self.num_points}")
+        if self.half_width != "auto" and not 0 < float(self.half_width) < math.inf:
+            raise ValueError("half_width must be 'auto' or positive and finite, "
+                             f"got {self.half_width!r}")
+        if not 0 < self.value_cap < math.inf:
+            raise ValueError(f"value_cap must be positive and finite, got {self.value_cap}")
 
     def make_grid(self, plant: PlantModel) -> ErrorGrid:
         if self.half_width == "auto":
@@ -87,12 +95,10 @@ class SolverSettings:
                    value_cap=float(data.get("value_cap", 1e12)))
 
 
-def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings,
-                    grid: Optional[ErrorGrid] = None) -> str:
+def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings) -> str:
     """Stable digest of everything that determines solver output, including
-    the grid solved on (by default the one ``settings`` resolves for ``plant``)."""
-    if grid is None:
-        grid = settings.make_grid(plant)
+    the grid ``settings`` resolves for ``plant``."""
+    grid = settings.make_grid(plant)
     blob = json.dumps({"plant": plant_to_dict(plant), "fsm": fsm_to_dict(fsm),
                        "settings": settings.to_dict(),
                        "grid": {"half_width": grid.half_width,
@@ -142,19 +148,15 @@ class ValueTable:
 
 def backward_induction(plant: PlantModel, fsm: ChannelFsm,
                        settings: SolverSettings = SolverSettings(),
-                       grid: Optional[ErrorGrid] = None,
                        ) -> Tuple[ValueTable, TransmitPolicy]:
-    """Solve the symmetric-policy recursion on the error grid.
+    """Solve the symmetric-policy recursion on the grid ``settings`` resolves
+    for ``plant``.
 
     Returns the value table and the gridded optimal policy. Raises
     :class:`SolverOverflowError` when any value exceeds the configured cap,
     which signals that the grid half-width is too small for the instance.
     """
-    problems = validate_fsm(fsm)
-    if problems:
-        raise ValueError("invalid channel FSM: " + "; ".join(problems))
-    if grid is None:
-        grid = settings.make_grid(plant)
+    grid = settings.make_grid(plant)
     m = fsm.num_states
     n_stages = plant.horizon
     center = grid.center_index
@@ -197,7 +199,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     table = ValueTable(grid=grid, values=values, smoothed=smoothed,
                        cost_wait=cost_wait, cost_send=cost_send,
                        transmit=transmit, plant=plant, fsm=fsm, settings=settings,
-                       provenance=provenance_hash(plant, fsm, settings, grid))
+                       provenance=provenance_hash(plant, fsm, settings))
     policy = TransmitPolicy.gridded(grid, transmit, symmetric_flag=True)
     return table, policy
 
@@ -217,11 +219,15 @@ class StructureReport:
     violations: List[StructureViolation]
 
 
-def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
+# Relative tolerance of check_value_structure, scaled by each slice's range.
+STRUCTURE_TOL = 1e-8
+
+
+def check_value_structure(table: ValueTable) -> StructureReport:
     """Verify each value slice is symmetric, non-decreasing in |e|, and
     minimized at e = 0.
 
-    The tolerance is relative: it is scaled by each slice's value range.
+    The tolerance is ``STRUCTURE_TOL`` times each slice's value range.
     Violations are reported per (stage, state) with the offending grid
     point.
     """
@@ -231,7 +237,7 @@ def check_value_structure(table: ValueTable, tol: float) -> StructureReport:
         for q in range(table.fsm.num_states):
             slice_vals = table.values[s, q]
             spread = float(slice_vals.max() - slice_vals.min())
-            tol_abs = tol * max(spread, 1e-30)
+            tol_abs = STRUCTURE_TOL * max(spread, 1e-30)
             ok, viol = is_symmetric_nondecreasing(table.grid, slice_vals, tol_abs)
             if not ok:
                 violations.append(StructureViolation(
@@ -257,6 +263,7 @@ class GrowthRateReport:
     bounds: np.ndarray
     max_quotient: np.ndarray  # per (stage, state)
     violations: List[Tuple[int, int, float, float]]  # (n, q, quotient, bound)
+    slack: float  # allowance above each bound
 
 
 # Outer fraction of grid points left out of the growth check: there the
@@ -264,7 +271,7 @@ class GrowthRateReport:
 GROWTH_BOUNDARY_FRACTION = 0.1
 
 
-def check_growth_rate_bound(table: ValueTable, slack: float) -> GrowthRateReport:
+def check_growth_rate_bound(table: ValueTable) -> GrowthRateReport:
     """Check the difference quotients of smoothed value slices against the
     linear-in-horizon bound.
 
@@ -272,9 +279,10 @@ def check_growth_rate_bound(table: ValueTable, slack: float) -> GrowthRateReport
     (``table.smoothed``) has its forward difference quotient with respect
     to e^2 evaluated at every nonnegative grid point outside the boundary
     band (the outer ``GROWTH_BOUNDARY_FRACTION`` of points). Quotients must
-    stay below the stage bound plus ``slack``.
+    stay below the stage bound plus a slack of ten grid spacings.
     """
     grid = table.grid
+    slack = 10.0 * grid.spacing
     bounds = growth_rate_bounds(table.plant)
     center = grid.center_index
     last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
@@ -284,8 +292,8 @@ def check_growth_rate_bound(table: ValueTable, slack: float) -> GrowthRateReport
     max_quotient = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
     violations = [(int(s) + 1, int(q), float(max_quotient[s, q]), float(bounds[s]))
                   for s, q in zip(*np.nonzero(max_quotient > bounds[:, None] + slack))]
-    return GrowthRateReport(ok=not violations, bounds=bounds,
-                            max_quotient=max_quotient, violations=violations)
+    return GrowthRateReport(ok=not violations, bounds=bounds, max_quotient=max_quotient,
+                            violations=violations, slack=slack)
 
 
 def threshold_optimality_condition(plant: PlantModel, fsm: ChannelFsm):
@@ -308,7 +316,6 @@ class ExtractionResult:
     table: ValueTable
     gridded_policy: TransmitPolicy
     threshold_policy: TransmitPolicy
-    fits: Dict[Tuple[int, int], ThresholdFit]
     witnesses: List[Tuple[int, int, Tuple[float, float, float]]]
     asymmetric: List[Tuple[int, int]]  # interval fits that failed symmetry
     reachable: set
@@ -322,8 +329,7 @@ class ExtractionResult:
 
 
 def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
-                      settings: SolverSettings = SolverSettings(),
-                      grid: Optional[ErrorGrid] = None) -> ExtractionResult:
+                      settings: SolverSettings = SolverSettings()) -> ExtractionResult:
     """Solve, then fit a symmetric threshold at every (stage, state).
 
     Masked states and never-transmit slices get the tau = +inf sentinel.
@@ -332,16 +338,14 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
     succeeded and the sentinel elsewhere, and ``result.policy`` falls back
     to the gridded policy when that matters at a reachable pair.
     """
-    table, gridded = backward_induction(plant, fsm, settings=settings, grid=grid)
+    table, gridded = backward_induction(plant, fsm, settings=settings)
     n_stages, m = plant.horizon, fsm.num_states
     tau = np.full((n_stages, m), math.inf)
-    fits = {}
     witnesses = []
     asymmetric = []
     for s in range(n_stages):
         for q in range(m):
-            fit = extract_threshold(table.grid, table.transmit[s, q], symmetric=True)
-            fits[(s + 1, q)] = fit
+            fit = extract_threshold(table.grid, table.transmit[s, q])
             if not fit.is_threshold:
                 witnesses.append((s + 1, q, fit.witness))
             elif fit.tau is not None:
@@ -350,7 +354,7 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
                 asymmetric.append((s + 1, q))
     threshold_policy = TransmitPolicy.symmetric(tau)
     return ExtractionResult(table=table, gridded_policy=gridded,
-                            threshold_policy=threshold_policy, fits=fits,
+                            threshold_policy=threshold_policy,
                             witnesses=witnesses, asymmetric=asymmetric,
                             reachable=reachable_pairs(fsm, n_stages))
 

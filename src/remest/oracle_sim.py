@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, reachable_pairs, validate_fsm
+from .channel import ChannelFsm, reachable_pairs
 from .policy import TransmitPolicy, decide_many, write_csv
 from .process import PlantModel
 from .dp_iid import conditional_estimates
@@ -91,9 +91,6 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    problems = validate_fsm(fsm)
-    if problems:
-        raise ValueError("invalid channel FSM: " + "; ".join(problems))
     check_policy_fits(plant, fsm, policy)
     return _simulate(plant, fsm, policy, trials, seed, collect_trace)
 
@@ -247,9 +244,6 @@ class DiscreteInstance:
             raise ValueError("support probabilities must be nonnegative and sum to 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        problems = validate_fsm(self.fsm)
-        if problems:
-            raise ValueError("invalid channel FSM: " + "; ".join(problems))
 
     @property
     def values(self):

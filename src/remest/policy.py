@@ -58,14 +58,14 @@ class TransmitPolicy:
             tau = np.asarray(self.tau, dtype=float)
             if tau.shape != (self.horizon, self.num_states):
                 raise ValueError(f"tau shape {tau.shape} != (N, m)")
-            if np.any(tau < 0):
+            if not np.all(tau >= 0):
                 raise ValueError("symmetric thresholds must be nonnegative")
             object.__setattr__(self, "tau", tau)
         elif self.kind == "interval_pair":
             iv = np.asarray(self.intervals, dtype=float)
             if iv.shape != (self.horizon, self.num_states, 2):
                 raise ValueError(f"intervals shape {iv.shape} != (N, m, 2)")
-            if np.any(iv[..., 0] > iv[..., 1]):
+            if not np.all(iv[..., 0] <= iv[..., 1]):
                 raise ValueError("interval_pair requires tau_lo <= tau_hi")
             object.__setattr__(self, "intervals", iv)
         else:
@@ -130,15 +130,15 @@ class ThresholdFit:
     witness: Optional[Tuple[float, float, float]] = None
 
 
-def extract_threshold(grid: ErrorGrid, transmit: np.ndarray,
-                      symmetric: bool = False) -> ThresholdFit:
-    """Fit an interval (or symmetric threshold) rule to a transmit set.
+def extract_threshold(grid: ErrorGrid, transmit: np.ndarray) -> ThresholdFit:
+    """Fit an interval rule, and a symmetric threshold if it has one, to a
+    transmit set.
 
     The no-transmit set must be contiguous on the grid for a fit to
     succeed; interval boundaries are placed halfway between the last
-    no-transmit point and the first transmit point on each side. With
-    ``symmetric=True`` the fit additionally requires |tau_lo + tau_hi| to
-    be at most one grid spacing, and returns the symmetric tau.
+    no-transmit point and the first transmit point on each side. The fit
+    carries the symmetric tau when |tau_lo + tau_hi| is at most one grid
+    spacing.
     """
     transmit = np.asarray(transmit, dtype=bool)
     if transmit.shape != (grid.num_points,):
@@ -158,7 +158,7 @@ def extract_threshold(grid: ErrorGrid, transmit: np.ndarray,
     tau_lo = -math.inf if i0 == 0 else float(0.5 * (x[i0 - 1] + x[i0]))
     tau_hi = math.inf if i1 == grid.num_points - 1 else float(0.5 * (x[i1] + x[i1 + 1]))
     fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi)
-    if symmetric and math.isfinite(tau_lo) and math.isfinite(tau_hi):
+    if math.isfinite(tau_lo) and math.isfinite(tau_hi):
         if abs(tau_lo + tau_hi) <= grid.spacing * (1 + 1e-9):
             fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi,
                                tau=0.5 * (tau_hi - tau_lo))
@@ -259,6 +259,9 @@ def load_policy_csv(path):
                 value = bool(int(row["transmit"]))
             else:
                 value = (float(row["tau_lo"]), float(row["tau_hi"]))
+                if kind == "symmetric_threshold" and value[0] != -value[1]:
+                    raise ValueError(f"symmetric threshold row has tau_lo {value[0]!r} "
+                                     f"!= -tau_hi {value[1]!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: data row {index}: {exc}") from exc
         if seen[point]:

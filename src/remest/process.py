@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -19,10 +21,13 @@ class PlantModel:
     horizon: int = 1
 
     def __post_init__(self):
+        for name in ("a", "x0", "sigma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 1):
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
 
 
 def predicted_open_loop_cost(plant: PlantModel) -> float:
@@ -48,7 +53,6 @@ def plant_to_dict(plant: PlantModel) -> dict:
 def plant_from_dict(data: dict) -> PlantModel:
     try:
         return PlantModel(a=float(data["a"]), sigma2=float(data["sigma2"]),
-                          x0=float(data.get("x0", 0.0)),
-                          horizon=int(data["horizon"]))
+                          x0=float(data.get("x0", 0.0)), horizon=data["horizon"])
     except KeyError as exc:
         raise ValueError(f"malformed plant description: missing {exc}") from exc

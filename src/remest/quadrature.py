@@ -77,8 +77,8 @@ class ErrorGrid:
     num_points: int
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.num_points < 3 or self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd and >= 3, got {self.num_points}")
         pts = np.linspace(-self.half_width, self.half_width, self.num_points)
@@ -113,10 +113,11 @@ class ErrorGrid:
 
     def index_of(self, e: float) -> int:
         """Index of the grid point equal to e (raises if e is off-grid)."""
-        i = int(round((e + self.half_width) / self.spacing))
-        if i < 0 or i >= self.num_points or abs(self._points[i] - e) > 1e-9 * max(1.0, abs(e)):
-            raise ValueError(f"{e} is not a grid point of {self}")
-        return i
+        if math.isfinite(e):
+            i = int(round((e + self.half_width) / self.spacing))
+            if 0 <= i < self.num_points and abs(self._points[i] - e) <= 1e-9 * max(1.0, abs(e)):
+                return i
+        raise ValueError(f"{e} is not a grid point of {self}")
 
     def nearest_index(self, e) -> np.ndarray:
         """Nearest grid index for arbitrary (vectorized) error values."""

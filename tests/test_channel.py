@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from remest.channel import (ChannelFsm, energy_harvesting_fsm, fsm_from_dict,
-                            fsm_to_dict, validate_fsm, workload_chain_fsm)
+                            fsm_to_dict, workload_chain_fsm)
 from remest.oracle_sim import simulate
 from remest.policy import TransmitPolicy
 from remest.process import PlantModel
@@ -24,7 +24,6 @@ class TestEnergyBuilder:
         assert energy.initial_state == 4
         assert energy.drop_probs == (1.0, 1.0, 0.3, 0.3, 0.3)
         assert energy.transmit_allowed == (False, False, True, True, True)
-        assert validate_fsm(energy) == []
 
     def test_transition_examples(self, energy):
         assert energy.transitions[4][1] == 2
@@ -62,7 +61,6 @@ class TestWorkloadBuilder:
         assert fsm.initial_state == 0
         assert fsm.drop_probs[0] == 0.1 and fsm.drop_probs[1] == 0.3
         assert all(fsm.transmit_allowed)
-        assert validate_fsm(fsm) == []
         assert fsm.transitions[4][1] == 4  # saturates
         assert fsm.transitions[0][0] == 0
 
@@ -76,20 +74,24 @@ class TestWorkloadBuilder:
             workload_chain_fsm(4, [0.1, 0.3])
 
 
+def violations(*args, **kwargs):
+    """The violations that building a ``ChannelFsm`` from the arguments raises."""
+    with pytest.raises(ValueError, match="^invalid channel FSM: ") as exc:
+        ChannelFsm(*args, **kwargs)
+    return str(exc.value).removeprefix("invalid channel FSM: ").split("; ")
+
+
 class TestValidation:
     def test_probability_out_of_range(self):
-        fsm = ChannelFsm(2, ((1, 1), (0, 0)), (0.5, 1.2), 0, (True, True))
-        problems = validate_fsm(fsm)
+        problems = violations(2, ((1, 1), (0, 0)), (0.5, 1.2), 0, (True, True))
         assert any("probability out of range" in p for p in problems)
 
     def test_dangling_transition(self):
-        fsm = ChannelFsm(2, ((1, 2), (0, 0)), (0.5, 0.5), 0, (True, True))
-        problems = validate_fsm(fsm)
+        problems = violations(2, ((1, 2), (0, 0)), (0.5, 0.5), 0, (True, True))
         assert any("dangling transition" in p for p in problems)
 
     def test_masked_state_needs_certain_drop(self):
-        fsm = ChannelFsm(2, ((1, None), (0, 0)), (0.5, 0.5), 0, (False, True))
-        problems = validate_fsm(fsm)
+        problems = violations(2, ((1, None), (0, 0)), (0.5, 0.5), 0, (False, True))
         assert any("drop probability 1" in p for p in problems)
 
     def test_step_never_leaves_state_set(self):
@@ -169,20 +171,22 @@ def built_fsms(draw):
 
 
 def with_state(fsm, q, **fields):
-    """``fsm`` with state q's entry of each named per-state field replaced."""
-    changes = {}
+    """The violations of ``fsm`` with state q's entry of each named per-state
+    field replaced."""
+    changes = dataclasses.asdict(fsm)
     for name, value in fields.items():
         entries = list(getattr(fsm, name))
         entries[q] = value
         changes[name] = tuple(entries)
-    return dataclasses.replace(fsm, **changes)
+    return violations(**changes)
 
 
 class TestBuilderProperties:
     @settings(max_examples=100, deadline=None)
     @given(fsm=built_fsms())
     def test_builders_validate_clean(self, fsm):
-        assert validate_fsm(fsm) == []
+        # the builder's FSM was checked on construction; so is a copy
+        assert dataclasses.replace(fsm) == fsm
 
     @settings(max_examples=100, deadline=None)
     @given(fsm=built_fsms())
@@ -198,7 +202,7 @@ class TestBuilderProperties:
                                      st.integers(fsm.num_states, fsm.num_states + 20)))
         arcs = list(fsm.transitions[q])
         arcs[r] = target
-        problems = validate_fsm(with_state(fsm, q, transitions=tuple(arcs)))
+        problems = with_state(fsm, q, transitions=tuple(arcs))
         assert f"state {q}: dangling transition on r={r} to {target}" in problems
 
     @settings(max_examples=100, deadline=None)
@@ -206,7 +210,7 @@ class TestBuilderProperties:
     def test_out_of_range_probability_reported(self, fsm, data):
         q = data.draw(st.integers(0, fsm.num_states - 1))
         p = data.draw(st.floats().filter(lambda p: not 0.0 <= p <= 1.0))
-        problems = validate_fsm(with_state(fsm, q, drop_probs=p))
+        problems = with_state(fsm, q, drop_probs=p)
         assert f"state {q}: probability out of range ({p})" in problems
 
     @settings(max_examples=100, deadline=None)
@@ -214,7 +218,7 @@ class TestBuilderProperties:
     def test_masked_state_with_uncertain_drop_reported(self, fsm, data):
         q = data.draw(st.integers(0, fsm.num_states - 1))
         p = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-        problems = validate_fsm(with_state(fsm, q, transmit_allowed=False, drop_probs=p))
+        problems = with_state(fsm, q, transmit_allowed=False, drop_probs=p)
         assert any(f"state {q}: masked state must carry drop probability 1" in m
                    for m in problems)
 

@@ -1,15 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import remest
 from remest import dp_symmetric
 from remest.cli import main
-from remest.policy import decide_many, load_policy_csv
+from remest.policy import TransmitPolicy, decide_many, export_policy_csv, load_policy_csv
+from remest.quadrature import ErrorGrid
 
 
 def write_config(tmp_path, **overrides):
@@ -129,6 +132,62 @@ class TestExitCodes:
         assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("plant.horizon", math.inf, "plant: horizon must be an integer >= 1, got inf"),
+        ("plant.sigma2", math.inf, "plant: sigma2 must be finite, got inf"),
+        ("sim.trials", math.inf, "sim.trials: cannot convert float infinity"),
+        ("plant.a", math.nan, "plant: a must be finite, got nan"),
+        ("solver.grid.half_width", math.inf,
+         "solver settings: half_width must be 'auto' or positive and finite, got inf"),
+        ("plant.x0", math.nan, "plant: x0 must be finite, got nan"),
+        ("solver.value_cap", math.nan, "solver settings: value_cap must be positive and "
+                                       "finite, got nan"),
+        ("solver.value_cap", math.inf, "solver settings: value_cap must be positive and "
+                                       "finite, got inf"),
+        ("policy.e", math.inf, "data row 1: inf is not a grid point"),
+    ], ids=["plant.horizon", "plant.sigma2", "sim.trials", "plant.a",
+            "solver.grid.half_width", "plant.x0", "solver.value_cap-nan",
+            "solver.value_cap-inf", "policy.e"])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
+        # JSON's NaN and Infinity literals, and a policy row off the grid
+        config = json.loads(write_config(
+            tmp_path, plant={"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 4}).read_text())
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.gridded(ErrorGrid(8.0, 201),
+                                                 np.zeros((4, 5, 201), dtype=bool), True),
+                          policy_csv)
+        section, key = field.rsplit(".", 1)
+        if section == "policy":
+            text = policy_csv.read_text()
+            policy_csv.write_text(text.replace("\n1,0,-8.0,0\n", f"\n1,0,{value!r},0\n"))
+        else:
+            node = config
+            for name in section.split("."):
+                node = node[name]
+            node[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        command = (["simulate", str(policy_csv)] if section in ("sim", "policy")
+                   else ["solve-symmetric"])
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--grid-points", "201"] + command) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"plant": [1.1, 1.0]}, "config section 'plant' is not a JSON object"),
+        ({"solver": {"grid": [2001]}}, "config section 'grid' is not a JSON object"),
+        ({"sim": 5000}, "config section 'sim' is not a JSON object"),
+        ({"channel": {"builder": "workload_chain", "params": [4]}},
+         "config section 'params' is not a JSON object"),
+        ({"channel": {"builder": ["energy_harvesting"]}}, "unknown channel builder"),
+    ], ids=["plant", "grid", "sim", "params", "builder"])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
+                     "simulate", str(tmp_path / "policy.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
         def planted(*args, **kwargs):
             raise ValueError("planted solver bug")
@@ -214,6 +273,28 @@ class TestSimulate:
                      "--trials", "50", "simulate", str(policy_csv)])
         assert code == 2
         assert "missing header line '# horizon='" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, row, message", [
+        ("symmetric", "-100.0,1.0", "symmetric threshold row has tau_lo -100.0 != -tau_hi 1.0"),
+        ("symmetric", "nan,nan", "symmetric threshold row has tau_lo nan != -tau_hi nan"),
+        ("interval", "-1.0,nan", "interval_pair requires tau_lo <= tau_hi"),
+    ], ids=["symmetric-lo", "symmetric-nan", "interval-nan"])
+    def test_threshold_row_contradicting_its_kind_exits_2(self, tmp_path, capsys,
+                                                          kind, row, message):
+        cfg = write_config(tmp_path)
+        tau = np.ones((6, 5))
+        policy = (TransmitPolicy.symmetric(tau) if kind == "symmetric"
+                  else TransmitPolicy.interval(np.stack([-tau, tau], axis=-1)))
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(policy, policy_csv)
+        text = policy_csv.read_text()
+        edited = text.replace(f",{policy.kind},-1.0,1.0\n", f",{policy.kind},{row}\n", 1)
+        assert edited != text
+        policy_csv.write_text(edited)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--trials", "50", "simulate", str(policy_csv)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_trace_flag_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)

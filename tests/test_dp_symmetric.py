@@ -14,7 +14,7 @@ from remest.dp_symmetric import (GROWTH_BOUNDARY_FRACTION, SolverSettings,
                                  solve_and_extract,
                                  threshold_optimality_condition)
 from remest.process import PlantModel, predicted_open_loop_cost
-from remest.quadrature import ErrorGrid, GaussianExpectationOperator
+from remest.quadrature import GaussianExpectationOperator
 
 
 def single_state(p_drop):
@@ -31,9 +31,8 @@ def energy_solution():
 class TestTerminalAndRecursion:
     def test_terminal_slice_is_squared_error_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
-        grid = ErrorGrid(4.0, 401)
         table, _ = backward_induction(plant, single_state(0.4),
-                                      SolverSettings(num_points=401), grid=grid)
+                                      SolverSettings(half_width=4.0, num_points=401))
         x = table.grid.points
         assert np.array_equal(table.values[-1, 0], x ** 2)
         assert table.values[-1, 0, table.grid.index_of(2.0)] == 4.0
@@ -114,15 +113,14 @@ class TestTerminalAndRecursion:
                                SolverSettings(num_points=801, value_cap=1e3))
 
     def test_invalid_fsm_rejected(self):
-        bad = ChannelFsm(2, ((1, 1), (0, 2)), (0.5, 0.5), 0, (True, True))
         with pytest.raises(ValueError, match="dangling"):
-            backward_induction(PlantModel(a=1.0, sigma2=1.0, horizon=1), bad)
+            ChannelFsm(2, ((1, 1), (0, 2)), (0.5, 0.5), 0, (True, True))
 
 
 class TestStructureChecks:
     def test_energy_instance_is_clean(self, energy_solution):
         plant, _, result = energy_solution
-        report = check_value_structure(result.table, tol=1e-8)
+        report = check_value_structure(result.table)
         assert report.ok, report.violations[:3]
 
     def test_planted_defect_is_located(self, energy_solution):
@@ -131,7 +129,7 @@ class TestStructureChecks:
         values = table.values.copy()
         values[2, 2, -1] -= 1.0
         table = dataclasses.replace(table, values=values)
-        report = check_value_structure(table, tol=1e-8)
+        report = check_value_structure(table)
         assert not report.ok
         hits = [v for v in report.violations if (v.n, v.q) == (3, 2)]
         assert hits and hits[0].e == pytest.approx(table.grid.half_width)
@@ -140,7 +138,7 @@ class TestStructureChecks:
         plant = PlantModel(a=1.0, sigma2=1.0, horizon=1)
         table, _ = backward_induction(plant, single_state(0.5),
                                       SolverSettings(num_points=401))
-        report = check_value_structure(table, tol=1e-12)
+        report = check_value_structure(table)
         assert report.ok
 
 
@@ -149,7 +147,7 @@ class TestGrowthRateBound:
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
         table, _ = backward_induction(plant, single_state(0.3),
                                       SolverSettings(num_points=1601))
-        report = check_growth_rate_bound(table, slack=1e-5)
+        report = check_growth_rate_bound(table)
         assert report.bounds[-1] == pytest.approx(plant.a ** 2)
         assert report.max_quotient[-1, 0] == pytest.approx(plant.a ** 2, abs=1e-5)
 
@@ -164,15 +162,15 @@ class TestGrowthRateBound:
         plant = PlantModel(a=0.0, sigma2=1.0, horizon=4)
         table, _ = backward_induction(plant, single_state(0.5),
                                       SolverSettings(num_points=801))
-        report = check_growth_rate_bound(table, slack=1e-9)
+        report = check_growth_rate_bound(table)
         assert report.ok
         assert np.all(report.bounds == 0.0)
         assert report.max_quotient.max() <= 1e-9
 
     def test_energy_instance_respects_bound(self, energy_solution):
         _, _, result = energy_solution
-        slack = 10.0 * result.table.grid.spacing
-        report = check_growth_rate_bound(result.table, slack=slack)
+        report = check_growth_rate_bound(result.table)
+        assert report.slack == 10.0 * result.table.grid.spacing
         assert report.ok, report.violations[:3]
 
     def test_max_quotient_matches_a_fresh_smoothing_bitwise(self):
@@ -186,7 +184,7 @@ class TestGrowthRateBound:
         denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
         h = GaussianExpectationOperator(grid, plant.a, plant.sigma2).apply(table.values)
         expected = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
-        report = check_growth_rate_bound(table, slack=10.0 * grid.spacing)
+        report = check_growth_rate_bound(table)
         assert report.max_quotient.tobytes() == expected.tobytes()
 
 
@@ -229,8 +227,9 @@ class TestExtraction:
         # every reachable pair is threshold-form; up the chain the optimum is
         # the never-transmit sentinel (attempts would climb to worse states),
         # while the low-drop states transmit at finite thresholds
+        witnessed = {(n, q) for n, q, _ in result.witnesses}
         for n, q in result.reachable:
-            assert result.fits[(n, q)].is_threshold
+            assert (n, q) not in witnessed
         assert math.isfinite(result.threshold_policy.tau[0, 0])
         assert math.isfinite(result.threshold_policy.tau[1, 1])
 
@@ -282,12 +281,26 @@ class TestExports:
         assert float(v) == result.table.values[0, 0, i]
 
 
+class TestSolverSettings:
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_points": 400}, "num_points must be odd"),
+        ({"half_width": math.inf}, "half_width must be 'auto' or positive and finite"),
+        ({"half_width": math.nan}, "half_width must be 'auto' or positive and finite"),
+        ({"half_width": 0.0}, "half_width must be 'auto' or positive and finite"),
+        ({"value_cap": math.nan}, "value_cap must be positive and finite"),
+        ({"value_cap": math.inf}, "value_cap must be positive and finite"),
+        ({"value_cap": 0.0}, "value_cap must be positive and finite"),
+    ])
+    def test_invalid_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SolverSettings(**fields)
+
+
 class TestProvenance:
     def test_explicit_grid_is_hashed(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
         fsm = energy_harvesting_fsm(4, 2, 0.3)
-        settings = SolverSettings(num_points=41)
-        table, _ = backward_induction(plant, fsm, settings, grid=ErrorGrid(3.0, 41))
-        assert table.provenance == provenance_hash(plant, fsm, settings,
-                                                   ErrorGrid(3.0, 41))
-        assert table.provenance != provenance_hash(plant, fsm, settings)
+        settings = SolverSettings(half_width=3.0, num_points=41)
+        table, _ = backward_induction(plant, fsm, settings)
+        assert table.provenance == provenance_hash(plant, fsm, settings)
+        assert table.provenance != provenance_hash(plant, fsm, SolverSettings(num_points=41))

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -79,6 +80,15 @@ class TestDecide:
                 assert [int(v) for v in vec] == [
                     reference_decide(policy, n, int(qq), float(ee)) for qq, ee in zip(q, e)]
 
+    @pytest.mark.parametrize("build", [
+        lambda: TransmitPolicy.symmetric(np.array([[1.0, math.nan]])),
+        lambda: TransmitPolicy.interval(np.array([[[math.nan, 1.0]]])),
+        lambda: TransmitPolicy.interval(np.array([[[-1.0, math.nan]]])),
+    ], ids=["tau", "tau_lo", "tau_hi"])
+    def test_nan_thresholds_are_rejected(self, build):
+        with pytest.raises(ValueError, match="nonnegative|tau_lo <= tau_hi"):
+            build()
+
     def test_stage_bounds_checked(self):
         policy = TransmitPolicy.symmetric(np.array([[1.0]]))
         for n in (0, 2):
@@ -93,37 +103,37 @@ class TestDecide:
 class TestExtractThreshold:
     def test_always_transmit_degenerates_to_zero(self):
         grid = ErrorGrid(2.0, 11)
-        fit = extract_threshold(grid, np.ones(11, dtype=bool), symmetric=True)
+        fit = extract_threshold(grid, np.ones(11, dtype=bool))
         assert fit.is_threshold and fit.tau == 0.0
         assert (fit.tau_lo, fit.tau_hi) == (0.0, 0.0)
 
     def test_never_transmit_gives_infinite_sentinel(self):
         grid = ErrorGrid(2.0, 11)
-        fit = extract_threshold(grid, np.zeros(11, dtype=bool), symmetric=True)
+        fit = extract_threshold(grid, np.zeros(11, dtype=bool))
         assert fit.is_threshold and fit.tau == math.inf
         assert fit.tau_lo == -math.inf and fit.tau_hi == math.inf
 
     def test_planted_symmetric_rule_recovered(self):
         grid = ErrorGrid(4.0, 801)  # spacing 0.01
         transmit = np.abs(grid.points) > 1.5
-        fit = extract_threshold(grid, transmit, symmetric=True)
+        fit = extract_threshold(grid, transmit)
         assert fit.is_threshold and fit.tau is not None
         assert 1.49 <= fit.tau <= 1.51
 
     def test_planted_asymmetric_interval_recovered(self):
         grid = ErrorGrid(4.0, 801)
         transmit = (grid.points < -0.5) | (grid.points > 2.25)
-        fit = extract_threshold(grid, transmit, symmetric=False)
+        fit = extract_threshold(grid, transmit)
         assert fit.is_threshold
         assert fit.tau_lo == pytest.approx(-0.5, abs=grid.spacing)
         assert fit.tau_hi == pytest.approx(2.25, abs=grid.spacing)
-        sym = extract_threshold(grid, transmit, symmetric=True)
+        sym = extract_threshold(grid, transmit)
         assert sym.is_threshold and sym.tau is None  # interval, but not symmetric
 
     def test_structure_failure_yields_witness(self):
         grid = ErrorGrid(4.0, 9)
         transmit = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        fit = extract_threshold(grid, transmit, symmetric=False)
+        fit = extract_threshold(grid, transmit)
         assert not fit.is_threshold
         e1, e2, e3 = fit.witness
         assert e1 < e2 < e3
@@ -136,7 +146,7 @@ class TestExtractThreshold:
         for _ in range(50):
             tau = float(rng.uniform(0.05, 2.5))
             planted = np.abs(grid.points) > tau
-            fit = extract_threshold(grid, planted, symmetric=True)
+            fit = extract_threshold(grid, planted)
             assert fit.is_threshold and fit.tau is not None
             policy = TransmitPolicy.symmetric(np.array([[fit.tau]]))
             redecided = decide_many(policy, 1, np.zeros(grid.num_points, dtype=int),
@@ -243,6 +253,7 @@ class TestCsvLoading:
 
     @pytest.mark.parametrize("defect, message", [
         ("off_grid", "not a grid point"),
+        ("infinite", "data row 6: inf is not a grid point"),
         ("duplicate", "repeats an earlier row"),
         ("missing", "1 points have no row, first n=1, q=0, e=-3.0"),
     ])
@@ -250,15 +261,35 @@ class TestCsvLoading:
         path = tmp_path / "policy.csv"
         export_policy_csv(_gridded_policy(), path)
         head, rows = _split_csv(path)
-        if defect == "off_grid":
+        if defect in ("off_grid", "infinite"):
             n, q, e, t = rows[5].strip().split(",")
-            rows[5] = f"{n},{q},{float(e) + 0.03!r},{t}\r\n"
+            e = math.inf if defect == "infinite" else float(e) + 0.03
+            rows[5] = f"{n},{q},{e!r},{t}\r\n"
         elif defect == "duplicate":
             rows.append(rows[0])
         else:
             del rows[0]
         path.write_text("".join(head + rows))
         with pytest.raises(ValueError, match=message):
+            load_policy_csv(path)
+
+    @pytest.mark.parametrize("policy, tau_lo, tau_hi, message", [
+        (TransmitPolicy.symmetric(np.ones((2, 2))), "-100.0", "1.0",
+         "data row 2: symmetric threshold row has tau_lo -100.0 != -tau_hi 1.0"),
+        (TransmitPolicy.symmetric(np.ones((2, 2))), "nan", "nan",
+         "data row 2: symmetric threshold row has tau_lo nan != -tau_hi nan"),
+        (TransmitPolicy.interval(np.tile([-1.0, 1.0], (2, 2, 1))), "-1.0", "nan",
+         "interval_pair requires tau_lo <= tau_hi"),
+    ], ids=["symmetric-lo", "symmetric-nan", "interval-nan"])
+    def test_threshold_row_contradicting_its_kind_is_rejected(self, tmp_path, policy,
+                                                              tau_lo, tau_hi, message):
+        path = tmp_path / "policy.csv"
+        export_policy_csv(policy, path)
+        head, rows = _split_csv(path)
+        n, q, kind, _, _ = rows[1].strip().split(",")
+        rows[1] = f"{n},{q},{kind},{tau_lo},{tau_hi}\r\n"
+        path.write_text("".join(head + rows))
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_policy_csv(path)
 
     def test_missing_threshold_row_is_rejected(self, tmp_path):

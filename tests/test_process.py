@@ -31,6 +31,18 @@ class TestPlantModel:
         with pytest.raises(ValueError):
             PlantModel(a=1.0, sigma2=1.0, horizon=0)
 
+    @pytest.mark.parametrize("field", ["a", "x0", "sigma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, field, value):
+        fields = {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PlantModel(**fields)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 2.5, 3.0, "3", 0])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            plant_from_dict({"a": 1.1, "sigma2": 1.0, "horizon": horizon})
+
     def test_json_round_trip(self):
         plant = PlantModel(a=1.1, sigma2=2.0, x0=0.5, horizon=7)
         assert plant_from_dict(json.loads(json.dumps(plant_to_dict(plant)))) == plant
