@@ -60,14 +60,17 @@ class SolverSettings:
     value_cap: float = 1e12
 
     def __post_init__(self):
+        if isinstance(self.num_points, bool) or not isinstance(self.num_points, (int, np.integer)):
+            raise ValueError(f"num_points must be an integer, got {self.num_points!r}")
         if self.num_points < MIN_GRID_POINTS:
             raise ValueError(f"num_points must be >= {MIN_GRID_POINTS} for the growth "
                              f"check, got {self.num_points}")
         if self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd, got {self.num_points}")
-        if self.half_width != "auto" and not 0 < float(self.half_width) < math.inf:
-            raise ValueError("half_width must be 'auto' or positive and finite, "
-                             f"got {self.half_width!r}")
+        if (hw := self.half_width) != "auto":
+            if isinstance(hw, (str, bool)) or not 0 < float(hw) < math.inf:
+                raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
+            object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
         if not 0 < self.value_cap < math.inf:
             raise ValueError(f"value_cap must be positive and finite, got {self.value_cap}")
 
@@ -75,7 +78,7 @@ class SolverSettings:
         if self.half_width == "auto":
             return ErrorGrid.auto(plant.a, plant.sigma2, plant.horizon,
                                   num_points=self.num_points)
-        return ErrorGrid(float(self.half_width), self.num_points)
+        return ErrorGrid(self.half_width, self.num_points)
 
     def to_dict(self) -> dict:
         return {"grid": {"half_width": self.half_width, "num_points": self.num_points},
@@ -91,7 +94,7 @@ class SolverSettings:
         if unknown:
             raise ValueError(f"unknown solver keys {unknown}")
         return cls(half_width=grid.get("half_width", "auto"),
-                   num_points=int(grid.get("num_points", 2001)),
+                   num_points=grid.get("num_points", 2001),
                    value_cap=float(data.get("value_cap", 1e12)))
 
 
@@ -360,10 +363,22 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
 
 
 def export_value_table_csv(table: ValueTable, path):
-    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point."""
-    e = list(map(repr, table.grid.points.tolist()))
+    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point. Each
+    stage formats its bitwise-distinct C0/C1 slices once; V reuses their strings."""
     write_csv(path, ("n", "q", "e", "V", "C0", "C1", "transmit"),
-              {"provenance": table.provenance},
-              ((str(s + 1), str(q), e, table.values[s, q], table.cost_wait[s, q],
-                table.cost_send[s, q], table.transmit[s, q])
-               for s in range(table.horizon) for q in range(table.fsm.num_states)))
+              {"provenance": table.provenance}, _value_blocks(table))
+
+
+def _value_blocks(table: ValueTable):
+    e = list(map(repr, table.grid.points.tolist()))
+    for s in range(table.horizon):  # strings live for one stage, so memory stays bounded
+        v, c0, c1 = table.values[s], table.cost_wait[s], table.cost_send[s]
+        unique = {c.tobytes(): c for c in (*c0, *c1)}
+        text = {k: np.array(list(map(repr, c.tolist())), dtype=object) for k, c in unique.items()}
+        for q, t in enumerate(table.transmit[s]):
+            s0, s1 = text[c0[q].tobytes()], text[c1[q].tobytes()]
+            bits, bits0, bits1 = v[q].view(np.int64), c0[q].view(np.int64), c1[q].view(np.int64)
+            sv = np.where(bits == bits1, s1, s0)  # V's bits are C1's or C0's, or formatted here
+            for i in np.flatnonzero((bits != bits1) & (bits != bits0)):
+                sv[i] = repr(float(v[q, i]))
+            yield str(s + 1), str(q), e, sv.tolist(), s0.tolist(), s1.tolist(), t

@@ -80,6 +80,18 @@ class TestSolveSymmetric:
         assert main(["--config", str(cfg), "--out", str(out),
                      "--grid-points", "401", "solve-symmetric"]) == 0
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"num_points": 2001.9}, "solver settings: num_points must be an integer, got 2001.9"),
+        ({"num_points": "2001"}, "solver settings: num_points must be an integer, got '2001'"),
+        ({"half_width": "3.0"},
+         "solver settings: half_width must be 'auto' or positive and finite, got '3.0'"),
+    ], ids=["num_points-float", "num_points-string", "half_width-string"])
+    def test_misspelled_grid_field_exits_2(self, tmp_path, capsys, grid, message):
+        cfg = write_config(tmp_path, solver={"grid": grid})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "solve-symmetric"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_reachable_witnesses_export_the_gridded_policy(self, tmp_path, capsys):
         # outside the drop margin: non-threshold optima at q = 2, two of them
         # at reachable (stage, state) pairs

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,10 +291,25 @@ class TestSolverSettings:
         ({"value_cap": math.nan}, "value_cap must be positive and finite"),
         ({"value_cap": math.inf}, "value_cap must be positive and finite"),
         ({"value_cap": 0.0}, "value_cap must be positive and finite"),
+        ({"num_points": 2001.0}, "num_points must be an integer, got 2001.0"),
+        ({"num_points": "2001"}, "num_points must be an integer, got '2001'"),
+        ({"num_points": True}, "num_points must be an integer, got True"),
+        ({"half_width": "3.0"}, "half_width must be 'auto' or positive and finite, got '3.0'"),
     ])
     def test_invalid_fields_rejected(self, fields, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SolverSettings(**fields)
+
+    def test_half_width_spellings_hash_the_same(self):
+        # energy channel, a = 1.1, N = 4, 201 points: the digest of the float
+        # spelling, which an integer half-width now shares
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=4)
+        fsm = energy_harvesting_fsm(4, 2, 0.3)
+        for spelling in (3, 3.0):
+            settings = SolverSettings.from_dict({"grid": {"half_width": spelling,
+                                                          "num_points": 201}})
+            assert type(settings.half_width) is float
+            assert provenance_hash(plant, fsm, settings) == "4d2de6c9f5693554"
 
 
 class TestProvenance:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.channel import ChannelFsm, energy_harvesting_fsm
+from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.dp_iid import export_iid_table_csv, iid_backward_induction
 from remest.dp_symmetric import SolverSettings, backward_induction, export_value_table_csv
 from remest.oracle_sim import BLOCK_TRIALS, simulate, write_trace_csv
@@ -327,20 +328,52 @@ def _csv_writer_bytes(metadata, header, rows):
     return out.getvalue().encode()
 
 
-def _value_table_case(path):
-    # masked battery levels give NaN send costs, and 0 is a grid point
+def _energy_table():
+    # masked battery levels give NaN send costs, states 3 and 4 share the
+    # silent successor 4 (so their C0 slices are bitwise equal), and 0 is a
+    # grid point
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
     table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3),
                                   SolverSettings(num_points=41))
     assert np.isnan(table.cost_send).any() and table.transmit.any()
-    export_value_table_csv(table, path)
-    rows = [[s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
-             repr(float(table.cost_wait[s, q, i])), repr(float(table.cost_send[s, q, i])),
-             int(table.transmit[s, q, i])]
-            for s in range(table.horizon) for q in range(table.fsm.num_states)
-            for i, e in enumerate(table.grid.points)]
-    return _csv_writer_bytes({"provenance": table.provenance},
-                             ["n", "q", "e", "V", "C0", "C1", "transmit"], rows)
+    bits = table.cost_wait.view(np.int64)
+    assert np.array_equal(bits[:, 3], bits[:, 4])
+    return table
+
+
+def _workload_table():
+    # every state may transmit, and states 0 and 1 share the silent successor 0
+    plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
+    table, _ = backward_induction(plant, workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9]),
+                                  SolverSettings(num_points=41))
+    assert all(table.fsm.transmit_allowed) and not np.isnan(table.cost_send).any()
+    bits = table.cost_wait.view(np.int64)
+    assert np.array_equal(bits[:, 0], bits[:, 1])
+    return table
+
+
+def _edited_table():
+    # V matches neither C0 nor C1 at one point: -0.0 against C0's 0.0, which
+    # compare equal but print differently
+    table = _energy_table()
+    values, cost_wait = table.values.copy(), table.cost_wait.copy()
+    values[1, 3, 7], cost_wait[1, 3, 7] = -0.0, 0.0
+    assert table.cost_send[1, 3, 7] != 0.0
+    return dataclasses.replace(table, values=values, cost_wait=cost_wait)
+
+
+def _value_table_case(make_table):
+    def case(path):
+        table = make_table()
+        export_value_table_csv(table, path)
+        rows = [[s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
+                 repr(float(table.cost_wait[s, q, i])), repr(float(table.cost_send[s, q, i])),
+                 int(table.transmit[s, q, i])]
+                for s in range(table.horizon) for q in range(table.fsm.num_states)
+                for i, e in enumerate(table.grid.points)]
+        return _csv_writer_bytes({"provenance": table.provenance},
+                                 ["n", "q", "e", "V", "C0", "C1", "transmit"], rows)
+    return case
 
 
 def _policy_case(policy):
@@ -394,7 +427,9 @@ def _trace_case(path):
 
 
 ARTIFACTS = {
-    "value_table": _value_table_case,
+    "value_table": _value_table_case(_energy_table),
+    "value_table_workload": _value_table_case(_workload_table),
+    "value_table_edited": _value_table_case(_edited_table),
     "threshold_policy": _policy_case(TransmitPolicy.symmetric(
         [[0.0, math.inf], [1.25, 1e-3]])),
     "interval_policy": _policy_case(TransmitPolicy.interval(
