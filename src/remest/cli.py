@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 import traceback
 from pathlib import Path
@@ -36,7 +37,7 @@ from . import dp_iid
 from . import dp_symmetric as dps
 from . import oracle_sim
 from .policy import export_policy_csv, load_policy_csv
-from .process import PlantModel, plant_from_dict, plant_to_dict
+from .process import PlantModel, is_number, plant_from_dict, plant_to_dict
 from .quadrature import ErrorGrid
 
 
@@ -178,14 +179,20 @@ def cmd_solve_iid(args) -> int:
     return 0
 
 
+def _sim_count(sim: dict, key: str, default: int) -> int:
+    value = sim.get(key, default)
+    if not is_number(value, numbers.Integral):
+        raise ConfigError(f"sim.{key} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
     sim = _section(config, "sim")
-    trials = args.trials if args.trials is not None else _read(
-        "sim.trials", int, sim.get("trials", 10000))
-    seed = args.seed if args.seed is not None else _read("sim.seed", int, sim.get("seed", 0))
+    trials = args.trials if args.trials is not None else _sim_count(sim, "trials", 10000)
+    seed = args.seed if args.seed is not None else _sim_count(sim, "seed", 0)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
@@ -208,34 +215,30 @@ def cmd_simulate(args) -> int:
     line = f"empirical total {summary.total:.6f} +/- {summary.total_se:.6f}"
     if dp_value is not None:
         gap = abs(summary.total - dp_value)
-        se = max(summary.total_se, 1e-300)
-        line += (f" | solver value {dp_value:.6f} | "
-                 f"gap {gap:.6f} ({gap / se:.2f} standard errors)")
+        line += f" | solver value {dp_value:.6f} | gap {gap:.6f}"
+        if summary.total_se > 0:  # one trial has no standard error
+            line += f" ({gap / summary.total_se:.2f} standard errors)"
     print(line)
     return 0
 
 
 def cmd_export_examples(args) -> int:
     out = _out_dir(args)
-    energy = {
-        "plant": {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 20},
-        "channel": {"builder": "energy_harvesting",
-                    "params": {"capacity": 4, "tx_cost": 2, "p_tx": 0.3}},
-        "solver": {"grid": {"half_width": "auto", "num_points": 2001},
-                   "value_cap": 1e12},
-        "sim": {"trials": 100000, "seed": 7},
+    channels = {
+        "energy_harvesting.json": {"builder": "energy_harvesting",
+                                   "params": {"capacity": 4, "tx_cost": 2, "p_tx": 0.3}},
+        "workload_chain.json": {"builder": "workload_chain",
+                                "params": {"window": 4,
+                                           "drop_probs": [0.1, 0.3, 0.5, 0.7, 0.9]}},
     }
-    workload = {
-        "plant": {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 20},
-        "channel": {"builder": "workload_chain",
-                    "params": {"window": 4,
-                               "drop_probs": [0.1, 0.3, 0.5, 0.7, 0.9]}},
-        "solver": {"grid": {"half_width": "auto", "num_points": 2001},
-                   "value_cap": 1e12},
-        "sim": {"trials": 100000, "seed": 7},
-    }
-    for name, cfg in (("energy_harvesting.json", energy),
-                      ("workload_chain.json", workload)):
+    for name, channel in channels.items():
+        cfg = {
+            "plant": {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 20},
+            "channel": channel,
+            "solver": {"grid": {"half_width": "auto", "num_points": 2001},
+                       "value_cap": 1e12},
+            "sim": {"trials": 100000, "seed": 7},
+        }
         (out / name).write_text(json.dumps(cfg, indent=2))
         print(f"wrote {out / name}")
     return 0

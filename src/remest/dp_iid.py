@@ -21,12 +21,22 @@ import numpy as np
 
 from .channel import ChannelFsm
 from .policy import TransmitPolicy, write_csv
-from .quadrature import MASS_FLOOR, gaussian_partial_moments
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+from .quadrature import MASS_FLOOR, _moments_given_mass, gaussian_partial_moments
 
 
-def iid_stage_cost(sigma2: float, p_drop: float, tau_lo: float, tau_hi: float):
+def _split_costs(sigma2, m0, m1, m2):
+    """``(term_in, term_out, m0c)`` of the split at the inside moments
+    (m0, m1, m2): the unnormalized squared error about the conditional mean
+    inside and outside the no-transmit interval, and the attempt probability.
+    A region below ``MASS_FLOOR`` contributes nothing."""
+    m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term_in = np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0)
+        term_out = np.where(m0c >= MASS_FLOOR, m2c - m1c * m1c / m0c, 0.0)
+    return term_in, term_out, m0c
+
+
+def iid_stage_cost(sigma2: float, p_drop, tau_lo, tau_hi):
     """Expected one-stage squared error of the interval rule [tau_lo, tau_hi].
 
     The rule stays silent inside the interval and transmits outside it.
@@ -35,64 +45,46 @@ def iid_stage_cost(sigma2: float, p_drop: float, tau_lo: float, tau_hi: float):
         cost = E[(X - xhat0)^2; X inside] + p_drop * E[(X - xhat1)^2; X outside]
 
     with xhat0, xhat1 the conditional means of the two regions. Regions of
-    (numerically) zero mass contribute nothing.
+    (numerically) zero mass contribute nothing. The arguments after sigma2
+    are scalars or broadcastable arrays.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if tau_lo > tau_hi:
-        raise ValueError(f"need tau_lo <= tau_hi, got ({tau_lo}, {tau_hi})")
-    if tau_lo == tau_hi:
-        m0 = m1 = m2 = 0.0
-    else:
-        m0, m1, m2 = gaussian_partial_moments(sigma2, tau_lo, tau_hi)
-    m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
-    cost = 0.0
-    if m0 >= MASS_FLOOR:
-        cost += m2 - m1 * m1 / m0
-    if m0c >= MASS_FLOOR:
-        cost += p_drop * (m2c - m1c * m1c / m0c)
-    return cost, m0c
+    moments = gaussian_partial_moments(sigma2, tau_lo, tau_hi)
+    term_in, term_out, m0c = _split_costs(sigma2, *moments)
+    return term_in + p_drop * term_out, m0c
 
 
-def conditional_estimates(sigma2: float, tau_lo: float, tau_hi: float):
-    """Conditional means (xhat inside, xhat outside) of the interval split.
+def conditional_estimates(sigma2: float, tau_lo, tau_hi):
+    """Conditional means (xhat inside, xhat outside) of the interval split,
+    for scalar or broadcastable array ends.
 
     Massless regions fall back to 0.0; they are never realized.
     """
-    if tau_lo == tau_hi:
-        m0 = m1 = 0.0
-    else:
-        m0, m1, _ = gaussian_partial_moments(sigma2, tau_lo, tau_hi)
-    xhat0 = m1 / m0 if m0 >= MASS_FLOOR else 0.0
-    m0c, m1c = 1.0 - m0, -m1
-    xhat1 = m1c / m0c if m0c >= MASS_FLOOR else 0.0
-    return xhat0, xhat1
+    m0, m1, _ = gaussian_partial_moments(sigma2, tau_lo, tau_hi)
+    m0c = 1.0 - m0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(m0 >= MASS_FLOOR, m1 / m0, 0.0)[()],
+                np.where(m0c >= MASS_FLOOR, -m1 / m0c, 0.0)[()])
 
 
 def _interval_terms(sigma2, lo, hi):
-    """``(term_in, term_out, m0c)`` of the no-transmit intervals [lo, hi]:
-    the unnormalized squared error inside and outside, and the attempt
-    probability, so the search objective is ``term_in + p * term_out +
-    gap * m0c``. ``lo`` and ``hi`` broadcast against each other and the CDF
-    and density see each alone, so axes shaped (..., k, 1) and (..., 1, k)
-    cost 2k evaluations for a k-by-k table. Massless regions contribute
-    nothing, as in :func:`iid_stage_cost`; ``term_in`` is +inf where lo > hi.
+    """``_split_costs`` of the no-transmit intervals [lo, hi], so the search
+    objective is ``term_in + p * term_out + gap * m0c``. ``lo`` and ``hi``
+    broadcast against each other and the CDF and density see each alone, so
+    axes shaped (..., k, 1) and (..., 1, k) cost 2k evaluations for a k-by-k
+    table; ``term_in`` is +inf where lo > hi.
+
+    The one difference from :func:`gaussian_partial_moments` is the inside
+    mass, taken as ``ndtr(zb) - ndtr(za)`` also where lo > 0, where that
+    difference cancels. Reflecting it moves solved intervals, so it waits
+    for the benchmark re-baseline (ROADMAP item 1).
     """
     from scipy.special import ndtr  # deferred: importing the CLI skips scipy
 
     sigma = math.sqrt(sigma2)
     za, zb = lo / sigma, hi / sigma
-    m0 = ndtr(zb) - ndtr(za)
-    pa = np.exp(-0.5 * za * za) / _SQRT2PI
-    pb = np.exp(-0.5 * zb * zb) / _SQRT2PI
-    m1 = sigma * (pa - pb)
-    m2 = sigma2 * (m0 + za * pa - zb * pb)
-    m0c, m1c, m2c = 1.0 - m0, -m1, sigma2 - m2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_in = np.where(lo > hi, np.inf,
-                           np.where(m0 >= MASS_FLOOR, m2 - m1 * m1 / m0, 0.0))
-        term_out = np.where(m0c >= MASS_FLOOR, m2c - m1c * m1c / m0c, 0.0)
-    return term_in, term_out, m0c
+    term_in, term_out, m0c = _split_costs(
+        sigma2, *_moments_given_mass(sigma2, za, zb, ndtr(zb) - ndtr(za)))
+    return np.where(lo > hi, np.inf, term_in), term_out, m0c
 
 
 NEVER_TRANSMIT = (-math.inf, math.inf)
@@ -103,15 +95,6 @@ REFINE_TOL = 1e-6
 # An interval optimum counts as asymmetric when it beats the best symmetric
 # rule by more than this fraction of the source variance.
 ASYMMETRY_TOL = 1e-7
-
-
-def _per_state(p_drop, continuation_gap):
-    """``(p, gap, scalar)``: the settings as equal-length 1-D arrays, and
-    whether both were scalars."""
-    scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
-    p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
-                                 np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
-    return p, gap, scalar
 
 
 def optimize_interval(sigma2: float, p_drop, continuation_gap, coarse: int = 121):
@@ -131,28 +114,54 @@ def optimize_interval(sigma2: float, p_drop, continuation_gap, coarse: int = 121
     are refined together. Returns ``(tau_lo, tau_hi, objective)``: floats
     for scalar settings, arrays otherwise.
     """
+    return _zoom(_interval_search, sigma2, p_drop, continuation_gap, -SPAN, coarse,
+                 NEVER_TRANSMIT)
+
+
+def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap,
+                                 coarse: int = 121):
+    """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
+
+    Same objective as :func:`optimize_interval` restricted to the symmetric
+    diagonal, searched over tau in [0, SPAN*sigma]; used to quantify how
+    much asymmetry buys. Takes scalar or per-state settings like
+    :func:`optimize_interval`. Returns ``(tau, objective)`` with tau = inf
+    when never-transmit wins.
+    """
+    return _zoom(_symmetric_search, sigma2, p_drop, continuation_gap, 0.0, coarse,
+                 (math.inf,))
+
+
+def _zoom(search, sigma2, p_drop, continuation_gap, start, coarse, never_transmit):
+    """The search loop of both optimizers: ``search(sigma2, p, gap, *axes)``
+    returns each state's best coordinates (one per entry of
+    ``never_transmit``) and objective over one axis row per state, or one
+    shared row. A coarse search over [start, SPAN] standard deviations, then
+    21-point windows shrinking 8x down to ``REFINE_TOL``; a tying candidate
+    replaces the incumbent, and ``never_transmit`` goes where sigma2 wins."""
     sigma = math.sqrt(sigma2)
-    p, gap, scalar = _per_state(p_drop, continuation_gap)
-    axis = np.linspace(-SPAN * sigma, SPAN * sigma, coarse)[None, :]
-    lo_best, hi_best, best = _interval_search(sigma2, p, gap, axis, axis)
-    window = 2.0 * SPAN * sigma / (coarse - 1)
+    scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
+    p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
+                                 np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
+    axis = np.linspace(start * sigma, SPAN * sigma, coarse)[None, :]
+    best = search(sigma2, p, gap, *[axis] * len(never_transmit))  # coordinates, objective
+    window = (SPAN - start) * sigma / (coarse - 1)
     while window > REFINE_TOL * sigma:
         offsets = np.linspace(-window, window, 21)
-        lo_c, hi_c, cand = _interval_search(sigma2, p, gap, lo_best[:, None] + offsets,
-                                            hi_best[:, None] + offsets)
-        better = cand <= best
-        lo_best[better], hi_best[better], best[better] = lo_c[better], hi_c[better], cand[better]
+        cand = search(sigma2, p, gap, *[x[:, None] + offsets for x in best[:-1]])
+        better = cand[-1] <= best[-1]
+        for x, c in zip(best, cand):
+            x[better] = c[better]
         window /= 8.0
-    never = sigma2 < best  # silence forever: estimate 0, p_transmit 0
-    lo_best[never], hi_best[never], best[never] = (*NEVER_TRANSMIT, sigma2)
-    if scalar:
-        return float(lo_best[0]), float(hi_best[0]), float(best[0])
-    return lo_best, hi_best, best
+    never = sigma2 < best[-1]  # silence forever: estimate 0, p_transmit 0
+    for x, v in zip(best, never_transmit + (sigma2,)):
+        x[never] = v
+    return tuple(float(x[0]) if scalar else x for x in best)
 
 
 def _interval_search(sigma2, p, gap, lo_axes, hi_axes):
-    """Per-state minimum over the tables lo_axes[k] x hi_axes[k] (one row per
-    state, or one row shared by all): ``(lo, hi, objective)`` arrays."""
+    """Per-state minimum over the tables lo_axes[k] x hi_axes[k]:
+    ``(lo, hi, objective)`` arrays."""
     term_in, term_out, m0c = _interval_terms(sigma2, lo_axes[:, :, None], hi_axes[:, None, :])
     obj = term_in + p[:, None, None] * term_out + gap[:, None, None] * m0c
     best = obj.min(axis=(1, 2))
@@ -166,36 +175,10 @@ def _interval_search(sigma2, p, gap, lo_axes, hi_axes):
     return lo[first], hi[first], best
 
 
-def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap,
-                                 coarse: int = 121):
-    """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
-
-    Same objective as :func:`optimize_interval` restricted to the symmetric
-    diagonal; used to quantify how much asymmetry buys. Takes scalar or
-    per-state settings like :func:`optimize_interval`. Returns
-    ``(tau, objective)`` with tau = inf when never-transmit wins.
-    """
-    sigma = math.sqrt(sigma2)
-    p, gap, scalar = _per_state(p_drop, continuation_gap)
-    tau_best, best = _symmetric_search(sigma2, p, gap,
-                                       np.linspace(0.0, SPAN * sigma, coarse)[None, :])
-    window = SPAN * sigma / (coarse - 1)
-    while window > REFINE_TOL * sigma:
-        axes = np.maximum(tau_best[:, None] + np.linspace(-window, window, 21), 0.0)
-        tau_c, cand = _symmetric_search(sigma2, p, gap, axes)
-        better = cand <= best
-        tau_best[better], best[better] = tau_c[better], cand[better]
-        window /= 8.0
-    never = sigma2 < best
-    tau_best[never], best[never] = math.inf, sigma2
-    if scalar:
-        return float(tau_best[0]), float(best[0])
-    return tau_best, best
-
-
 def _symmetric_search(sigma2, p, gap, axes):
-    """Per-state first minimum over tau in axes[k] (or one shared row):
+    """Per-state first minimum over tau in axes[k], clamped at 0:
     ``(tau, objective)`` arrays."""
+    axes = np.maximum(axes, 0.0)
     term_in, term_out, m0c = _interval_terms(sigma2, -axes, axes)
     obj = term_in + p[:, None] * term_out + gap[:, None] * m0c
     k = np.argmin(obj, axis=1)
@@ -252,7 +235,7 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     m = fsm.num_states
     values = np.zeros((horizon + 1, m))
-    intervals = np.zeros((horizon, m, 2))
+    intervals = np.full((horizon, m, 2), NEVER_TRANSMIT)
     p_transmit = np.zeros((horizon, m))
     log: List[Tuple[int, int, float, float]] = []
     q0 = np.array([t0 for t0, _ in fsm.transitions])
@@ -262,17 +245,16 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
     for s in range(horizon - 1, -1, -1):
         # every state silent; the transmit-allowed ones are overwritten below
         values[s] = sigma2 + values[s + 1, q0]
-        intervals[s] = NEVER_TRANSMIT
         silent_next = values[s + 1, q0[allowed]]
         gap = values[s + 1, q1] - silent_next
         lo, hi, obj = optimize_interval(sigma2, p, gap, coarse=coarse)
         _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap, coarse=coarse)
         values[s, allowed] = obj + silent_next
         intervals[s, allowed, 0], intervals[s, allowed, 1] = lo, hi
-        for k, q in enumerate(allowed):
-            if obj_sym[k] - obj[k] > ASYMMETRY_TOL * sigma2:
-                log.append((s + 1, int(q), float(obj_sym[k]), float(obj[k])))
-            _, p_transmit[s, q] = iid_stage_cost(sigma2, p[k], lo[k], hi[k])
+        log += [(s + 1, int(allowed[k]), float(obj_sym[k]), float(obj[k]))
+                for k in np.flatnonzero(obj_sym - obj > ASYMMETRY_TOL * sigma2)]
+    _, p_transmit[:, allowed] = iid_stage_cost(sigma2, p, intervals[:, allowed, 0],
+                                               intervals[:, allowed, 1])
     return IidValueTable(fsm=fsm, sigma2=sigma2, values=values,
                          intervals=intervals, p_transmit=p_transmit,
                          asymmetry_log=log)

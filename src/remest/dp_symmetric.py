@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelFsm, fsm_to_dict, reachable_pairs
 from .policy import TransmitPolicy, extract_threshold, write_csv
-from .process import PlantModel, plant_to_dict
+from .process import PlantModel, is_number, plant_to_dict
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
 
@@ -60,7 +61,7 @@ class SolverSettings:
     value_cap: float = 1e12
 
     def __post_init__(self):
-        if isinstance(self.num_points, bool) or not isinstance(self.num_points, (int, np.integer)):
+        if not is_number(self.num_points, numbers.Integral):
             raise ValueError(f"num_points must be an integer, got {self.num_points!r}")
         if self.num_points < MIN_GRID_POINTS:
             raise ValueError(f"num_points must be >= {MIN_GRID_POINTS} for the growth "
@@ -68,11 +69,12 @@ class SolverSettings:
         if self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd, got {self.num_points}")
         if (hw := self.half_width) != "auto":
-            if isinstance(hw, (str, bool)) or not 0 < float(hw) < math.inf:
+            if not (is_number(hw) and 0 < hw < math.inf):
                 raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
             object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
-        if not 0 < self.value_cap < math.inf:
-            raise ValueError(f"value_cap must be positive and finite, got {self.value_cap}")
+        if not (is_number(self.value_cap) and 0 < self.value_cap < math.inf):
+            raise ValueError(f"value_cap must be positive and finite, got {self.value_cap!r}")
+        object.__setattr__(self, "value_cap", float(self.value_cap))
 
     def make_grid(self, plant: PlantModel) -> ErrorGrid:
         if self.half_width == "auto":
@@ -95,7 +97,7 @@ class SolverSettings:
             raise ValueError(f"unknown solver keys {unknown}")
         return cls(half_width=grid.get("half_width", "auto"),
                    num_points=grid.get("num_points", 2001),
-                   value_cap=float(data.get("value_cap", 1e12)))
+                   value_cap=data.get("value_cap", 1e12))
 
 
 def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings) -> str:

@@ -128,9 +128,8 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     successor = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
                          dtype=np.intp).reshape(-1)
     if white:
-        xhat = np.array([[conditional_estimates(plant.sigma2, lo, hi)
-                          for lo, hi in policy.intervals[s]]
-                         for s in range(n_stages)]).reshape(n_stages, 2 * m)
+        xhat = np.stack(conditional_estimates(plant.sigma2, policy.intervals[..., 0],
+                                              policy.intervals[..., 1]), -1).reshape(n_stages, -1)
     drop = np.asarray(fsm.drop_probs)
     allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
     n_costs = n_stages if white else n_stages + 1

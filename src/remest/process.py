@@ -7,6 +7,11 @@ import numbers
 from dataclasses import dataclass
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether a config value is a ``kind`` number; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PlantModel:
     """Scalar linear plant x' = a*x + w with w ~ N(0, sigma2).
@@ -22,11 +27,15 @@ class PlantModel:
 
     def __post_init__(self):
         for name in ("a", "x0", "sigma2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))  # so 1 and 1.0 hash the same
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 1):
+        if not (is_number(self.horizon, numbers.Integral) and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
 
 
@@ -52,7 +61,7 @@ def plant_to_dict(plant: PlantModel) -> dict:
 
 def plant_from_dict(data: dict) -> PlantModel:
     try:
-        return PlantModel(a=float(data["a"]), sigma2=float(data["sigma2"]),
-                          x0=float(data.get("x0", 0.0)), horizon=data["horizon"])
+        return PlantModel(a=data["a"], sigma2=data["sigma2"], x0=data.get("x0", 0.0),
+                          horizon=data["horizon"])
     except KeyError as exc:
         raise ValueError(f"malformed plant description: missing {exc}") from exc

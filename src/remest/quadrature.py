@@ -28,37 +28,41 @@ MASS_FLOOR = 1e-300
 
 def _std_pdf(z):
     """Standard normal density, with 0 at infinite arguments."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    finite = np.isfinite(z)
-    out[finite] = np.exp(-0.5 * z[finite] ** 2) / _SQRT2PI
-    return out
+    return np.exp(-0.5 * z * z) / _SQRT2PI
 
 
 def gaussian_partial_moments(sigma2, lo, hi):
     """Unnormalized moments of N(0, sigma2) restricted to [lo, hi].
 
     Returns ``(M0, M1, M2)`` with ``Mk = integral of x^k * pdf(x)`` over the
-    interval. Either endpoint may be infinite. Safe for intervals of zero
-    mass (all three values underflow to 0 together).
+    interval. ``lo`` and ``hi`` are scalars or broadcastable arrays; either
+    end may be infinite. Safe for intervals of zero mass (all three values
+    underflow to 0 together). Raises ``ValueError`` unless sigma2 > 0 and
+    lo <= hi everywhere.
     """
     from scipy.special import ndtr  # deferred: importing the CLI skips scipy
 
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if np.any(np.greater(lo, hi)):
+        raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
     sigma = math.sqrt(sigma2)
-    za = -math.inf if lo == -math.inf else lo / sigma
-    zb = math.inf if hi == math.inf else hi / sigma
-    za_a, zb_a = np.asarray(za), np.asarray(zb)
-    pa, pb = _std_pdf(za_a)[()], _std_pdf(zb_a)[()]
-    # Evaluate the CDF difference on the side with less cancellation.
-    if za > 0:
-        m0 = float(ndtr(-za) - ndtr(-zb))
-    else:
-        m0 = float(ndtr(zb) - ndtr(za))
-    zpa = za * pa if math.isfinite(za) else 0.0
-    zpb = zb * pb if math.isfinite(zb) else 0.0
-    m1 = sigma * (pa - pb)
+    za, zb = np.divide(lo, sigma), np.divide(hi, sigma)
+    # the CDF difference on the side with less cancellation
+    m0 = np.where(za > 0, ndtr(-za) - ndtr(-zb), ndtr(zb) - ndtr(za))
+    return _moments_given_mass(sigma2, za, zb, m0)
+
+
+def _moments_given_mass(sigma2, za, zb, m0):
+    """``(M0, M1, M2)`` of :func:`gaussian_partial_moments` on the standardized
+    interval [za, zb], given its mass ``m0``; 0-d results become scalars."""
+    pa, pb = _std_pdf(za), _std_pdf(zb)
+    # z * pdf(z) is 0 at infinite z, where the product itself is inf * 0
+    zpa = np.where(np.isfinite(za), za, 0.0) * pa
+    zpb = np.where(np.isfinite(zb), zb, 0.0) * pb
+    m1 = math.sqrt(sigma2) * (pa - pb)
     m2 = sigma2 * (m0 + zpa - zpb)
-    return m0, m1, m2
+    return m0[()], m1[()], m2[()]
 
 
 # Half-width cap of the grids ErrorGrid.auto sizes.

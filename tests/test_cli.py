@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import remest
 from remest import dp_symmetric
-from remest.cli import main
+from remest.cli import fsm_from_config, main, plant_from_config, settings_from_config
 from remest.policy import TransmitPolicy, decide_many, export_policy_csv, load_policy_csv
 from remest.quadrature import ErrorGrid
 
@@ -147,7 +148,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value, message", [
         ("plant.horizon", math.inf, "plant: horizon must be an integer >= 1, got inf"),
         ("plant.sigma2", math.inf, "plant: sigma2 must be finite, got inf"),
-        ("sim.trials", math.inf, "sim.trials: cannot convert float infinity"),
+        ("sim.trials", math.inf, "sim.trials must be an integer, got inf"),
         ("plant.a", math.nan, "plant: a must be finite, got nan"),
         ("solver.grid.half_width", math.inf,
          "solver settings: half_width must be 'auto' or positive and finite, got inf"),
@@ -157,9 +158,25 @@ class TestExitCodes:
         ("solver.value_cap", math.inf, "solver settings: value_cap must be positive and "
                                        "finite, got inf"),
         ("policy.e", math.inf, "data row 1: inf is not a grid point"),
+        # numbers of the wrong type
+        ("plant.a", "1.1", "plant: a must be a number, got '1.1'"),
+        ("plant.a", True, "plant: a must be a number, got True"),
+        ("plant.x0", None, "plant: x0 must be a number, got None"),
+        ("solver.value_cap", True, "solver settings: value_cap must be positive and "
+                                   "finite, got True"),
+        ("solver.value_cap", "1e12", "solver settings: value_cap must be positive and "
+                                     "finite, got '1e12'"),
+        ("solver.grid.half_width", None,
+         "solver settings: half_width must be 'auto' or positive and finite, got None"),
+        ("sim.trials", 2000.9, "sim.trials must be an integer, got 2000.9"),
+        ("sim.trials", True, "sim.trials must be an integer, got True"),
+        ("sim.seed", "7", "sim.seed must be an integer, got '7'"),
     ], ids=["plant.horizon", "plant.sigma2", "sim.trials", "plant.a",
             "solver.grid.half_width", "plant.x0", "solver.value_cap-nan",
-            "solver.value_cap-inf", "policy.e"])
+            "solver.value_cap-inf", "policy.e", "plant.a-string", "plant.a-bool",
+            "plant.x0-null", "solver.value_cap-bool", "solver.value_cap-string",
+            "solver.grid.half_width-null", "sim.trials-float", "sim.trials-bool",
+            "sim.seed-string"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
         # JSON's NaN and Infinity literals, and a policy row off the grid
         config = json.loads(write_config(
@@ -265,6 +282,19 @@ class TestSimulate:
         assert code == 0
         assert "does not match" in capsys.readouterr().err
 
+    def test_one_trial_prints_the_gap_without_a_ratio(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 3})
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "solve-iid"]) == 0
+        for trials in ("1", "2"):
+            capsys.readouterr()
+            assert main(["--config", str(cfg), "--out", str(out / "sim"), "--trials", trials,
+                         "simulate", str(out / "policy.csv")]) == 0
+            line = capsys.readouterr().out
+            assert re.fullmatch(r"empirical total \S+ \+/- \S+ \| solver value \S+ \| "
+                                r"gap \S+( \(\S+ standard errors\))?\n", line)
+            assert ("standard errors" in line) == (trials == "2")
+
     def test_zero_trials_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -351,6 +381,21 @@ class TestExportExamples:
         run = tmp_path / "run"
         assert main(["--config", str(out / "workload_chain.json"), "--out",
                      str(run), "--grid-points", "401", "solve-symmetric"]) == 0
+
+
+    @pytest.mark.parametrize("name, digest", [("energy_harvesting", "537628f7cf780676"),
+                                              ("workload_chain", "1036377e692dbf6a")])
+    def test_preset_provenance_is_pinned(self, tmp_path, name, digest):
+        # the digests in the presets' policy.csv, also with integer spellings
+        assert main(["--out", str(tmp_path), "export-examples"]) == 0
+        config = json.loads((tmp_path / f"{name}.json").read_text())
+        respelled = json.loads(json.dumps(config))
+        respelled["plant"].update(sigma2=1, x0=0)
+        respelled["solver"]["value_cap"] = 10 ** 12
+        for cfg in (config, respelled):
+            assert dp_symmetric.provenance_hash(
+                plant_from_config(cfg), fsm_from_config(cfg),
+                settings_from_config(cfg)) == digest
 
 
 def test_importing_the_cli_loads_no_scipy():

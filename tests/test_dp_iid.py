@@ -12,7 +12,7 @@ from remest.dp_iid import (ASYMMETRY_TOL, NEVER_TRANSMIT, REFINE_TOL, SPAN,
                            IidValueTable, _interval_terms, conditional_estimates,
                            iid_backward_induction, iid_stage_cost,
                            optimize_interval, optimize_symmetric_threshold)
-from remest.quadrature import MASS_FLOOR
+from remest.quadrature import MASS_FLOOR, gaussian_partial_moments
 from test_channel import built_fsms
 
 
@@ -121,6 +121,68 @@ class TestStageCost:
         assert xout == pytest.approx(-math.sqrt(2 / math.pi), rel=1e-12)
         xin, xout = conditional_estimates(1.0, 0.0, 0.0)
         assert xin == 0.0 and xout == 0.0
+
+
+# interval ends in source standard deviations: finite ones out to the far
+# tails, infinite ones, and lo == hi
+_ends = st.one_of(st.floats(-12.0, 12.0), st.sampled_from([-math.inf, math.inf]))
+_intervals = st.lists(st.tuples(_ends, _ends, st.booleans()), min_size=1, max_size=8).map(
+    lambda rows: [(lo, lo) if same and math.isfinite(lo) else tuple(sorted((lo, hi)))
+                  for lo, hi, same in rows])
+
+
+class TestArrayKernels:
+    """The array calls are the scalar calls, element by element, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma2=st.floats(0.1, 4.0), p=st.floats(0.0, 1.0), intervals=_intervals)
+    def test_array_calls_match_scalar_calls(self, sigma2, p, intervals):
+        sigma = math.sqrt(sigma2)
+        lo, hi = (np.array(ends) * sigma for ends in zip(*intervals))
+        for kernel, args in ((gaussian_partial_moments, ()), (iid_stage_cost, (p,)),
+                             (conditional_estimates, ())):
+            arrays = kernel(sigma2, *args, lo, hi)
+            for i in range(len(lo)):
+                scalars = kernel(sigma2, *args, float(lo[i]), float(hi[i]))
+                assert bits([a[i] for a in arrays]) == bits(scalars), (kernel.__name__, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma2=st.floats(0.1, 4.0), p=st.floats(0.0, 1.0), intervals=_intervals)
+    def test_mirror_intervals_cost_the_same(self, sigma2, p, intervals):
+        sigma = math.sqrt(sigma2)
+        lo, hi = (np.array(ends) * sigma for ends in zip(*intervals))
+        cost, p_tx = iid_stage_cost(sigma2, p, lo, hi)
+        mirror_cost, mirror_p_tx = iid_stage_cost(sigma2, p, -hi, -lo)
+        np.testing.assert_allclose(cost, mirror_cost, rtol=0, atol=2e-15 * sigma2)
+        np.testing.assert_allclose(p_tx, mirror_p_tx, rtol=0, atol=1e-15)
+        # a region's mass carries an absolute rounding error of a few 1e-16,
+        # which a narrow interval's mean divides by that mass
+        mass_in = gaussian_partial_moments(sigma2, lo, hi)[0]
+        for mean, mirror_mean, mass in zip(conditional_estimates(sigma2, lo, hi),
+                                           conditional_estimates(sigma2, -hi, -lo),
+                                           (mass_in, 1.0 - mass_in)):
+            rtol = 1e-12 + 1e-15 / np.maximum(mass, MASS_FLOOR)
+            assert np.all(np.abs(mean + mirror_mean) <= rtol * np.abs(mean))
+
+    def test_far_tail_mirror_is_exact(self):
+        # the right tail takes the reflected CDF difference, so it matches its
+        # mirror bit for bit; the unreflected one gives a cost of 2.77e-15
+        assert bits(iid_stage_cost(1.0, 0.0, 8.0, 9.0)) == bits(
+            iid_stage_cost(1.0, 0.0, -9.0, -8.0))
+        assert bits(conditional_estimates(1.0, 8.0, 9.0)) == bits(
+            [-x for x in conditional_estimates(1.0, -9.0, -8.0)])
+        assert 8e-18 < iid_stage_cost(1.0, 0.0, 8.0, 9.0)[0] < 1e-17
+
+    @settings(max_examples=50, deadline=None)
+    @given(intervals=_intervals.filter(lambda rows: rows[0][0] < rows[0][1]))
+    def test_any_reversed_interval_raises(self, intervals):
+        lo, hi = (np.array(ends) for ends in zip(*intervals))
+        lo[0], hi[0] = hi[0], lo[0]
+        for call in (lambda: gaussian_partial_moments(1.0, lo, hi),
+                     lambda: iid_stage_cost(1.0, 0.5, lo, hi),
+                     lambda: conditional_estimates(1.0, lo, hi)):
+            with pytest.raises(ValueError, match="need lo <= hi"):
+                call()
 
 
 class TestOptimizeInterval:

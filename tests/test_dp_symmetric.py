@@ -295,6 +295,9 @@ class TestSolverSettings:
         ({"num_points": "2001"}, "num_points must be an integer, got '2001'"),
         ({"num_points": True}, "num_points must be an integer, got True"),
         ({"half_width": "3.0"}, "half_width must be 'auto' or positive and finite, got '3.0'"),
+        ({"half_width": None}, "half_width must be 'auto' or positive and finite, got None"),
+        ({"value_cap": True}, "value_cap must be positive and finite, got True"),
+        ({"value_cap": "1e12"}, "value_cap must be positive and finite, got '1e12'"),
     ])
     def test_invalid_fields_rejected(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):

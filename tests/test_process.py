@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,20 @@ class TestPlantModel:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PlantModel(**fields)
 
-    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 2.5, 3.0, "3", 0])
+    @pytest.mark.parametrize("field", ["a", "x0", "sigma2"])
+    @pytest.mark.parametrize("value", [True, "1.1", None])
+    def test_non_numbers_rejected(self, field, value):
+        fields = {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 3, field: value}
+        message = f"{field} must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            plant_from_dict(fields)
+
+    def test_numbers_are_stored_as_floats(self):
+        plant = PlantModel(a=1, sigma2=2, x0=0, horizon=3)
+        assert all(type(getattr(plant, name)) is float for name in ("a", "sigma2", "x0"))
+        assert plant == PlantModel(a=1.0, sigma2=2.0, x0=0.0, horizon=3)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 2.5, 3.0, "3", 0, True])
     def test_horizon_must_be_a_positive_integer(self, horizon):
         with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
             plant_from_dict({"a": 1.1, "sigma2": 1.0, "horizon": horizon})
