@@ -23,7 +23,7 @@ fsm = energy_harvesting_fsm(capacity=4, tx_cost=2, p_tx=0.3)
 
 result = solve_and_extract(plant, fsm, SolverSettings(num_points=2001))
 table = result.table
-tau = result.threshold_policy.tau
+tau = result.threshold_policy.intervals[..., 1]
 
 print(f"optimal expected cost from a clean start: {table.value_at_origin():.4f}")
 

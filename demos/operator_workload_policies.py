@@ -21,7 +21,7 @@ plant = PlantModel(a=1.1, sigma2=1.0, x0=0.0, horizon=20)
 fsm = workload_chain_fsm(window=4, drop_probs=[0.1, 0.3, 0.5, 0.7, 0.9])
 
 result = solve_and_extract(plant, fsm, SolverSettings(num_points=2001))
-tau = result.threshold_policy.tau
+tau = result.threshold_policy.intervals[..., 1]
 
 print(f"optimal expected cost from a clean start: {result.table.value_at_origin():.4f}")
 print(f"threshold witnesses: {len(result.witnesses)} (every slice is an error band)")

@@ -11,7 +11,11 @@ is.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
+
+from .process import is_number
 
 
 @dataclass(frozen=True)
@@ -42,22 +46,35 @@ class ChannelFsm:
     transmit_allowed: tuple
 
     def __post_init__(self):
+        problems = _violations(self)
+        if problems:
+            raise ValueError("invalid channel FSM: " + "; ".join(problems))
         object.__setattr__(self, "transitions",
                            tuple((int(a), None if b is None else int(b))
                                  for a, b in self.transitions))
         object.__setattr__(self, "drop_probs", tuple(float(p) for p in self.drop_probs))
-        object.__setattr__(self, "transmit_allowed", tuple(bool(t) for t in self.transmit_allowed))
-        problems = _violations(self)
-        if problems:
-            raise ValueError("invalid channel FSM: " + "; ".join(problems))
+        object.__setattr__(self, "transmit_allowed", tuple(self.transmit_allowed))
 
     def states(self):
         return range(self.num_states)
 
 
 def _violations(fsm: ChannelFsm):
-    """Every invariant violation of an FSM description, as readable strings."""
-    violations = []
+    """Every invariant violation of an FSM description, as readable strings;
+    the first entry of the wrong type in each field (a bool is no number)
+    is reported alone."""
+    integer = functools.partial(is_number, kind=numbers.Integral)
+    fields = (("num_states", [fsm.num_states], integer, "an integer"),
+              ("initial_state", [fsm.initial_state], integer, "an integer"),
+              ("transitions", [t for pair in fsm.transitions for t in pair if t is not None],
+               integer, "integers"),
+              ("drop_probs", fsm.drop_probs, is_number, "numbers"),
+              ("transmit_allowed", fsm.transmit_allowed, lambda t: isinstance(t, bool),
+               "true or false"))
+    violations = [f"{name} must be {kind}, got {bad[0]!r}" for name, values, ok, kind in fields
+                  if (bad := [v for v in values if not ok(v)])]
+    if violations:
+        return violations
     m = fsm.num_states
     if m < 1:
         violations.append(f"num_states must be >= 1, got {m}")
@@ -162,10 +179,10 @@ def fsm_to_dict(fsm: ChannelFsm) -> dict:
 def fsm_from_dict(data: dict) -> ChannelFsm:
     try:
         return ChannelFsm(
-            num_states=int(data["num_states"]),
+            num_states=data["num_states"],
             transitions=tuple((t[0], t[1]) for t in data["transitions"]),
             drop_probs=tuple(data["drop_probs"]),
-            initial_state=int(data["initial_state"]),
+            initial_state=data["initial_state"],
             transmit_allowed=tuple(data["transmit_allowed"]),
         )
     except (KeyError, TypeError, IndexError) as exc:

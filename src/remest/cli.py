@@ -377,25 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command's handler and the global flags besides --out that it reads. A
+# command that reads --config requires it; any other flag is a usage error.
+COMMANDS = {
+    "solve-symmetric": (cmd_solve_symmetric, {"config", "grid_points"}),
+    "solve-iid": (cmd_solve_iid, {"config"}),
+    "simulate": (cmd_simulate, {"config", "seed", "trials", "grid_points"}),
+    "verify": (cmd_verify, {"grid_points"}),
+    "export-examples": (cmd_export_examples, set()),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve-symmetric": cmd_solve_symmetric,
-        "solve-iid": cmd_solve_iid,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-        "export-examples": cmd_export_examples,
-    }
-    needs_config = args.command in ("solve-symmetric", "solve-iid", "simulate")
-    if needs_config and not args.config:
+    handler, reads = COMMANDS[args.command]
+    if "config" in reads and not args.config:
         parser.error(f"{args.command} requires --config")
-    if args.command == "verify" and args.config:
-        parser.error("verify runs a bundled instance and takes no --config")
+    for flag in ("config", "seed", "trials", "grid_points"):
+        if getattr(args, flag) is not None and flag not in reads:
+            parser.error(f"{args.command} takes no --{flag.replace('_', '-')}")
     try:
         if args.grid_points is not None:
             _read("--grid-points", dps.SolverSettings, num_points=args.grid_points)
-        return handlers[args.command](args)
+        return handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,14 +152,14 @@ class ValueTable:
 
 
 def backward_induction(plant: PlantModel, fsm: ChannelFsm,
-                       settings: SolverSettings = SolverSettings(),
-                       ) -> Tuple[ValueTable, TransmitPolicy]:
+                       settings: SolverSettings = SolverSettings()) -> ValueTable:
     """Solve the symmetric-policy recursion on the grid ``settings`` resolves
     for ``plant``.
 
-    Returns the value table and the gridded optimal policy. Raises
-    :class:`SolverOverflowError` when any value exceeds the configured cap,
-    which signals that the grid half-width is too small for the instance.
+    Returns the value table, whose ``transmit`` is the optimal gridded
+    policy. Raises :class:`SolverOverflowError` when any value exceeds the
+    configured cap, which signals that the grid half-width is too small for
+    the instance.
     """
     grid = settings.make_grid(plant)
     m = fsm.num_states
@@ -201,12 +201,10 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
                 f"{settings.value_cap:.3g}; widen the grid")
     smoothed[0] = op.apply(values[0])
 
-    table = ValueTable(grid=grid, values=values, smoothed=smoothed,
-                       cost_wait=cost_wait, cost_send=cost_send,
-                       transmit=transmit, plant=plant, fsm=fsm, settings=settings,
-                       provenance=provenance_hash(plant, fsm, settings))
-    policy = TransmitPolicy.gridded(grid, transmit, symmetric_flag=True)
-    return table, policy
+    return ValueTable(grid=grid, values=values, smoothed=smoothed,
+                      cost_wait=cost_wait, cost_send=cost_send,
+                      transmit=transmit, plant=plant, fsm=fsm, settings=settings,
+                      provenance=provenance_hash(plant, fsm, settings))
 
 
 @dataclass
@@ -341,27 +339,24 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
     Structure failures are collected as witnesses rather than raised; the
     returned threshold policy uses the fitted tau where extraction
     succeeded and the sentinel elsewhere, and ``result.policy`` falls back
-    to the gridded policy when that matters at a reachable pair.
+    to the gridded policy when that matters at a reachable pair. A fit is
+    symmetric when |tau_lo + tau_hi| is at most one grid spacing.
     """
-    table, gridded = backward_induction(plant, fsm, settings=settings)
-    n_stages, m = plant.horizon, fsm.num_states
-    tau = np.full((n_stages, m), math.inf)
-    witnesses = []
-    asymmetric = []
-    for s in range(n_stages):
-        for q in range(m):
-            fit = extract_threshold(table.grid, table.transmit[s, q])
-            if not fit.is_threshold:
-                witnesses.append((s + 1, q, fit.witness))
-            elif fit.tau is not None:
-                tau[s, q] = fit.tau
-            else:
-                asymmetric.append((s + 1, q))
-    threshold_policy = TransmitPolicy.symmetric(tau)
-    return ExtractionResult(table=table, gridded_policy=gridded,
-                            threshold_policy=threshold_policy,
-                            witnesses=witnesses, asymmetric=asymmetric,
-                            reachable=reachable_pairs(fsm, n_stages))
+    table = backward_induction(plant, fsm, settings=settings)
+    intervals, witness_points = extract_threshold(table.grid, table.transmit)
+    lo, hi = intervals[..., 0], intervals[..., 1]
+    with np.errstate(invalid="ignore"):  # -inf + inf at never-transmit slices
+        symmetric = (lo == -hi) | (np.abs(lo + hi) <= table.grid.spacing * (1 + 1e-9))
+    tau = np.where(symmetric, 0.5 * (hi - lo), math.inf)
+    broken = np.isnan(lo)
+    return ExtractionResult(
+        table=table,
+        gridded_policy=TransmitPolicy.gridded(table.grid, table.transmit, symmetric_flag=True),
+        threshold_policy=TransmitPolicy.symmetric(tau),
+        witnesses=[(s + 1, q, tuple(witness_points[s, q].tolist()))
+                   for s, q in np.argwhere(broken).tolist()],
+        asymmetric=[(s + 1, q) for s, q in np.argwhere(~broken & ~symmetric).tolist()],
+        reachable=reachable_pairs(fsm, plant.horizon))
 
 
 def export_value_table_csv(table: ValueTable, path):

@@ -1,16 +1,16 @@
 """Transmit-policy representations and threshold-structure extraction.
 
 A policy maps (stage, channel state, current error) to a binary transmit
-decision. Three representations are supported: a raw per-grid-point
-indicator (what a grid solver produces), a symmetric threshold (transmit
-iff |e| > tau), and an interval rule (transmit iff e is outside
-[tau_lo, tau_hi], not necessarily symmetric). The extractor recovers the
-threshold form from an indicator when the no-transmit set is one interval,
-and otherwise reports a three-point witness of the failure.
+decision. It is a raw per-grid-point indicator (what a grid solver
+produces) or a rule "transmit iff e is outside [tau_lo, tau_hi]": a
+symmetric threshold (tau_lo = -tau_hi = -tau, so transmit iff |e| > tau) or
+an interval pair. The extractor recovers the rule from an indicator when
+the no-transmit set is one interval, and otherwise reports a three-point
+witness of the failure.
 
 Orientation convention: the transmit set is always the outside of the
-no-transmit interval. Never-transmit is encoded by tau = +inf (or the
-interval (-inf, +inf)); masked channel states carry that sentinel.
+no-transmit interval. Never-transmit is encoded by the interval
+(-inf, +inf) (tau = +inf); masked channel states carry that sentinel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +32,12 @@ KINDS = ("gridded", "symmetric_threshold", "interval_pair")
 class TransmitPolicy:
     """Per-(stage, channel state) transmit rule.
 
-    Stages are 1-based: ``n`` runs over 1..horizon. Exactly one of the
-    parameter blocks is populated depending on ``kind``:
+    Stages are 1-based: ``n`` runs over 1..horizon. ``kind`` picks the
+    populated parameter block:
 
-    - ``symmetric_threshold``: ``tau[n-1, q]``, transmit iff |e| > tau
-    - ``interval_pair``: ``intervals[n-1, q] = (lo, hi)``, transmit iff
-      e < lo or e > hi
+    - ``symmetric_threshold`` and ``interval_pair``: ``intervals[n-1, q] =
+      (lo, hi)``, transmit iff e < lo or e > hi; a symmetric threshold has
+      lo == -hi, so it transmits iff |e| > hi
     - ``gridded``: boolean ``indicator[n-1, q, i]`` over ``grid``, looked
       up at the nearest grid point
     """
@@ -46,7 +46,6 @@ class TransmitPolicy:
     horizon: int
     num_states: int
     symmetric_flag: bool
-    tau: Optional[np.ndarray] = None
     intervals: Optional[np.ndarray] = None
     grid: Optional[ErrorGrid] = None
     indicator: Optional[np.ndarray] = None
@@ -54,21 +53,7 @@ class TransmitPolicy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "symmetric_threshold":
-            tau = np.asarray(self.tau, dtype=float)
-            if tau.shape != (self.horizon, self.num_states):
-                raise ValueError(f"tau shape {tau.shape} != (N, m)")
-            if not np.all(tau >= 0):
-                raise ValueError("symmetric thresholds must be nonnegative")
-            object.__setattr__(self, "tau", tau)
-        elif self.kind == "interval_pair":
-            iv = np.asarray(self.intervals, dtype=float)
-            if iv.shape != (self.horizon, self.num_states, 2):
-                raise ValueError(f"intervals shape {iv.shape} != (N, m, 2)")
-            if not np.all(iv[..., 0] <= iv[..., 1]):
-                raise ValueError("interval_pair requires tau_lo <= tau_hi")
-            object.__setattr__(self, "intervals", iv)
-        else:
+        if self.kind == "gridded":
             if self.grid is None or self.indicator is None:
                 raise ValueError("gridded policy needs grid and indicator")
             ind = np.asarray(self.indicator, dtype=bool)
@@ -76,12 +61,24 @@ class TransmitPolicy:
             if ind.shape != expected:
                 raise ValueError(f"indicator shape {ind.shape} != {expected}")
             object.__setattr__(self, "indicator", ind)
+            return
+        iv = np.asarray(self.intervals, dtype=float)
+        if iv.shape != (self.horizon, self.num_states, 2):
+            raise ValueError(f"intervals shape {iv.shape} != (N, m, 2)")
+        lo, hi = iv[..., 0], iv[..., 1]
+        if not np.all(lo <= hi):  # also rejects NaN
+            raise ValueError(f"{self.kind} requires tau_lo <= tau_hi")
+        if self.kind == "symmetric_threshold" and not np.array_equal(lo, -hi):
+            n, q = np.argwhere(lo != -hi)[0].tolist()
+            raise ValueError(f"symmetric threshold at (n, q) = ({n + 1}, {q}) has tau_lo "
+                             f"{float(lo[n, q])!r} != -tau_hi {float(hi[n, q])!r}")
+        object.__setattr__(self, "intervals", iv)
 
     @classmethod
     def symmetric(cls, tau, symmetric_flag=True):
         tau = np.asarray(tau, dtype=float)
         return cls("symmetric_threshold", tau.shape[0], tau.shape[1],
-                   symmetric_flag, tau=tau)
+                   symmetric_flag, intervals=np.stack([-tau, tau], -1))
 
     @classmethod
     def interval(cls, intervals, symmetric_flag=False):
@@ -103,66 +100,41 @@ def decide_many(policy: TransmitPolicy, n: int, q: np.ndarray, e: np.ndarray) ->
         raise ValueError(f"stage {n} outside 1..{policy.horizon}")
     q = np.asarray(q, dtype=np.intp)
     e = np.asarray(e, dtype=float)
-    if policy.kind == "symmetric_threshold":
-        return np.abs(e) > policy.tau[n - 1][q]
-    if policy.kind == "interval_pair":
-        iv = policy.intervals[n - 1]
-        return (e < iv[:, 0][q]) | (e > iv[:, 1][q])
-    idx = policy.grid.nearest_index(e)
-    return policy.indicator[n - 1][q, idx]
+    if policy.kind == "gridded":
+        idx = policy.grid.nearest_index(e)
+        return policy.indicator[n - 1][q, idx]
+    iv = policy.intervals[n - 1]
+    return (e < iv[:, 0][q]) | (e > iv[:, 1][q])
 
 
-@dataclass(frozen=True)
-class ThresholdFit:
-    """Result of reconstructing a threshold rule from a transmit set.
+def extract_threshold(grid: ErrorGrid, transmit: np.ndarray):
+    """Fit an interval rule to every transmit set of a (..., n) stack over
+    the grid's n points.
 
-    ``is_threshold`` is True when the no-transmit set is one interval (the
-    transmit set is its outside). ``tau`` is set for fits that are
-    symmetric within one grid spacing (``inf`` for never-transmit, 0.0 for
-    transmit-everywhere). ``witness`` carries (e1, e2, e3) with transmit
-    decisions (0, 1, 0) proving a structure failure.
-    """
-
-    is_threshold: bool
-    tau_lo: float = math.nan
-    tau_hi: float = math.nan
-    tau: Optional[float] = None
-    witness: Optional[Tuple[float, float, float]] = None
-
-
-def extract_threshold(grid: ErrorGrid, transmit: np.ndarray) -> ThresholdFit:
-    """Fit an interval rule, and a symmetric threshold if it has one, to a
-    transmit set.
-
-    The no-transmit set must be contiguous on the grid for a fit to
-    succeed; interval boundaries are placed halfway between the last
-    no-transmit point and the first transmit point on each side. The fit
-    carries the symmetric tau when |tau_lo + tau_hi| is at most one grid
-    spacing.
+    Returns ``(intervals, witnesses)`` of shapes (..., 2) and (..., 3). A
+    set whose no-transmit points are contiguous gets their interval, each
+    end placed halfway between the last no-transmit point and the first
+    transmit point on that side (an infinite end where the set reaches the
+    grid's edge); transmit-everywhere gives (0, 0). Any other set gets a NaN
+    interval and a witness (e1, e2, e3) of grid points with transmit
+    decisions (0, 1, 0); fitted sets have NaN witnesses.
     """
     transmit = np.asarray(transmit, dtype=bool)
-    if transmit.shape != (grid.num_points,):
+    if transmit.shape[-1:] != (grid.num_points,):
         raise ValueError("transmit set shape does not match grid")
     x = grid.points
-    silent = np.flatnonzero(~transmit)
-    if silent.size == 0:
-        # always transmit: empty no-transmit interval, degenerate tau = 0
-        return ThresholdFit(True, tau_lo=0.0, tau_hi=0.0, tau=0.0)
-    if silent.size == grid.num_points:
-        return ThresholdFit(True, tau_lo=-math.inf, tau_hi=math.inf, tau=math.inf)
-    i0, i1 = silent[0], silent[-1]
-    inside = np.flatnonzero(transmit[i0:i1 + 1])
-    if inside.size:
-        j = i0 + inside[0]
-        return ThresholdFit(False, witness=(float(x[i0]), float(x[j]), float(x[i1])))
-    tau_lo = -math.inf if i0 == 0 else float(0.5 * (x[i0 - 1] + x[i0]))
-    tau_hi = math.inf if i1 == grid.num_points - 1 else float(0.5 * (x[i1] + x[i1 + 1]))
-    fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi)
-    if math.isfinite(tau_lo) and math.isfinite(tau_hi):
-        if abs(tau_lo + tau_hi) <= grid.spacing * (1 + 1e-9):
-            fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi,
-                               tau=0.5 * (tau_hi - tau_lo))
-    return fit
+    ends = np.concatenate([[-math.inf], 0.5 * (x[:-1] + x[1:]), [math.inf]])
+    silent = ~transmit
+    count = silent.sum(-1)
+    i0 = silent.argmax(-1)  # first and last no-transmit points
+    i1 = grid.num_points - 1 - silent[..., ::-1].argmax(-1)
+    broken = (count > 0) & (count < i1 - i0 + 1)
+    intervals = np.stack([ends[i0], ends[i1 + 1]], -1)
+    intervals[count == 0] = 0.0
+    intervals[broken] = math.nan
+    j = (transmit & (np.arange(grid.num_points) > i0[..., None])).argmax(-1)
+    witnesses = np.where(broken[..., None], x[np.stack([i0, j, i1], -1)], math.nan)
+    return intervals, witnesses
 
 
 def write_csv(path, header, metadata, blocks):
@@ -206,8 +178,7 @@ def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = N
                   ((str(n + 1), str(q), e, policy.indicator[n, q])
                    for n in range(policy.horizon) for q in range(policy.num_states)))
         return
-    lo, hi = ((-policy.tau, policy.tau) if policy.kind == "symmetric_threshold"
-              else np.moveaxis(policy.intervals, -1, 0))
+    lo, hi = np.moveaxis(policy.intervals, -1, 0)
     n, q = np.indices(lo.shape)
     write_csv(path, ("n", "q", "kind", "tau_lo", "tau_hi"), meta,
               [(n + 1, q, policy.kind, lo, hi)])
@@ -235,18 +206,16 @@ def load_policy_csv(path):
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown policy kind {kind!r}")
     try:
-        horizon = int(meta["horizon"])
-        m = int(meta["num_states"])
-        grid = None
+        horizon, m = _count(path, meta, "horizon"), _count(path, meta, "num_states")
+        grid, cells = None, np.zeros((horizon, m, 2))
         if kind == "gridded":
-            grid = ErrorGrid(float(meta["grid_half_width"]), int(meta["grid_num_points"]))
+            grid = ErrorGrid(float(meta["grid_half_width"]), _count(path, meta, "grid_num_points"))
+            cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
     except KeyError as exc:
         raise ValueError(f"{path}: missing header line '# {exc.args[0]}='") from exc
-    symmetric_flag = bool(int(meta.get("symmetric_flag", "0")))
-    if grid is not None:
-        cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
-    else:
-        cells = np.zeros((horizon, m, 2))
+    flag = meta.get("symmetric_flag", "0")
+    if flag not in ("0", "1"):
+        raise ValueError(f"{path}: header line '# symmetric_flag={flag}' must be 0 or 1")
     seen = np.zeros(cells.shape if grid is not None else (horizon, m), dtype=bool)
     for index, row in enumerate(csv.DictReader(data), start=1):
         try:
@@ -259,9 +228,6 @@ def load_policy_csv(path):
                 value = bool(int(row["transmit"]))
             else:
                 value = (float(row["tau_lo"]), float(row["tau_hi"]))
-                if kind == "symmetric_threshold" and value[0] != -value[1]:
-                    raise ValueError(f"symmetric threshold row has tau_lo {value[0]!r} "
-                                     f"!= -tau_hi {value[1]!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: data row {index}: {exc}") from exc
         if seen[point]:
@@ -273,9 +239,13 @@ def load_policy_csv(path):
         first = f"n={n + 1}, q={q}" + (f", e={float(grid.points[i[0]])!r}" if i else "")
         raise ValueError(f"{path}: {int((~seen).sum())} points have no row, first {first}")
     if grid is not None:
-        policy = TransmitPolicy.gridded(grid, cells, symmetric_flag)
-    elif kind == "symmetric_threshold":
-        policy = TransmitPolicy.symmetric(cells[..., 1], symmetric_flag=symmetric_flag)
-    else:
-        policy = TransmitPolicy.interval(cells, symmetric_flag=symmetric_flag)
-    return policy, meta
+        return TransmitPolicy.gridded(grid, cells, flag == "1"), meta
+    return TransmitPolicy(kind, horizon, m, flag == "1", intervals=cells), meta
+
+
+def _count(path, meta, key):
+    """The integer >= 1 on the ``# key=`` header line."""
+    text = meta[key]
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise ValueError(f"{path}: header line '# {key}={text}' must be an integer >= 1")
+    return int(text)

@@ -76,7 +76,7 @@ def margin_sweep():
 
 def test_criterion_01_energy_instance_thresholds(energy_run):
     fsm, result, elapsed = energy_run
-    finite = all(math.isfinite(result.threshold_policy.tau[n - 1, q])
+    finite = all(math.isfinite(result.threshold_policy.intervals[n - 1, q, 1])
                  for n, q in result.reachable if q >= 2)
     ok = (elapsed < 60.0 and not result.witnesses and not result.asymmetric
           and finite)
@@ -254,7 +254,7 @@ def test_criterion_09_white_source_solver():
 def test_criterion_10_closed_form_checks():
     plant = PlantModel(a=1.0, sigma2=1.0, horizon=2)
     blocked = ChannelFsm(1, ((0, 0),), (1.0,), 0, (True,))
-    table, _ = backward_induction(plant, blocked, SolverSettings(num_points=2001))
+    table = backward_induction(plant, blocked, SolverSettings(num_points=2001))
     expected = predicted_open_loop_cost(plant)
     dp_ok = abs(table.value_at_origin() - expected) < 1e-4 * expected
 

@@ -217,6 +217,39 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_states", 2.9, "num_states must be an integer, got 2.9"),
+        ("initial_state", True, "initial_state must be an integer, got True"),
+        ("transitions", [[1, 1.7], [0, 0]], "transitions must be integers, got 1.7"),
+        ("drop_probs", ["0.5", True], "drop_probs must be numbers, got '0.5'"),
+        ("drop_probs", [0.5, True], "drop_probs must be numbers, got True"),
+        ("transmit_allowed", [True, "false"],
+         "transmit_allowed must be true or false, got 'false'"),
+    ], ids=["num_states", "initial_state", "transitions", "drop_probs-string",
+            "drop_probs-bool", "transmit_allowed"])
+    def test_mistyped_fsm_field_exits_2(self, tmp_path, capsys, field, value, message):
+        fsm = {"num_states": 2, "transitions": [[1, 1], [0, 0]], "drop_probs": [0.5, 0.5],
+               "initial_state": 0, "transmit_allowed": [True, True]}
+        cfg = write_config(tmp_path, channel={"fsm": {**fsm, field: value}})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "solve-symmetric"]) == 2
+        assert f"channel: invalid channel FSM: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),
+        ("solve-iid", "--seed"), ("solve-iid", "--trials"), ("solve-iid", "--grid-points"),
+        ("verify", "--seed"), ("verify", "--trials"),
+        ("export-examples", "--config"), ("export-examples", "--seed"),
+        ("export-examples", "--trials"), ("export-examples", "--grid-points")])
+    def test_unread_global_flag_exits_2(self, tmp_path, capsys, command, flag):
+        cfg = str(write_config(tmp_path))
+        config = [] if command in ("verify", "export-examples") else ["--config", cfg]
+        with pytest.raises(SystemExit) as exc:
+            main(config + ["--out", str(tmp_path / "x"),
+                           flag, cfg if flag == "--config" else "801", command])
+        assert exc.value.code == 2
+        assert f"{command} takes no {flag}" in capsys.readouterr().err
+
     def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
         def planted(*args, **kwargs):
             raise ValueError("planted solver bug")
@@ -317,8 +350,9 @@ class TestSimulate:
         assert "missing header line '# horizon='" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, row, message", [
-        ("symmetric", "-100.0,1.0", "symmetric threshold row has tau_lo -100.0 != -tau_hi 1.0"),
-        ("symmetric", "nan,nan", "symmetric threshold row has tau_lo nan != -tau_hi nan"),
+        ("symmetric", "-100.0,1.0",
+         "symmetric threshold at (n, q) = (1, 0) has tau_lo -100.0 != -tau_hi 1.0"),
+        ("symmetric", "nan,nan", "symmetric_threshold requires tau_lo <= tau_hi"),
         ("interval", "-1.0,nan", "interval_pair requires tau_lo <= tau_hi"),
     ], ids=["symmetric-lo", "symmetric-nan", "interval-nan"])
     def test_threshold_row_contradicting_its_kind_exits_2(self, tmp_path, capsys,

@@ -32,8 +32,8 @@ def energy_solution():
 class TestTerminalAndRecursion:
     def test_terminal_slice_is_squared_error_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
-        table, _ = backward_induction(plant, single_state(0.4),
-                                      SolverSettings(half_width=4.0, num_points=401))
+        table = backward_induction(plant, single_state(0.4),
+                                   SolverSettings(half_width=4.0, num_points=401))
         x = table.grid.points
         assert np.array_equal(table.values[-1, 0], x ** 2)
         assert table.values[-1, 0, table.grid.index_of(2.0)] == 4.0
@@ -43,37 +43,37 @@ class TestTerminalAndRecursion:
         # value at zero error is the closed-form never-transmit cost
         for a, n in ((1.0, 2), (1.1, 3), (0.7, 4)):
             plant = PlantModel(a=a, sigma2=1.0, horizon=n)
-            table, policy = backward_induction(plant, single_state(1.0),
-                                               SolverSettings(num_points=2001))
+            table = backward_induction(plant, single_state(1.0),
+                                       SolverSettings(num_points=2001))
             assert table.value_at_origin() == pytest.approx(
                 predicted_open_loop_cost(plant), rel=1e-4)
             assert np.array_equal(table.cost_wait, table.cost_send)
-            assert not policy.indicator.any()
+            assert not table.transmit.any()
 
     def test_free_channel_single_stage_closed_form(self):
         # one stage, perfect channel: waiting costs 2 e^2 + 1, sending costs
         # exactly the fresh-noise variance, so transmit everywhere but zero
         plant = PlantModel(a=1.0, sigma2=1.0, horizon=1)
-        table, policy = backward_induction(plant, single_state(0.0),
-                                           SolverSettings(num_points=2001))
+        table = backward_induction(plant, single_state(0.0),
+                                   SolverSettings(num_points=2001))
         x = table.grid.points
         tol = table.grid.spacing ** 2  # interpolation-model bias scale
         assert np.max(np.abs(table.cost_wait[0, 0] - (2 * x ** 2 + 1))) < tol
         assert np.max(np.abs(table.cost_send[0, 0] - 1.0)) < tol
         assert np.max(np.abs(table.values[0, 0] - 1.0)) < tol
         center = table.grid.center_index
-        assert not policy.indicator[0, 0, center]
-        assert policy.indicator[0, 0, np.arange(x.size) != center].all()
+        assert not table.transmit[0, 0, center]
+        assert table.transmit[0, 0, np.arange(x.size) != center].all()
 
     @pytest.mark.parametrize("p_drop", [0.3, 0.7, 0.9])
     def test_zero_error_tie_stays_silent(self, p_drop):
         # one state is both successors, so at e = 0 sending costs exactly
         # what staying silent does; rounding must not break the tie
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=10)
-        table, policy = backward_induction(plant, single_state(p_drop),
-                                           SolverSettings(num_points=401))
+        table = backward_induction(plant, single_state(p_drop),
+                                   SolverSettings(num_points=401))
         center = table.grid.center_index
-        assert not policy.indicator[:, :, center].any()
+        assert not table.transmit[:, :, center].any()
         assert np.array_equal(table.cost_send[:, :, center],
                               table.cost_wait[:, :, center])
 
@@ -103,7 +103,7 @@ class TestTerminalAndRecursion:
         values = []
         for n in (3, 4, 5, 6):
             plant = PlantModel(a=1.1, sigma2=1.0, horizon=n)
-            table, _ = backward_induction(plant, fsm, SolverSettings(num_points=1201))
+            table = backward_induction(plant, fsm, SolverSettings(num_points=1201))
             values.append(table.value_at_origin())
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
@@ -126,7 +126,7 @@ class TestStructureChecks:
 
     def test_planted_defect_is_located(self, energy_solution):
         plant, fsm, _ = energy_solution
-        table, _ = backward_induction(plant, fsm, SolverSettings(num_points=1201))
+        table = backward_induction(plant, fsm, SolverSettings(num_points=1201))
         values = table.values.copy()
         values[2, 2, -1] -= 1.0
         table = dataclasses.replace(table, values=values)
@@ -137,8 +137,8 @@ class TestStructureChecks:
 
     def test_terminal_slice_passes(self):
         plant = PlantModel(a=1.0, sigma2=1.0, horizon=1)
-        table, _ = backward_induction(plant, single_state(0.5),
-                                      SolverSettings(num_points=401))
+        table = backward_induction(plant, single_state(0.5),
+                                   SolverSettings(num_points=401))
         report = check_value_structure(table)
         assert report.ok
 
@@ -146,8 +146,8 @@ class TestStructureChecks:
 class TestGrowthRateBound:
     def test_terminal_quotient_equals_squared_gain(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
-        table, _ = backward_induction(plant, single_state(0.3),
-                                      SolverSettings(num_points=1601))
+        table = backward_induction(plant, single_state(0.3),
+                                   SolverSettings(num_points=1601))
         report = check_growth_rate_bound(table)
         assert report.bounds[-1] == pytest.approx(plant.a ** 2)
         assert report.max_quotient[-1, 0] == pytest.approx(plant.a ** 2, abs=1e-5)
@@ -161,8 +161,8 @@ class TestGrowthRateBound:
 
     def test_white_source_quotients_vanish(self):
         plant = PlantModel(a=0.0, sigma2=1.0, horizon=4)
-        table, _ = backward_induction(plant, single_state(0.5),
-                                      SolverSettings(num_points=801))
+        table = backward_induction(plant, single_state(0.5),
+                                   SolverSettings(num_points=801))
         report = check_growth_rate_bound(table)
         assert report.ok
         assert np.all(report.bounds == 0.0)
@@ -178,7 +178,7 @@ class TestGrowthRateBound:
         # the check as it ran before the table carried its smoothings: one
         # stacked apply of a fresh operator over every value slice
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=20)
-        table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3))
+        table = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3))
         grid, x = table.grid, table.grid.points
         center = grid.center_index
         last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
@@ -215,10 +215,10 @@ class TestExtraction:
         assert not result.witnesses and not result.asymmetric
         for n, q in result.reachable:
             if fsm.transmit_allowed[q]:
-                assert math.isfinite(result.threshold_policy.tau[n - 1, q])
+                assert math.isfinite(result.threshold_policy.intervals[n - 1, q, 1])
         for n in range(1, plant.horizon + 1):
             for q in (0, 1):
-                assert result.threshold_policy.tau[n - 1, q] == math.inf
+                assert result.threshold_policy.intervals[n - 1, q, 1] == math.inf
 
     def test_workload_instance_thresholds_everywhere(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)
@@ -231,8 +231,8 @@ class TestExtraction:
         witnessed = {(n, q) for n, q, _ in result.witnesses}
         for n, q in result.reachable:
             assert (n, q) not in witnessed
-        assert math.isfinite(result.threshold_policy.tau[0, 0])
-        assert math.isfinite(result.threshold_policy.tau[1, 1])
+        assert math.isfinite(result.threshold_policy.intervals[0, 0, 1])
+        assert math.isfinite(result.threshold_policy.intervals[1, 1, 1])
 
     def test_reachability_bfs(self):
         fsm = energy_harvesting_fsm(4, 2, 0.3)
@@ -262,8 +262,8 @@ class TestGridRefinement:
     def test_origin_value_stable_under_doubling(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=8)
         fsm = energy_harvesting_fsm(4, 2, 0.3)
-        coarse, _ = backward_induction(plant, fsm, SolverSettings(num_points=1001))
-        fine, _ = backward_induction(plant, fsm, SolverSettings(num_points=2001))
+        coarse = backward_induction(plant, fsm, SolverSettings(num_points=1001))
+        fine = backward_induction(plant, fsm, SolverSettings(num_points=2001))
         rel = abs(fine.value_at_origin() - coarse.value_at_origin())
         rel /= abs(coarse.value_at_origin())
         assert rel < 1e-3
@@ -320,6 +320,6 @@ class TestProvenance:
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=2)
         fsm = energy_harvesting_fsm(4, 2, 0.3)
         settings = SolverSettings(half_width=3.0, num_points=41)
-        table, _ = backward_induction(plant, fsm, settings)
+        table = backward_induction(plant, fsm, settings)
         assert table.provenance == provenance_hash(plant, fsm, settings)
         assert table.provenance != provenance_hash(plant, fsm, SolverSettings(num_points=41))

@@ -191,8 +191,9 @@ class TestSimulatorBasics:
     def test_seed_determinism_is_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)
         fsm = energy_harvesting_fsm(4, 2, 0.3)
-        policy = TransmitPolicy.symmetric(np.full((6, 5), 1.0))
-        policy.tau[:, :2] = math.inf
+        tau = np.full((6, 5), 1.0)
+        tau[:, :2] = math.inf
+        policy = TransmitPolicy.symmetric(tau)
         a = simulate(plant, fsm, policy, trials=400, seed=77)
         b = simulate(plant, fsm, policy, trials=400, seed=77)
         assert a.total == b.total and a.total_se == b.total_se

@@ -1,18 +1,24 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.cli import main
 from remest.dp_iid import export_iid_table_csv, iid_backward_induction
-from remest.dp_symmetric import SolverSettings, backward_induction, export_value_table_csv
+from remest.dp_symmetric import (SolverSettings, backward_induction, export_value_table_csv,
+                                 solve_and_extract)
 from remest.oracle_sim import BLOCK_TRIALS, simulate, write_trace_csv
 from remest.policy import (TransmitPolicy, decide_many, export_policy_csv,
                            extract_threshold, load_policy_csv)
@@ -28,7 +34,7 @@ def decide_one(policy, n, q, e):
 def reference_decide(policy, n, q, e):
     """Scalar reference for :func:`decide_many`: one point at a time."""
     if policy.kind == "symmetric_threshold":
-        return int(abs(e) > policy.tau[n - 1, q])
+        return int(abs(e) > policy.intervals[n - 1, q, 1])
     if policy.kind == "interval_pair":
         lo, hi = policy.intervals[n - 1, q]
         return int(e < lo or e > hi)
@@ -87,7 +93,7 @@ class TestDecide:
         lambda: TransmitPolicy.interval(np.array([[[-1.0, math.nan]]])),
     ], ids=["tau", "tau_lo", "tau_hi"])
     def test_nan_thresholds_are_rejected(self, build):
-        with pytest.raises(ValueError, match="nonnegative|tau_lo <= tau_hi"):
+        with pytest.raises(ValueError, match="tau_lo <= tau_hi"):
             build()
 
     def test_stage_bounds_checked(self):
@@ -104,39 +110,36 @@ class TestDecide:
 class TestExtractThreshold:
     def test_always_transmit_degenerates_to_zero(self):
         grid = ErrorGrid(2.0, 11)
-        fit = extract_threshold(grid, np.ones(11, dtype=bool))
-        assert fit.is_threshold and fit.tau == 0.0
-        assert (fit.tau_lo, fit.tau_hi) == (0.0, 0.0)
+        (lo, hi), witness = extract_threshold(grid, np.ones(11, dtype=bool))
+        assert (lo, hi) == (0.0, 0.0) and np.isnan(witness).all()
 
     def test_never_transmit_gives_infinite_sentinel(self):
         grid = ErrorGrid(2.0, 11)
-        fit = extract_threshold(grid, np.zeros(11, dtype=bool))
-        assert fit.is_threshold and fit.tau == math.inf
-        assert fit.tau_lo == -math.inf and fit.tau_hi == math.inf
+        (lo, hi), witness = extract_threshold(grid, np.zeros(11, dtype=bool))
+        assert lo == -math.inf and hi == math.inf and np.isnan(witness).all()
 
     def test_planted_symmetric_rule_recovered(self):
         grid = ErrorGrid(4.0, 801)  # spacing 0.01
         transmit = np.abs(grid.points) > 1.5
-        fit = extract_threshold(grid, transmit)
-        assert fit.is_threshold and fit.tau is not None
-        assert 1.49 <= fit.tau <= 1.51
+        (lo, hi), _ = extract_threshold(grid, transmit)
+        assert lo == -hi  # the grid is exactly antisymmetric, so are the ends
+        assert 1.49 <= hi <= 1.51
 
     def test_planted_asymmetric_interval_recovered(self):
         grid = ErrorGrid(4.0, 801)
         transmit = (grid.points < -0.5) | (grid.points > 2.25)
-        fit = extract_threshold(grid, transmit)
-        assert fit.is_threshold
-        assert fit.tau_lo == pytest.approx(-0.5, abs=grid.spacing)
-        assert fit.tau_hi == pytest.approx(2.25, abs=grid.spacing)
-        sym = extract_threshold(grid, transmit)
-        assert sym.is_threshold and sym.tau is None  # interval, but not symmetric
+        (lo, hi), witness = extract_threshold(grid, transmit)
+        assert np.isnan(witness).all()
+        assert lo == pytest.approx(-0.5, abs=grid.spacing)
+        assert hi == pytest.approx(2.25, abs=grid.spacing)
+        assert abs(lo + hi) > grid.spacing  # interval, but not symmetric
 
     def test_structure_failure_yields_witness(self):
         grid = ErrorGrid(4.0, 9)
         transmit = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        fit = extract_threshold(grid, transmit)
-        assert not fit.is_threshold
-        e1, e2, e3 = fit.witness
+        interval, witness = extract_threshold(grid, transmit)
+        assert np.isnan(interval).all()
+        e1, e2, e3 = witness
         assert e1 < e2 < e3
         idx = [list(grid.points).index(e) for e in (e1, e2, e3)]
         assert not transmit[idx[0]] and transmit[idx[1]] and not transmit[idx[2]]
@@ -147,13 +150,154 @@ class TestExtractThreshold:
         for _ in range(50):
             tau = float(rng.uniform(0.05, 2.5))
             planted = np.abs(grid.points) > tau
-            fit = extract_threshold(grid, planted)
-            assert fit.is_threshold and fit.tau is not None
-            policy = TransmitPolicy.symmetric(np.array([[fit.tau]]))
+            (lo, hi), _ = extract_threshold(grid, planted)
+            assert lo == -hi
+            policy = TransmitPolicy.symmetric(np.array([[hi]]))
             redecided = decide_many(policy, 1, np.zeros(grid.num_points, dtype=int),
                                     grid.points)
             assert np.array_equal(redecided, planted)
 
+
+@dataclasses.dataclass(frozen=True)
+class ThresholdFit:
+    """Reference result of the scalar extractor below."""
+
+    is_threshold: bool
+    tau_lo: float = math.nan
+    tau_hi: float = math.nan
+    tau: Optional[float] = None
+    witness: Optional[Tuple[float, float, float]] = None
+
+
+def reference_extract_threshold(grid, transmit):
+    """Scalar reference for :func:`extract_threshold` on one transmit set,
+    which also classifies the fit as :func:`solve_and_extract` does."""
+    x = grid.points
+    silent = np.flatnonzero(~transmit)
+    if silent.size == 0:
+        return ThresholdFit(True, tau_lo=0.0, tau_hi=0.0, tau=0.0)
+    if silent.size == grid.num_points:
+        return ThresholdFit(True, tau_lo=-math.inf, tau_hi=math.inf, tau=math.inf)
+    i0, i1 = silent[0], silent[-1]
+    inside = np.flatnonzero(transmit[i0:i1 + 1])
+    if inside.size:
+        j = i0 + inside[0]
+        return ThresholdFit(False, witness=(float(x[i0]), float(x[j]), float(x[i1])))
+    tau_lo = -math.inf if i0 == 0 else float(0.5 * (x[i0 - 1] + x[i0]))
+    tau_hi = math.inf if i1 == grid.num_points - 1 else float(0.5 * (x[i1] + x[i1 + 1]))
+    fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi)
+    if math.isfinite(tau_lo) and math.isfinite(tau_hi):
+        if abs(tau_lo + tau_hi) <= grid.spacing * (1 + 1e-9):
+            fit = ThresholdFit(True, tau_lo=tau_lo, tau_hi=tau_hi,
+                               tau=0.5 * (tau_hi - tau_lo))
+    return fit
+
+
+@st.composite
+def transmit_stacks(draw):
+    """A grid and a (k, m, n) stack of transmit sets: always, never,
+    one-sided, planted symmetric, one spacing off symmetric, planted
+    asymmetric and broken sets, and random bits."""
+    n = 2 * draw(st.integers(1, 12)) + 1
+    grid = ErrorGrid(draw(st.floats(0.5, 10.0)), n)
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c = grid.center_index
+    index = st.integers(0, n - 1)
+    sets = []
+    for _ in range(k * m):
+        kind = draw(st.sampled_from(["always", "never", "left", "right", "symmetric",
+                                     "near-symmetric", "asymmetric", "broken", "random"]))
+        silent = np.zeros(n, dtype=bool)
+        if kind == "never":
+            silent[:] = True
+        elif kind == "left":
+            silent[:draw(index) + 1] = True
+        elif kind == "right":
+            silent[draw(index):] = True
+        elif kind in ("symmetric", "near-symmetric"):
+            w = draw(st.integers(0, c - 1))
+            silent[c - w:c + w + 1 + (kind == "near-symmetric")] = True
+        elif kind == "asymmetric":
+            i0, i1 = sorted((draw(index), draw(index)))
+            silent[i0:i1 + 1] = True
+        elif kind == "broken":
+            i0 = draw(st.integers(0, n - 3))
+            i1 = draw(st.integers(i0 + 2, n - 1))
+            silent[i0:i1 + 1] = True
+            silent[draw(st.integers(i0 + 1, i1 - 1))] = False
+        elif kind == "random":
+            silent[:] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sets.append(~silent)
+    return grid, np.reshape(sets, (k, m, n))
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestExtractionMatchesScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=transmit_stacks())
+    def test_array_call_matches_scalar_fits(self, case):
+        grid, stack = case
+        k, m, _ = stack.shape
+        fits = [[reference_extract_threshold(grid, stack[s, q]) for q in range(m)]
+                for s in range(k)]
+        intervals, witnesses = extract_threshold(grid, stack)
+        assert intervals.shape == (k, m, 2) and witnesses.shape == (k, m, 3)
+        for s in range(k):
+            for q in range(m):
+                fit = fits[s][q]
+                assert _same_float(intervals[s, q, 0], fit.tau_lo)
+                assert _same_float(intervals[s, q, 1], fit.tau_hi)
+                if fit.is_threshold:
+                    assert np.isnan(witnesses[s, q]).all()
+                else:
+                    assert tuple(witnesses[s, q].tolist()) == fit.witness
+
+        # the symmetric/asymmetric split and the taus of solve_and_extract,
+        # with the solve replaced by the planted stack
+        tau = np.full((k, m), math.inf)
+        expected_witnesses, expected_asymmetric = [], []
+        for s in range(k):
+            for q in range(m):
+                fit = fits[s][q]
+                if not fit.is_threshold:
+                    expected_witnesses.append((s + 1, q, fit.witness))
+                elif fit.tau is not None:
+                    tau[s, q] = fit.tau
+                else:
+                    expected_asymmetric.append((s + 1, q))
+        fsm = ChannelFsm(m, tuple((0, 0) for _ in range(m)), (0.5,) * m, 0, (True,) * m)
+        planted = SimpleNamespace(grid=grid, transmit=stack)
+        with mock.patch("remest.dp_symmetric.backward_induction",
+                        lambda *args, **kwargs: planted):
+            result = solve_and_extract(PlantModel(a=1.0, sigma2=1.0, horizon=k), fsm)
+        got = result.threshold_policy.intervals
+        assert got[..., 1].tobytes() == tau.tobytes()
+        assert got[..., 0].tobytes() == (-tau).tobytes()
+        assert result.witnesses == expected_witnesses
+        assert result.asymmetric == expected_asymmetric
+        for n, q, witness in result.witnesses:
+            assert type(n) is int and type(q) is int
+            assert all(type(e) is float for e in witness)
+        assert all(type(n) is int and type(q) is int for n, q in result.asymmetric)
+
+
+class TestSymmetricDecisionsMatchAbsoluteValue:
+    @settings(max_examples=200, deadline=None)
+    @given(tau=st.lists(st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, math.inf])),
+                        min_size=1, max_size=4),
+           picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                                    st.floats(allow_nan=True)), min_size=1, max_size=30))
+    def test_interval_rule_is_the_absolute_threshold_bitwise(self, tau, picks):
+        tau = np.array([tau])
+        q = np.array([state % tau.shape[1] for state, _, _ in picks])
+        # e is +-0, +-tau[q], +-inf or a free float
+        e = np.array([(0.0, -0.0, t, -t, math.inf, -math.inf, free)[j]
+                      for t, (_, j, free) in zip(tau[0, q], picks)])
+        policy = TransmitPolicy.symmetric(tau)
+        assert np.array_equal(decide_many(policy, 1, q, e), np.abs(e) > tau[0][q])
 
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("kind", ["symmetric", "interval", "gridded"])
@@ -202,7 +346,7 @@ def _split_csv(path):
 def _assert_same_policy(a, b):
     assert (a.kind, a.horizon, a.num_states, a.symmetric_flag) == \
         (b.kind, b.horizon, b.num_states, b.symmetric_flag)
-    for name in ("tau", "intervals", "indicator"):
+    for name in ("intervals", "indicator"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
     assert a.grid == b.grid
@@ -276,9 +420,9 @@ class TestCsvLoading:
 
     @pytest.mark.parametrize("policy, tau_lo, tau_hi, message", [
         (TransmitPolicy.symmetric(np.ones((2, 2))), "-100.0", "1.0",
-         "data row 2: symmetric threshold row has tau_lo -100.0 != -tau_hi 1.0"),
+         "symmetric threshold at (n, q) = (1, 1) has tau_lo -100.0 != -tau_hi 1.0"),
         (TransmitPolicy.symmetric(np.ones((2, 2))), "nan", "nan",
-         "data row 2: symmetric threshold row has tau_lo nan != -tau_hi nan"),
+         "symmetric_threshold requires tau_lo <= tau_hi"),
         (TransmitPolicy.interval(np.tile([-1.0, 1.0], (2, 2, 1))), "-1.0", "nan",
          "interval_pair requires tau_lo <= tau_hi"),
     ], ids=["symmetric-lo", "symmetric-nan", "interval-nan"])
@@ -316,6 +460,28 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match=f"missing header line '# {key}='"):
             load_policy_csv(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("symmetric_flag", "2"), ("symmetric_flag", "yes"), ("horizon", "2.0"),
+        ("horizon", "0"), ("num_states", "-1")])
+    def test_bad_header_value_is_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.ones((2, 5))), path)
+        head, rows = _split_csv(path)
+        head = [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
+                for line in head]
+        path.write_text("".join(head + rows))
+        message = f"header line '# {key}={value}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_policy_csv(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "plant": {"a": 1.1, "sigma2": 1.0, "horizon": 2},
+            "channel": {"builder": "energy_harvesting",
+                        "params": {"capacity": 4, "tx_cost": 2, "p_tx": 0.3}}}))
+        assert main(["--config", str(config), "--out", str(tmp_path / "sim"),
+                     "--trials", "10", "simulate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 def _csv_writer_bytes(metadata, header, rows):
     """Reference bytes: ``# key=value`` lines, then the ``csv`` module's
@@ -333,8 +499,8 @@ def _energy_table():
     # silent successor 4 (so their C0 slices are bitwise equal), and 0 is a
     # grid point
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
-    table, _ = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3),
-                                  SolverSettings(num_points=41))
+    table = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3),
+                               SolverSettings(num_points=41))
     assert np.isnan(table.cost_send).any() and table.transmit.any()
     bits = table.cost_wait.view(np.int64)
     assert np.array_equal(bits[:, 3], bits[:, 4])
@@ -344,8 +510,8 @@ def _energy_table():
 def _workload_table():
     # every state may transmit, and states 0 and 1 share the silent successor 0
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
-    table, _ = backward_induction(plant, workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9]),
-                                  SolverSettings(num_points=41))
+    table = backward_induction(plant, workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9]),
+                               SolverSettings(num_points=41))
     assert all(table.fsm.transmit_allowed) and not np.isnan(table.cost_send).any()
     bits = table.cost_wait.view(np.int64)
     assert np.array_equal(bits[:, 0], bits[:, 1])
@@ -391,7 +557,8 @@ def _policy_case(policy):
                     for e, t in zip(policy.grid.points, policy.indicator[n, q])]
             return _csv_writer_bytes(metadata, ["n", "q", "e", "transmit"], rows)
         if policy.kind == "symmetric_threshold":
-            ends = [(-policy.tau[n, q], policy.tau[n, q]) for n, q in cells]
+            tau = policy.intervals[..., 1]
+            ends = [(-tau[n, q], tau[n, q]) for n, q in cells]
         else:
             ends = [tuple(policy.intervals[n, q]) for n, q in cells]
         rows = [[n + 1, q, policy.kind, repr(float(lo)), repr(float(hi))]

@@ -335,8 +335,8 @@ def growth_quotient(smoothed_fn):
     respect to e^2, read from a one-state table carrying that smoothing."""
     plant = PlantModel(a=1.0, sigma2=1.0, horizon=1)
     fsm = ChannelFsm(1, ((0, 0),), (0.5,), 0, (True,))
-    table, _ = backward_induction(plant, fsm,
-                                  SolverSettings(half_width=4.0, num_points=161))
+    table = backward_induction(plant, fsm,
+                               SolverSettings(half_width=4.0, num_points=161))
     smoothed = np.broadcast_to(smoothed_fn(table.grid.points), table.smoothed.shape)
     table = dataclasses.replace(table, smoothed=smoothed.copy())
     return check_growth_rate_bound(table).max_quotient
