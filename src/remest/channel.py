@@ -178,9 +178,13 @@ def fsm_to_dict(fsm: ChannelFsm) -> dict:
 
 def fsm_from_dict(data: dict) -> ChannelFsm:
     try:
+        for i, t in enumerate(data["transitions"]):
+            if not (isinstance(t, (list, tuple)) and len(t) == 2):
+                raise ValueError(f"invalid channel FSM: transitions[{i}] must be a "
+                                 f"2-element list, got {t!r}")
         return ChannelFsm(
             num_states=data["num_states"],
-            transitions=tuple((t[0], t[1]) for t in data["transitions"]),
+            transitions=tuple(map(tuple, data["transitions"])),
             drop_probs=tuple(data["drop_probs"]),
             initial_state=data["initial_state"],
             transmit_allowed=tuple(data["transmit_allowed"]),

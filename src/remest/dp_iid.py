@@ -210,8 +210,7 @@ class IidValueTable:
         return self.values.shape[0] - 1
 
     def policy(self) -> TransmitPolicy:
-        symmetric = not self.asymmetry_log
-        return TransmitPolicy.interval(self.intervals, symmetric_flag=symmetric)
+        return TransmitPolicy.interval(self.intervals)
 
     def value_at_start(self) -> float:
         return float(self.values[0, self.fsm.initial_state])

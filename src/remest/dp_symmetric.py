@@ -170,30 +170,27 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     values = np.empty((n_stages + 1, m, grid.num_points))
     smoothed = np.empty_like(values)
     cost_wait = np.empty((n_stages, m, grid.num_points))
-    cost_send = np.full((n_stages, m, grid.num_points), np.nan)
-    transmit = np.zeros((n_stages, m, grid.num_points), dtype=bool)
+    cost_send = np.empty_like(cost_wait)
+    transmit = np.empty(cost_wait.shape, dtype=bool)
 
     x_sq = grid.points ** 2
     values[n_stages, :, :] = x_sq[None, :]
+    # a masked state's r=1 successor is any valid index: its C1 row becomes NaN
+    q0, q1 = np.array([(t0, t0 if t1 is None else t1) for t0, t1 in fsm.transitions]).T
+    p = np.array(fsm.drop_probs)[:, None]
+    masked = ~np.array(fsm.transmit_allowed, dtype=bool)
+    tie = np.flatnonzero(q0 == q1)  # an exact tie at e = 0, which must stay silent
 
     for s in range(n_stages - 1, -1, -1):
         h = smoothed[s + 1] = op.apply(values[s + 1])
-        for q in range(m):
-            q0, q1 = fsm.transitions[q]
-            c0 = x_sq + h[q0]
-            cost_wait[s, q] = c0
-            if fsm.transmit_allowed[q]:
-                p = fsm.drop_probs[q]
-                reset_value = h[q1, center]
-                c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset_value
-                if q1 == q0:  # an exact tie at e = 0, which must stay silent
-                    c1[center] = reset_value
-                cost_send[s, q] = c1
-                send = c1 < c0
-                transmit[s, q] = send
-                values[s, q] = np.where(send, c1, c0)
-            else:
-                values[s, q] = c0
+        c0 = cost_wait[s] = x_sq + h[q0]
+        reset = h[q1, center]
+        c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset[:, None]
+        c1[tie, center] = reset[tie]
+        c1[masked] = np.nan
+        cost_send[s] = c1
+        send = transmit[s] = c1 < c0
+        values[s] = np.where(send, c1, c0)
         worst = np.max(np.abs(values[s]))
         if worst > settings.value_cap:
             raise SolverOverflowError(
@@ -307,7 +304,7 @@ def threshold_optimality_condition(plant: PlantModel, fsm: ChannelFsm):
     unmasked state drops with probability below the threshold, the optimal
     symmetric policy is a threshold rule at every (stage, state).
     """
-    v = 2.0 * plant.a ** 2 * plant.horizon + plant.a ** 2
+    v = float(growth_rate_bounds(plant)[0])
     threshold = 1.0 / (1.0 + v)
     satisfied = all(fsm.drop_probs[q] < threshold
                     for q in fsm.states() if fsm.transmit_allowed[q])
@@ -351,7 +348,7 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
     broken = np.isnan(lo)
     return ExtractionResult(
         table=table,
-        gridded_policy=TransmitPolicy.gridded(table.grid, table.transmit, symmetric_flag=True),
+        gridded_policy=TransmitPolicy.gridded(table.grid, table.transmit),
         threshold_policy=TransmitPolicy.symmetric(tau),
         witnesses=[(s + 1, q, tuple(witness_points[s, q].tolist()))
                    for s, q in np.argwhere(broken).tolist()],

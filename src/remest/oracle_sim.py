@@ -84,10 +84,10 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     """Monte Carlo estimate of the closed-loop cost of a policy.
 
     Interval policies require a white source (plant gain 0) and use the
-    conditional-mean estimator; all other policies must be symmetric (the
-    error-reset recursion is only valid then) and follow the stage-coupled
-    accounting described in the module docstring. Fixed ``seed`` gives a
-    bit-identical summary.
+    conditional-mean estimator; all other policies follow the stage-coupled
+    accounting described in the module docstring, which with nonzero gain is
+    valid only for symmetric ones (see :func:`check_policy_fits`). Fixed
+    ``seed`` gives a bit-identical summary.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -97,16 +97,22 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
 
 def check_policy_fits(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy):
     """Raise ``ValueError`` unless :func:`simulate` can run ``policy`` against
-    the plant and channel."""
+    the plant and channel. With gain a != 0 the policy must be symmetric: a
+    threshold is by construction, a gridded policy must decide alike at e and
+    -e on every grid point, and an interval policy is refused."""
     if policy.horizon != plant.horizon or policy.num_states != fsm.num_states:
         raise ValueError("policy shape does not match plant horizon / channel states")
+    if plant.a == 0.0 or policy.kind == "symmetric_threshold":
+        return
     if policy.kind == "interval_pair":
-        if plant.a != 0.0:
-            raise ValueError(
-                "interval policies simulate only with plant gain 0; asymmetric "
-                "rules admit no tractable estimator otherwise")
-    elif plant.a != 0.0 and not policy.symmetric_flag:
-        raise ValueError("asymmetric policies with nonzero plant gain are not supported")
+        raise ValueError("interval policies simulate only with plant gain 0; asymmetric "
+                         "rules admit no tractable estimator otherwise")
+    # the grid is antisymmetric, so the mirror image is the reversed last axis
+    differ = np.argwhere(policy.indicator != policy.indicator[..., ::-1])
+    if len(differ):
+        n, q, i = differ[0].tolist()
+        raise ValueError(f"gridded policy is not symmetric at (n, q, e) = ({n + 1}, {q}, "
+                         f"{float(policy.grid.points[i])!r}), as nonzero plant gain requires")
 
 
 def _simulate(plant, fsm, policy, trials, seed, collect_trace):
@@ -200,7 +206,11 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
 def write_trace_csv(summary: SimSummary, path):
     """Dump the recorded per-trial trace as (trial, n, x, xhat, e, r, c, q),
-    about ``BLOCK_TRIALS`` rows per write."""
+    about ``BLOCK_TRIALS`` rows per write.
+
+    On the stage-coupled chain ``e`` is the error the encoder saw before
+    deciding; on a white source it is x - xhat after the stage.
+    """
     if summary.trace is None:
         raise ValueError("simulation was run without collect_trace")
     tr = summary.trace

@@ -11,6 +11,10 @@ witness of the failure.
 Orientation convention: the transmit set is always the outside of the
 no-transmit interval. Never-transmit is encoded by the interval
 (-inf, +inf) (tau = +inf); masked channel states carry that sentinel.
+
+A policy is only its kind and its arrays: horizon and channel-state count
+come from the array shape, and symmetry is read from the arrays where it
+matters (``oracle_sim.check_policy_fits``), never stored beside them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +37,7 @@ class TransmitPolicy:
     """Per-(stage, channel state) transmit rule.
 
     Stages are 1-based: ``n`` runs over 1..horizon. ``kind`` picks the
-    populated parameter block:
+    populated array, whose first two axes are (horizon, channel states):
 
     - ``symmetric_threshold`` and ``interval_pair``: ``intervals[n-1, q] =
       (lo, hi)``, transmit iff e < lo or e > hi; a symmetric threshold has
@@ -43,12 +47,11 @@ class TransmitPolicy:
     """
 
     kind: str
-    horizon: int
-    num_states: int
-    symmetric_flag: bool
     intervals: Optional[np.ndarray] = None
     grid: Optional[ErrorGrid] = None
     indicator: Optional[np.ndarray] = None
+    horizon: int = field(init=False)
+    num_states: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,41 +59,37 @@ class TransmitPolicy:
         if self.kind == "gridded":
             if self.grid is None or self.indicator is None:
                 raise ValueError("gridded policy needs grid and indicator")
-            ind = np.asarray(self.indicator, dtype=bool)
-            expected = (self.horizon, self.num_states, self.grid.num_points)
-            if ind.shape != expected:
-                raise ValueError(f"indicator shape {ind.shape} != {expected}")
-            object.__setattr__(self, "indicator", ind)
-            return
-        iv = np.asarray(self.intervals, dtype=float)
-        if iv.shape != (self.horizon, self.num_states, 2):
-            raise ValueError(f"intervals shape {iv.shape} != (N, m, 2)")
-        lo, hi = iv[..., 0], iv[..., 1]
-        if not np.all(lo <= hi):  # also rejects NaN
-            raise ValueError(f"{self.kind} requires tau_lo <= tau_hi")
-        if self.kind == "symmetric_threshold" and not np.array_equal(lo, -hi):
-            n, q = np.argwhere(lo != -hi)[0].tolist()
-            raise ValueError(f"symmetric threshold at (n, q) = ({n + 1}, {q}) has tau_lo "
-                             f"{float(lo[n, q])!r} != -tau_hi {float(hi[n, q])!r}")
-        object.__setattr__(self, "intervals", iv)
+            arr = np.asarray(self.indicator, dtype=bool)
+            if arr.ndim != 3 or arr.shape[2] != self.grid.num_points:
+                raise ValueError(f"indicator shape {arr.shape} != (N, m, {self.grid.num_points})")
+            object.__setattr__(self, "indicator", arr)
+        else:
+            arr = np.asarray(self.intervals, dtype=float)
+            if arr.ndim != 3 or arr.shape[2] != 2:
+                raise ValueError(f"intervals shape {arr.shape} != (N, m, 2)")
+            lo, hi = arr[..., 0], arr[..., 1]
+            if not np.all(lo <= hi):  # also rejects NaN
+                raise ValueError(f"{self.kind} requires tau_lo <= tau_hi")
+            if self.kind == "symmetric_threshold" and not np.array_equal(lo, -hi):
+                n, q = np.argwhere(lo != -hi)[0].tolist()
+                raise ValueError(f"symmetric threshold at (n, q) = ({n + 1}, {q}) has tau_lo "
+                                 f"{float(lo[n, q])!r} != -tau_hi {float(hi[n, q])!r}")
+            object.__setattr__(self, "intervals", arr)
+        object.__setattr__(self, "horizon", arr.shape[0])
+        object.__setattr__(self, "num_states", arr.shape[1])
 
     @classmethod
-    def symmetric(cls, tau, symmetric_flag=True):
+    def symmetric(cls, tau):
         tau = np.asarray(tau, dtype=float)
-        return cls("symmetric_threshold", tau.shape[0], tau.shape[1],
-                   symmetric_flag, intervals=np.stack([-tau, tau], -1))
+        return cls("symmetric_threshold", intervals=np.stack([-tau, tau], -1))
 
     @classmethod
-    def interval(cls, intervals, symmetric_flag=False):
-        intervals = np.asarray(intervals, dtype=float)
-        return cls("interval_pair", intervals.shape[0], intervals.shape[1],
-                   symmetric_flag, intervals=intervals)
+    def interval(cls, intervals):
+        return cls("interval_pair", intervals=intervals)
 
     @classmethod
-    def gridded(cls, grid, indicator, symmetric_flag):
-        indicator = np.asarray(indicator, dtype=bool)
-        return cls("gridded", indicator.shape[0], indicator.shape[1],
-                   symmetric_flag, grid=grid, indicator=indicator)
+    def gridded(cls, grid, indicator):
+        return cls("gridded", grid=grid, indicator=indicator)
 
 
 def decide_many(policy: TransmitPolicy, n: int, q: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -169,7 +168,7 @@ def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = N
     comment lines.
     """
     meta = {**(metadata or {}), "kind": policy.kind, "horizon": policy.horizon,
-            "num_states": policy.num_states, "symmetric_flag": int(policy.symmetric_flag)}
+            "num_states": policy.num_states}
     if policy.kind == "gridded":
         meta.update(grid_half_width=repr(float(policy.grid.half_width)),
                     grid_num_points=policy.grid.num_points)
@@ -209,13 +208,10 @@ def load_policy_csv(path):
         horizon, m = _count(path, meta, "horizon"), _count(path, meta, "num_states")
         grid, cells = None, np.zeros((horizon, m, 2))
         if kind == "gridded":
-            grid = ErrorGrid(float(meta["grid_half_width"]), _count(path, meta, "grid_num_points"))
+            grid = ErrorGrid(_width(path, meta), _count(path, meta, "grid_num_points"))
             cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
     except KeyError as exc:
         raise ValueError(f"{path}: missing header line '# {exc.args[0]}='") from exc
-    flag = meta.get("symmetric_flag", "0")
-    if flag not in ("0", "1"):
-        raise ValueError(f"{path}: header line '# symmetric_flag={flag}' must be 0 or 1")
     seen = np.zeros(cells.shape if grid is not None else (horizon, m), dtype=bool)
     for index, row in enumerate(csv.DictReader(data), start=1):
         try:
@@ -239,8 +235,8 @@ def load_policy_csv(path):
         first = f"n={n + 1}, q={q}" + (f", e={float(grid.points[i[0]])!r}" if i else "")
         raise ValueError(f"{path}: {int((~seen).sum())} points have no row, first {first}")
     if grid is not None:
-        return TransmitPolicy.gridded(grid, cells, flag == "1"), meta
-    return TransmitPolicy(kind, horizon, m, flag == "1", intervals=cells), meta
+        return TransmitPolicy.gridded(grid, cells), meta
+    return TransmitPolicy(kind, intervals=cells), meta
 
 
 def _count(path, meta, key):
@@ -249,3 +245,15 @@ def _count(path, meta, key):
     if not (text.isascii() and text.isdigit() and int(text) >= 1):
         raise ValueError(f"{path}: header line '# {key}={text}' must be an integer >= 1")
     return int(text)
+
+
+def _width(path, meta):
+    """The positive finite number on the ``# grid_half_width=`` header line."""
+    text = meta["grid_half_width"]
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: header line '# grid_half_width={text}' must be a positive "
+                     "finite number")

@@ -111,8 +111,10 @@ class ErrorGrid:
         to keep capped growth detectable by the solver's value cap instead
         of silently extrapolating.
         """
-        sigma = math.sqrt(sigma2)
-        hw = 8.0 * sigma * max(1.0, abs(a)) ** horizon
+        try:
+            hw = 8.0 * math.sqrt(sigma2) * max(1.0, abs(a)) ** horizon
+        except OverflowError:  # a width past any float is past the cap
+            hw = math.inf
         return cls(min(hw, MAX_HALF_WIDTH), num_points)
 
     def index_of(self, e: float) -> int:

@@ -183,7 +183,7 @@ class TestExitCodes:
             tmp_path, plant={"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 4}).read_text())
         policy_csv = tmp_path / "policy.csv"
         export_policy_csv(TransmitPolicy.gridded(ErrorGrid(8.0, 201),
-                                                 np.zeros((4, 5, 201), dtype=bool), True),
+                                                 np.zeros((4, 5, 201), dtype=bool)),
                           policy_csv)
         section, key = field.rsplit(".", 1)
         if section == "policy":
@@ -221,12 +221,15 @@ class TestExitCodes:
         ("num_states", 2.9, "num_states must be an integer, got 2.9"),
         ("initial_state", True, "initial_state must be an integer, got True"),
         ("transitions", [[1, 1.7], [0, 0]], "transitions must be integers, got 1.7"),
+        ("transitions", [[1, 1, 7], [0, 0]],
+         "transitions[0] must be a 2-element list, got [1, 1, 7]"),
+        ("transitions", [[1], [0, 0]], "transitions[0] must be a 2-element list, got [1]"),
         ("drop_probs", ["0.5", True], "drop_probs must be numbers, got '0.5'"),
         ("drop_probs", [0.5, True], "drop_probs must be numbers, got True"),
         ("transmit_allowed", [True, "false"],
          "transmit_allowed must be true or false, got 'false'"),
-    ], ids=["num_states", "initial_state", "transitions", "drop_probs-string",
-            "drop_probs-bool", "transmit_allowed"])
+    ], ids=["num_states", "initial_state", "transitions", "transitions-triple",
+            "transitions-single", "drop_probs-string", "drop_probs-bool", "transmit_allowed"])
     def test_mistyped_fsm_field_exits_2(self, tmp_path, capsys, field, value, message):
         fsm = {"num_states": 2, "transitions": [[1, 1], [0, 0]], "drop_probs": [0.5, 0.5],
                "initial_state": 0, "transmit_allowed": [True, True]}
@@ -234,6 +237,26 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
                      "solve-symmetric"]) == 2
         assert f"channel: invalid channel FSM: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code, message", [
+        ("solve-symmetric", 2, "solver error: stage 102: value magnitude"),
+        ("simulate", 0, "empirical total"),
+    ])
+    def test_horizon_past_the_float_range_caps_the_grid(self, tmp_path, capsys, command,
+                                                         code, message):
+        # 1000 ** 103 overflows a float; the auto grid width clips to the cap
+        cfg = write_config(
+            tmp_path, plant={"a": 1000.0, "sigma2": 1.0, "x0": 0.0, "horizon": 103},
+            channel={"builder": "workload_chain",
+                     "params": {"window": 1, "drop_probs": [0.1, 0.2]}})
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((103, 2))), policy_csv)
+        args = ["--trials", "10", command, str(policy_csv)] if command == "simulate" \
+            else [command]
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--grid-points", "101"] + args) == code
+        out, err = capsys.readouterr()
+        assert message in out + err
 
     @pytest.mark.parametrize("command, flag", [
         ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),
@@ -371,6 +394,26 @@ class TestSimulate:
                      "--trials", "50", "simulate", str(policy_csv)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code, message", [
+        ("symmetric", 0, "empirical total"),
+        ("gridded", 2, "gridded policy is not symmetric at (n, q, e) = (1, 0, -5.0)"),
+    ])
+    def test_symmetry_is_read_from_the_policy_not_its_header(self, tmp_path, capsys, kind,
+                                                              code, message):
+        # an older file's symmetric_flag line contradicts each policy; it is ignored
+        cfg = write_config(tmp_path, channel={
+            "builder": "workload_chain", "params": {"window": 1, "drop_probs": [0.1, 0.3]}})
+        grid = ErrorGrid(5.0, 11)
+        policy, flag = ((TransmitPolicy.symmetric(np.ones((6, 2))), 0) if kind == "symmetric"
+                        else (TransmitPolicy.gridded(grid, np.tile(grid.points > 3, (6, 2, 1))), 1))
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(policy, policy_csv)
+        policy_csv.write_text(f"# symmetric_flag={flag}\n" + policy_csv.read_text())
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--trials", "50", "simulate", str(policy_csv)]) == code
+        out, err = capsys.readouterr()
+        assert message in out + err
 
     def test_trace_flag_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)

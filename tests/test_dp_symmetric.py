@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
                             workload_chain_fsm)
@@ -29,7 +30,71 @@ def energy_solution():
     return plant, fsm, solve_and_extract(plant, fsm, SolverSettings(num_points=1201))
 
 
+def _per_state_stages(plant, fsm, solver):
+    """Reference for backward_induction's stage step: the loop over channel
+    states it replaced, kept as it was. Returns (values, smoothed,
+    cost_wait, cost_send, transmit)."""
+    grid = solver.make_grid(plant)
+    m, n_stages, center = fsm.num_states, plant.horizon, grid.center_index
+    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
+    values = np.empty((n_stages + 1, m, grid.num_points))
+    smoothed = np.empty_like(values)
+    cost_wait = np.empty((n_stages, m, grid.num_points))
+    cost_send = np.full((n_stages, m, grid.num_points), np.nan)
+    transmit = np.zeros((n_stages, m, grid.num_points), dtype=bool)
+    x_sq = grid.points ** 2
+    values[n_stages, :, :] = x_sq[None, :]
+    for s in range(n_stages - 1, -1, -1):
+        h = smoothed[s + 1] = op.apply(values[s + 1])
+        for q in range(m):
+            q0, q1 = fsm.transitions[q]
+            c0 = x_sq + h[q0]
+            cost_wait[s, q] = c0
+            if fsm.transmit_allowed[q]:
+                p = fsm.drop_probs[q]
+                reset_value = h[q1, center]
+                c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset_value
+                if q1 == q0:
+                    c1[center] = reset_value
+                cost_send[s, q] = c1
+                send = c1 < c0
+                transmit[s, q] = send
+                values[s, q] = np.where(send, c1, c0)
+            else:
+                values[s, q] = c0
+    smoothed[0] = op.apply(values[0])
+    return values, smoothed, cost_wait, cost_send, transmit
+
+
+@st.composite
+def channel_fsms(draw):
+    """Random FSMs with masked states (some with an r=1 arc, some without),
+    shared successors and drop probabilities 0 and 1 among the others."""
+    m = draw(st.integers(1, 4))
+    state = st.integers(0, m - 1)
+    allowed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    transitions = tuple((draw(state), draw(state if ok else st.none() | state))
+                        for ok in allowed)
+    drops = tuple(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) if ok else 1.0
+                  for ok in allowed)
+    return ChannelFsm(m, transitions, drops, draw(state), tuple(allowed))
+
+
 class TestTerminalAndRecursion:
+    @settings(max_examples=100, deadline=None)
+    @given(fsm=channel_fsms(), a=st.floats(0.0, 1.3), horizon=st.integers(1, 6),
+           num_points=st.sampled_from([5, 41, 101]))
+    def test_array_stage_step_matches_the_per_state_loop_bitwise(self, fsm, a, horizon,
+                                                                num_points):
+        plant = PlantModel(a=a, sigma2=1.0, horizon=horizon)
+        solver = SolverSettings(num_points=num_points)
+        table = backward_induction(plant, fsm, solver)
+        reference = _per_state_stages(plant, fsm, solver)
+        for name, want in zip(("values", "smoothed", "cost_wait", "cost_send", "transmit"),
+                              reference):
+            got = getattr(table, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_terminal_slice_is_squared_error_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
         table = backward_induction(plant, single_state(0.4),

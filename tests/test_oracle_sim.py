@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,13 @@ from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.dp_iid import conditional_estimates, iid_backward_induction
 from remest.dp_symmetric import SolverSettings, solve_and_extract
 from remest.oracle_sim import (BLOCK_TRIALS, DiscreteInstance,
-                               EnumerationSizeError, SimSummary, discrete_dp,
-                               exhaustive_policy_search,
+                               EnumerationSizeError, SimSummary, check_policy_fits,
+                               discrete_dp, exhaustive_policy_search,
                                minimizer_has_interval_structure, simulate,
                                write_trace_csv)
 from remest.policy import TransmitPolicy, decide_many
 from remest.process import PlantModel, predicted_open_loop_cost
+from remest.quadrature import ErrorGrid
 
 
 def single_state(p_drop):
@@ -227,6 +229,39 @@ class TestSimulatorBasics:
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,n,x,xhat,e,r,c,q"
         assert len(lines) == 1 + 20 * 4
+
+
+def _mirror_case(flip):
+    """Gridded policy on the points -2..2 that transmits at |e| = 2, and at
+    e = 1 of stage 2 as well when ``flip``."""
+    indicator = np.zeros((2, 1, 5), dtype=bool)
+    indicator[..., [0, 4]] = True
+    indicator[1, 0, 3] = flip
+    return TransmitPolicy.gridded(ErrorGrid(2.0, 5), indicator)
+
+
+_INTERVAL = TransmitPolicy.interval(np.tile([-0.5, 1.5], (2, 1, 1)))
+_THRESHOLD = TransmitPolicy.symmetric(np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("a, policy, error", [
+    (1.1, TransmitPolicy.symmetric(np.ones((3, 1))), "policy shape does not match"),
+    (1.1, _INTERVAL, "interval policies simulate only with plant gain 0"),
+    (1.1, _mirror_case(False), None),
+    (1.1, _mirror_case(True), "not symmetric at (n, q, e) = (2, 0, -1.0)"),
+    (1.1, _THRESHOLD, None),
+    (0.0, _INTERVAL, None),
+    (0.0, _mirror_case(True), None),
+    (0.0, _THRESHOLD, None),
+], ids=["shape", "interval-gain", "gridded-mirror", "gridded-flipped", "threshold-gain",
+        "interval-white", "gridded-flipped-white", "threshold-white"])
+def test_check_policy_fits(a, policy, error):
+    plant = PlantModel(a=a, sigma2=1.0, horizon=2)
+    if error is None:
+        check_policy_fits(plant, single_state(0.5), policy)
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            check_policy_fits(plant, single_state(0.5), policy)
 
 
 class TestClosedFormAgreement:

@@ -66,7 +66,7 @@ class TestDecide:
         grid = ErrorGrid(2.0, 5)  # points -2,-1,0,1,2
         indicator = np.zeros((1, 1, 5), dtype=bool)
         indicator[0, 0] = [True, False, False, False, True]
-        policy = TransmitPolicy.gridded(grid, indicator, symmetric_flag=True)
+        policy = TransmitPolicy.gridded(grid, indicator)
         assert decide_one(policy, 1, 0, -1.9) == 1
         assert decide_one(policy, 1, 0, 0.4) == 0
         assert decide_one(policy, 1, 0, 1.51) == 1
@@ -80,8 +80,7 @@ class TestDecide:
         q = rng.integers(0, 2, size=40)
         for policy in (TransmitPolicy.symmetric(tau),
                        TransmitPolicy.interval(np.stack([-tau / 2, tau], axis=-1)),
-                       TransmitPolicy.gridded(grid, np.abs(grid.points) > tau[..., None],
-                                              symmetric_flag=True)):
+                       TransmitPolicy.gridded(grid, np.abs(grid.points) > tau[..., None])):
             for n in (1, 2):
                 vec = decide_many(policy, n, q, e)
                 assert [int(v) for v in vec] == [
@@ -105,6 +104,29 @@ class TestDecide:
         two_states = ChannelFsm(2, ((1, 0), (0, 1)), (0.5, 0.5), 0, (True, True))
         with pytest.raises(ValueError, match="policy shape does not match"):
             simulate(PlantModel(a=1.0, sigma2=1.0, horizon=1), two_states, policy, 10, 0)
+
+    def test_policy_is_its_kind_and_arrays(self):
+        settable = [f.name for f in dataclasses.fields(TransmitPolicy) if f.init]
+        assert settable == ["kind", "intervals", "grid", "indicator"]
+        grid = ErrorGrid(2.0, 5)
+        for policy in (TransmitPolicy.symmetric(np.ones((3, 2))),
+                       TransmitPolicy.interval(np.zeros((3, 2, 2))),
+                       TransmitPolicy.gridded(grid, np.zeros((3, 2, 5), dtype=bool))):
+            assert (policy.horizon, policy.num_states) == (3, 2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TransmitPolicy.interval(np.zeros((3, 2))), r"intervals shape \(3, 2\)"),
+        (lambda: TransmitPolicy.interval(np.zeros((3, 2, 3))), r"intervals shape \(3, 2, 3\)"),
+        (lambda: TransmitPolicy.symmetric(np.ones(3)), r"intervals shape \(3, 2\)"),
+        (lambda: TransmitPolicy.gridded(ErrorGrid(2.0, 5), np.zeros((3, 5), dtype=bool)),
+         r"indicator shape \(3, 5\) != \(N, m, 5\)"),
+        (lambda: TransmitPolicy.gridded(ErrorGrid(2.0, 5), np.zeros((3, 2, 7), dtype=bool)),
+         r"indicator shape \(3, 2, 7\) != \(N, m, 5\)"),
+    ], ids=["intervals-2d", "intervals-last-axis", "symmetric-1d", "indicator-2d",
+            "indicator-last-axis"])
+    def test_array_shape_is_checked(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestExtractThreshold:
@@ -314,7 +336,7 @@ class TestCsvRoundTrip:
         else:
             grid = ErrorGrid(3.0, 61)
             indicator = rng.uniform(size=(3, 2, 61)) < 0.4
-            policy = TransmitPolicy.gridded(grid, indicator, symmetric_flag=False)
+            policy = TransmitPolicy.gridded(grid, indicator)
         path = tmp_path / "policy.csv"
         export_policy_csv(policy, path, metadata={"provenance": "abc123"})
         again, meta = load_policy_csv(path)
@@ -332,8 +354,7 @@ class TestCsvRoundTrip:
 def _gridded_policy(seed=4):
     rng = np.random.default_rng(seed)
     grid = ErrorGrid(3.0, 61)
-    return TransmitPolicy.gridded(grid, rng.uniform(size=(3, 2, 61)) < 0.4,
-                                  symmetric_flag=False)
+    return TransmitPolicy.gridded(grid, rng.uniform(size=(3, 2, 61)) < 0.4)
 
 
 def _split_csv(path):
@@ -344,8 +365,7 @@ def _split_csv(path):
 
 
 def _assert_same_policy(a, b):
-    assert (a.kind, a.horizon, a.num_states, a.symmetric_flag) == \
-        (b.kind, b.horizon, b.num_states, b.symmetric_flag)
+    assert (a.kind, a.horizon, a.num_states) == (b.kind, b.horizon, b.num_states)
     for name in ("intervals", "indicator"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
@@ -357,23 +377,22 @@ def policies(draw):
     kind = draw(st.sampled_from(["symmetric", "interval", "gridded"]))
     horizon = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
-    flag = draw(st.booleans())
     cells = horizon * m
     bound = st.floats(-50.0, 50.0, allow_nan=False)
     if kind == "symmetric":
         tau = draw(st.lists(st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
                             min_size=cells, max_size=cells))
-        return TransmitPolicy.symmetric(np.reshape(tau, (horizon, m)), flag)
+        return TransmitPolicy.symmetric(np.reshape(tau, (horizon, m)))
     if kind == "interval":
         ends = draw(st.lists(st.tuples(st.one_of(bound, st.just(-math.inf)),
                                        st.one_of(bound, st.just(math.inf))),
                              min_size=cells, max_size=cells))
         iv = np.sort(np.reshape(ends, (horizon, m, 2)), axis=-1)
-        return TransmitPolicy.interval(iv, flag)
+        return TransmitPolicy.interval(iv)
     grid = ErrorGrid(draw(st.floats(0.1, 20.0)), 2 * draw(st.integers(1, 30)) + 1)
     bits = draw(st.lists(st.booleans(), min_size=cells * grid.num_points,
                          max_size=cells * grid.num_points))
-    return TransmitPolicy.gridded(grid, np.reshape(bits, (horizon, m, -1)), flag)
+    return TransmitPolicy.gridded(grid, np.reshape(bits, (horizon, m, -1)))
 
 
 class TestCsvLoading:
@@ -461,11 +480,13 @@ class TestCsvLoading:
             load_policy_csv(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("symmetric_flag", "2"), ("symmetric_flag", "yes"), ("horizon", "2.0"),
-        ("horizon", "0"), ("num_states", "-1")])
+        ("horizon", "2.0"), ("horizon", "0"), ("num_states", "-1")] + [
+        ("grid_half_width", value) for value in ("abc", "nan", "0", "-1", "inf")])
     def test_bad_header_value_is_rejected(self, tmp_path, capsys, key, value):
         path = tmp_path / "policy.csv"
-        export_policy_csv(TransmitPolicy.symmetric(np.ones((2, 5))), path)
+        export_policy_csv(TransmitPolicy.gridded(ErrorGrid(3.0, 7), np.zeros((2, 5, 7), bool))
+                          if key.startswith("grid_") else TransmitPolicy.symmetric(np.ones((2, 5))),
+                          path)
         head, rows = _split_csv(path)
         head = [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
                 for line in head]
@@ -547,8 +568,7 @@ def _policy_case(policy):
         metadata = {"provenance": "0123abcd", "dp_value": repr(2.5)}
         export_policy_csv(policy, path, metadata=metadata)
         metadata.update(kind=policy.kind, horizon=policy.horizon,
-                        num_states=policy.num_states,
-                        symmetric_flag=int(policy.symmetric_flag))
+                        num_states=policy.num_states)
         cells = [(n, q) for n in range(policy.horizon) for q in range(policy.num_states)]
         if policy.kind == "gridded":
             metadata.update(grid_half_width=repr(policy.grid.half_width),

@@ -12,7 +12,7 @@ from remest.channel import ChannelFsm, energy_harvesting_fsm
 from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
 from remest.process import PlantModel
-from remest.quadrature import (TAIL_FRACTION, ErrorGrid,
+from remest.quadrature import (MAX_HALF_WIDTH, TAIL_FRACTION, ErrorGrid,
                                GaussianExpectationOperator, ShapeViolation,
                                gaussian_partial_moments,
                                is_symmetric_nondecreasing)
@@ -64,6 +64,9 @@ class TestErrorGrid:
         assert capped.half_width == 100.0
         # gains below one do not shrink the window
         assert ErrorGrid.auto(0.5, 1.0, 10).half_width == pytest.approx(8.0)
+        # a power past the float range is past the cap too
+        assert ErrorGrid.auto(1.1, 1.0, 8000).half_width == MAX_HALF_WIDTH
+        assert ErrorGrid.auto(1000.0, 1.0, 103).half_width == MAX_HALF_WIDTH
 
 
 class TestTruncatedMoments:
