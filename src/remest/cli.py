@@ -3,12 +3,13 @@
 Commands
 --------
 - ``solve-symmetric``: grid solver for the stage-coupled problem; writes the
-  value-table CSV, the per-(stage, state) threshold policy CSV, a structure
-  report and a summary JSON.
+  value-table CSV, the policy CSV and one structure report JSON, which also
+  records the run's plant, channel and grid.
 - ``solve-iid``: interval solver for a white source (plant gain must be 0);
-  writes the interval table CSV and the asymmetry log.
+  writes the interval table CSV, the policy CSV and the asymmetry log.
 - ``simulate``: Monte Carlo run of a saved policy CSV against a config,
-  printing the empirical total next to the solver value when available.
+  printing the empirical total next to the solver value when available; it
+  warns on stderr when the policy's provenance differs from the config's.
 - ``verify``: bundled property suite (structure, growth bound, oracle
   agreement, solver/simulator agreement); exit 1 names the first failure.
 - ``export-examples``: writes the two bundled application configs.
@@ -23,7 +24,6 @@ into a :class:`ConfigError` that names the input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import numbers
 import sys
@@ -130,6 +130,10 @@ def cmd_solve_symmetric(args) -> int:
     v, margin, satisfied = dps.threshold_optimality_condition(plant, fsm)
     report = {
         "provenance": table.provenance,
+        "plant": plant_to_dict(plant),
+        "channel": ch.fsm_to_dict(fsm),
+        "grid": {"half_width": table.grid.half_width,
+                 "num_points": table.grid.num_points},
         "value_at_origin": dp_value,
         "structure_ok": structure.ok,
         "structure_violations": len(structure.violations),
@@ -143,16 +147,6 @@ def cmd_solve_symmetric(args) -> int:
         "policy_kind": result.policy.kind,
     }
     (out / "structure_report.json").write_text(json.dumps(report, indent=2))
-    summary = {
-        "provenance": table.provenance,
-        "plant": plant_to_dict(plant),
-        "channel": ch.fsm_to_dict(fsm),
-        "grid": {"half_width": table.grid.half_width,
-                 "num_points": table.grid.num_points},
-        "value_at_origin": dp_value,
-        "threshold_witnesses": len(result.witnesses),
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"solved: value at origin {dp_value:.6f}, "
           f"{len(result.witnesses)} threshold witnesses, artifacts in {out}")
     return 0
@@ -166,11 +160,13 @@ def cmd_solve_iid(args) -> int:
             f"solve-iid requires plant gain a = 0 (got a={plant.a}); "
             "use solve-symmetric for a coupled plant")
     fsm = fsm_from_config(config)
+    provenance = dps.provenance_hash(plant, fsm, settings_from_config(config))
     out = _out_dir(args)
     table = dp_iid.iid_backward_induction(fsm, plant.sigma2, plant.horizon)
     dp_iid.export_iid_table_csv(table, out / "iid_table.csv")
     export_policy_csv(table.policy(), out / "policy.csv",
-                      metadata={"dp_value": repr(table.value_at_start())})
+                      metadata={"provenance": provenance,
+                                "dp_value": repr(table.value_at_start())})
     log = [{"n": n, "q": q, "symmetric_objective": s, "objective": o}
            for n, q, s, o in table.asymmetry_log]
     (out / "asymmetry_log.json").write_text(json.dumps(log, indent=2))
@@ -248,7 +244,7 @@ def cmd_export_examples(args) -> int:
 # verify: bundled property suite
 # ---------------------------------------------------------------------------
 
-def _verify_properties(grid_points=None, inject_defect=None):
+def _verify_properties(grid_points=None):
     """Yield (name, ok, detail) for each bundled property."""
     from .quadrature import GaussianExpectationOperator, is_symmetric_nondecreasing
 
@@ -276,10 +272,6 @@ def _verify_properties(grid_points=None, inject_defect=None):
     settings = dps.SolverSettings(num_points=grid_points or 801)
     result = dps.solve_and_extract(plant, fsm, settings=settings)
     table = result.table
-    if inject_defect == "value-table":
-        values = table.values.copy()
-        values[2, 2, -1] -= 1.0
-        table = dataclasses.replace(table, values=values)
     structure = dps.check_value_structure(table)
     yield ("check_value_structure", structure.ok,
            f"{len(structure.violations)} violations")
@@ -337,7 +329,7 @@ def _random_discrete_instance(rng) -> oracle_sim.DiscreteInstance:
 
 def cmd_verify(args) -> int:
     failures = []
-    for name, ok, detail in _verify_properties(args.grid_points, args.inject_defect):
+    for name, ok, detail in _verify_properties(args.grid_points):
         status = "pass" if ok else "FAIL"
         print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
         if not ok:
@@ -370,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("policy", help="policy CSV produced by a solve command")
     p_sim.add_argument("--trace", action="store_true",
                        help="also write a per-trial trace CSV (large)")
-    p_ver = sub.add_parser("verify", help="run the bundled property suite")
-    p_ver.add_argument("--inject-defect", choices=["value-table"], default=None,
-                       help="corrupt an internal artifact to exercise the checks")
+    sub.add_parser("verify", help="run the bundled property suite")
     sub.add_parser("export-examples", help="write the bundled application configs")
     return parser
 

@@ -8,8 +8,8 @@ operation is the Gaussian expectation
 
 applied by :class:`GaussianExpectationOperator` to a stack of sampled
 slices at once. The module also provides the unnormalized truncated-normal
-moments behind the white-source solver and the symmetry/monotonicity check
-used to validate solver output.
+moments behind the operator's tails and the white-source solver, and the
+symmetry/monotonicity check used to validate solver output.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class GaussianExpectationOperator:
             u, c = xs[cols], centers[rows, None]
             z = (u - c) / sigma
             cdf = ndtr(z)
-            dens = np.exp(-0.5 * z * z) / (_SQRT2PI * sigma)
+            dens = _std_pdf(z) / sigma
             p0 = cdf[:, 1:] - cdf[:, :-1]
             # integral of u * pdf over each cell
             p1 = c * p0 + sigma2 * (dens[:, :-1] - dens[:, 1:])
@@ -209,16 +209,14 @@ class GaussianExpectationOperator:
             (data.reshape(-1), indices.reshape(-1),
              np.arange(n + 1, dtype=index_dtype) * width),
             shape=(n, n))
-        # analytic moments (x^2, x, 1) of the density mass beyond the left
-        # grid end, then the right one, matching the stacked tail coefficients
+        # moments (x^2, x, 1) beyond the left grid end, then the right one (the
+        # tail fit's order), from those of x - center ~ N(0, sigma2)
         hw = grid.half_width
-        zl, zr = (-hw - centers) / sigma, (hw - centers) / sigma
-        sl, pl, sr, pr = ndtr(zl), _std_pdf(zl), ndtr(-zr), _std_pdf(zr)
-        self._tail_moments = np.stack([
-            (centers ** 2 + sigma2) * sl - sigma * pl * (centers - hw),
-            centers * sl - sigma * pl, sl,
-            (centers ** 2 + sigma2) * sr + sigma * pr * (hw + centers),
-            centers * sr + sigma * pr, sr])
+        tails = []
+        for lo, hi in ((-math.inf, -hw - centers), (hw - centers, math.inf)):
+            m0, m1, m2 = gaussian_partial_moments(sigma2, lo, hi)
+            tails += [m2 + 2.0 * centers * m1 + centers ** 2 * m0, m1 + centers * m0, m0]
+        self._tail_moments = np.stack(tails)
         for arr in (self._weights.data, self._weights.indices,
                     self._weights.indptr, self._tail_moments):
             arr.flags.writeable = False

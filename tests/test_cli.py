@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from remest.quadrature import ErrorGrid
 
 
 def write_config(tmp_path, **overrides):
+    """A small energy-harvesting run config; a section overridden with None
+    is left out."""
     config = {
         "plant": {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 6},
         "channel": {"builder": "energy_harvesting",
@@ -27,7 +30,7 @@ def write_config(tmp_path, **overrides):
     }
     config.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
     return path
 
 
@@ -37,13 +40,16 @@ class TestSolveSymmetric:
         out = tmp_path / "run"
         code = main(["--config", str(cfg), "--out", str(out), "solve-symmetric"])
         assert code == 0
-        for name in ("value_table.csv", "policy.csv", "structure_report.json",
-                     "summary.json"):
-            assert (out / name).exists(), name
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["threshold_witnesses"] == 0
-        assert summary["value_at_origin"] > 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "policy.csv", "structure_report.json", "value_table.csv"]
         report = json.loads((out / "structure_report.json").read_text())
+        assert report["threshold_witnesses"] == []
+        assert report["value_at_origin"] > 0
+        # the run's inputs, with the grid the auto rule sized
+        assert report["plant"] == {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 6}
+        assert report["channel"]["num_states"] == 5
+        assert report["grid"] == {"half_width": pytest.approx(8.0 * 1.1 ** 6),
+                                  "num_points": 801}
         assert report["structure_ok"] and report["growth_bound_ok"]
         assert not report["drop_margin"]["satisfied"]
         assert report["policy_kind"] == "symmetric_threshold"
@@ -171,12 +177,13 @@ class TestExitCodes:
         ("sim.trials", 2000.9, "sim.trials must be an integer, got 2000.9"),
         ("sim.trials", True, "sim.trials must be an integer, got True"),
         ("sim.seed", "7", "sim.seed must be an integer, got '7'"),
+        ("policy.n", 5, "data row 1: (n, q) = (5, 0) is outside the policy shape"),
     ], ids=["plant.horizon", "plant.sigma2", "sim.trials", "plant.a",
             "solver.grid.half_width", "plant.x0", "solver.value_cap-nan",
             "solver.value_cap-inf", "policy.e", "plant.a-string", "plant.a-bool",
             "plant.x0-null", "solver.value_cap-bool", "solver.value_cap-string",
             "solver.grid.half_width-null", "sim.trials-float", "sim.trials-bool",
-            "sim.seed-string"])
+            "sim.seed-string", "policy.n"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
         # JSON's NaN and Infinity literals, and a policy row off the grid
         config = json.loads(write_config(
@@ -187,8 +194,11 @@ class TestExitCodes:
                           policy_csv)
         section, key = field.rsplit(".", 1)
         if section == "policy":
+            row = {"n": 1, "q": 0, "e": -8.0, "transmit": 0}
+            row[key] = value
             text = policy_csv.read_text()
-            policy_csv.write_text(text.replace("\n1,0,-8.0,0\n", f"\n1,0,{value!r},0\n"))
+            policy_csv.write_text(text.replace(
+                "\n1,0,-8.0,0\n", "\n" + ",".join(map(repr, row.values())) + "\n"))
         else:
             node = config
             for name in section.split("."):
@@ -209,7 +219,14 @@ class TestExitCodes:
         ({"channel": {"builder": "workload_chain", "params": [4]}},
          "config section 'params' is not a JSON object"),
         ({"channel": {"builder": ["energy_harvesting"]}}, "unknown channel builder"),
-    ], ids=["plant", "grid", "sim", "params", "builder"])
+        ({"plant": None}, "config is missing the 'plant' section"),
+        ({"plant": {"sigma2": 1.0, "horizon": 4}},
+         "plant: malformed plant description: missing 'a'"),
+        ({"channel": {"builder": "workload_chain",
+                      "params": {"window": 0, "drop_probs": [0.5]}}},
+         "channel builder 'workload_chain': window must be >= 1, got 0"),
+    ], ids=["plant", "grid", "sim", "params", "builder", "plant-missing", "plant.a-missing",
+            "window"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
@@ -228,8 +245,13 @@ class TestExitCodes:
         ("drop_probs", [0.5, True], "drop_probs must be numbers, got True"),
         ("transmit_allowed", [True, "false"],
          "transmit_allowed must be true or false, got 'false'"),
+        ("num_states", 0, "num_states must be >= 1, got 0"),
+        ("initial_state", 2, "initial_state 2 outside 0..1"),
+        ("transitions", [[1, None], [0, 0]],
+         "state 0: missing r=1 transition at an unmasked state"),
     ], ids=["num_states", "initial_state", "transitions", "transitions-triple",
-            "transitions-single", "drop_probs-string", "drop_probs-bool", "transmit_allowed"])
+            "transitions-single", "drop_probs-string", "drop_probs-bool", "transmit_allowed",
+            "num_states-zero", "initial_state-outside", "transitions-unmasked-none"])
     def test_mistyped_fsm_field_exits_2(self, tmp_path, capsys, field, value, message):
         fsm = {"num_states": 2, "transitions": [[1, 1], [0, 0]], "drop_probs": [0.5, 0.5],
                "initial_state": 0, "transmit_allowed": [True, True]}
@@ -273,6 +295,21 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"{command} takes no {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve-symmetric", "solve-iid", "simulate"])
+    def test_command_without_its_config_exits_2(self, tmp_path, capsys, command):
+        args = [command] + (["policy.csv"] if command == "simulate" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "x")] + args)
+        assert exc.value.code == 2
+        assert f"{command} requires --config" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1.1, 1.0]")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "solve-symmetric"]) == 2
+        assert f"config {cfg} is not a JSON object" in capsys.readouterr().err
+
     def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
         def planted(*args, **kwargs):
             raise ValueError("planted solver bug")
@@ -306,6 +343,13 @@ class TestSolveIid:
         # masked battery levels never transmit
         assert not decide_many(policy, 1, [0], [100.0])[0]
 
+    def test_malformed_solver_section_exits_2(self, tmp_path, capsys):
+        # the solver settings enter the policy's provenance
+        cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 5},
+                           solver={"grid": {"num_point": 8001}})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
+        assert "unknown solver" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_round_trip_decisions_and_agreement(self, tmp_path, capsys):
@@ -319,13 +363,12 @@ class TestSimulate:
         text = capsys.readouterr().out
         assert "standard errors" in text
         sim = json.loads((out / "sim" / "sim_summary.json").read_text())
-        gap_se = abs(sim["total"] - float(
-            json.loads((out / "summary.json").read_text())["value_at_origin"]))
+        report = json.loads((out / "structure_report.json").read_text())
+        gap_se = abs(sim["total"] - float(report["value_at_origin"]))
         assert gap_se <= 4 * sim["total_se"]
         # reloaded policy reproduces the solver's decisions bit for bit
         policy, meta = load_policy_csv(out / "policy.csv")
-        assert meta["provenance"] == json.loads(
-            (out / "summary.json").read_text())["provenance"]
+        assert meta["provenance"] == report["provenance"]
 
     def test_provenance_mismatch_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -337,6 +380,19 @@ class TestSimulate:
                      "--trials", "50", "simulate", str(out / "policy.csv")])
         assert code == 0
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma2, warns", [(1.0, False), (4.0, True)],
+                             ids=["matching", "mismatched"])
+    def test_interval_policy_provenance_is_checked(self, tmp_path, capsys, sigma2, warns):
+        white = {"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 5}
+        out = tmp_path / "run"
+        assert main(["--config", str(write_config(tmp_path, plant=white)), "--out", str(out),
+                     "solve-iid"]) == 0
+        cfg = write_config(tmp_path, plant={**white, "sigma2": sigma2})
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", str(out / "sim"), "--trials", "50",
+                     "simulate", str(out / "policy.csv")]) == 0
+        assert ("does not match" in capsys.readouterr().err) == warns
 
     def test_one_trial_prints_the_gap_without_a_ratio(self, tmp_path, capsys):
         cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 3})
@@ -432,9 +488,18 @@ class TestVerify:
         assert main(["--out", str(tmp_path), "verify"]) == 0
         assert "all properties verified" in capsys.readouterr().out
 
-    def test_injected_defect_names_the_check(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "verify",
-                     "--inject-defect", "value-table"])
+    def test_injected_defect_names_the_check(self, tmp_path, capsys, monkeypatch):
+        solve = dp_symmetric.solve_and_extract
+
+        def corrupted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            values = result.table.values.copy()
+            values[2, 2, -1] -= 1.0
+            return dataclasses.replace(
+                result, table=dataclasses.replace(result.table, values=values))
+
+        monkeypatch.setattr(dp_symmetric, "solve_and_extract", corrupted)
+        code = main(["--out", str(tmp_path), "verify"])
         assert code == 1
         out = capsys.readouterr().out
         assert "verification failed at: check_value_structure" in out

@@ -240,6 +240,8 @@ class TestBackwardInduction:
         fsm = energy_harvesting_fsm(4, 2, 0.3)
         table = iid_backward_induction(fsm, 1.0, 4)
         assert np.array_equal(table.values[-1], np.zeros(5))
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            iid_backward_induction(fsm, 1.0, 0)
 
     def test_single_stage_reduces_to_interval_optimization(self):
         fsm = ChannelFsm(1, ((0, 0),), (0.3,), 0, (True,))

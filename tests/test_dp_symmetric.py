@@ -200,6 +200,23 @@ class TestStructureChecks:
         hits = [v for v in report.violations if (v.n, v.q) == (3, 2)]
         assert hits and hits[0].e == pytest.approx(table.grid.half_width)
 
+    def test_minimum_off_zero_is_reported(self):
+        # the slice dips 0.5e-8 per step for 10 steps on each side of e = 0
+        # and is 1.0 at both ends: every step is within the tolerance (1e-8
+        # of the range), its 5e-8 total is not
+        table = backward_induction(PlantModel(a=1.0, sigma2=1.0, horizon=1),
+                                   single_state(0.5), SolverSettings(num_points=41))
+        k = np.abs(np.arange(41) - 20)
+        dip = np.where(k <= 10, 0.5e-8 * (10 - k), 0.0)
+        dip[[0, -1]] = 1.0
+        values = table.values.copy()
+        values[0, 0] = dip
+        report = check_value_structure(dataclasses.replace(table, values=values))
+        # reported at the first lowest point
+        assert [(v.n, v.q, v.kind, v.e) for v in report.violations] == [
+            (1, 0, "argmin not at zero", float(table.grid.points[1]))]
+        assert report.violations[0].magnitude == pytest.approx(5e-8, rel=1e-12)
+
     def test_terminal_slice_passes(self):
         plant = PlantModel(a=1.0, sigma2=1.0, horizon=1)
         table = backward_induction(plant, single_state(0.5),

@@ -229,6 +229,9 @@ class TestSimulatorBasics:
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,n,x,xhat,e,r,c,q"
         assert len(lines) == 1 + 20 * 4
+        untraced = simulate(plant, fsm, res.threshold_policy, trials=20, seed=2)
+        with pytest.raises(ValueError, match="run without collect_trace"):
+            write_trace_csv(untraced, path)
 
 
 def _mirror_case(flip):
@@ -389,6 +392,16 @@ class TestDiscreteOracles:
             _, minimizers = exhaustive_policy_search(inst)
             assert any(minimizer_has_interval_structure(inst, p)
                        for p in minimizers), trial
+
+    @pytest.mark.parametrize("support, horizon, message", [
+        (((1.0, 0.5), (-1.0, 0.5)), 1, "support values must be sorted ascending"),
+        (((-1.0, 0.5), (1.0, 0.6)), 1, "support probabilities must be nonnegative and sum"),
+        (((-1.0, -0.5), (1.0, 1.5)), 1, "support probabilities must be nonnegative and sum"),
+        (((-1.0, 0.5), (1.0, 0.5)), 0, "horizon must be >= 1"),
+    ], ids=["unsorted", "sum", "negative", "horizon"])
+    def test_invalid_instance_rejected(self, support, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteInstance(support=support, fsm=single_state(0.5), horizon=horizon)
 
     def test_enumeration_cap_enforced(self):
         support = tuple((float(v), 0.2) for v in (-2, -1, 0, 1, 2))

@@ -122,8 +122,15 @@ class TestDecide:
          r"indicator shape \(3, 5\) != \(N, m, 5\)"),
         (lambda: TransmitPolicy.gridded(ErrorGrid(2.0, 5), np.zeros((3, 2, 7), dtype=bool)),
          r"indicator shape \(3, 2, 7\) != \(N, m, 5\)"),
+        (lambda: TransmitPolicy("circle", intervals=np.zeros((3, 2, 2))),
+         "unknown policy kind 'circle'"),
+        (lambda: TransmitPolicy("gridded", grid=ErrorGrid(2.0, 5)),
+         "gridded policy needs grid and indicator"),
+        (lambda: extract_threshold(ErrorGrid(2.0, 5), np.zeros((3, 7), dtype=bool)),
+         "transmit set shape does not match grid"),
     ], ids=["intervals-2d", "intervals-last-axis", "symmetric-1d", "indicator-2d",
-            "indicator-last-axis"])
+            "indicator-last-axis", "unknown-kind", "gridded-without-indicator",
+            "transmit-sets"])
     def test_array_shape_is_checked(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -481,7 +488,8 @@ class TestCsvLoading:
 
     @pytest.mark.parametrize("key, value", [
         ("horizon", "2.0"), ("horizon", "0"), ("num_states", "-1")] + [
-        ("grid_half_width", value) for value in ("abc", "nan", "0", "-1", "inf")])
+        ("grid_half_width", value) for value in ("abc", "nan", "0", "-1", "inf")] + [
+        ("kind", "circle")])
     def test_bad_header_value_is_rejected(self, tmp_path, capsys, key, value):
         path = tmp_path / "policy.csv"
         export_policy_csv(TransmitPolicy.gridded(ErrorGrid(3.0, 7), np.zeros((2, 5, 7), bool))
@@ -491,7 +499,8 @@ class TestCsvLoading:
         head = [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
                 for line in head]
         path.write_text("".join(head + rows))
-        message = f"header line '# {key}={value}'"
+        message = (f"unknown policy kind {value!r}" if key == "kind"
+                   else f"header line '# {key}={value}'")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_policy_csv(path)
         config = tmp_path / "config.json"

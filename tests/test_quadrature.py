@@ -115,6 +115,17 @@ class TestTruncatedMoments:
 
 
 class TestGaussianExpectation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gaussian_partial_moments(0.0, -1.0, 1.0), "sigma2 must be positive, got 0.0"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, -1.0),
+         "sigma2 must be positive, got -1.0"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, 1.0).apply(
+            np.zeros((2, 7))), r"values shape \(2, 7\) does not match grid \(\.\.\., 9\)"),
+    ], ids=["moments-sigma2", "operator-sigma2", "apply-shape"])
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_constant_invariance(self):
         grid = ErrorGrid(8.0, 501)
         op = GaussianExpectationOperator(grid, 0.9, 1.3)
