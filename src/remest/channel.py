@@ -36,7 +36,9 @@ class ChannelFsm:
         Action mask; masked states must carry drop probability 1.
 
     Construction raises ``ValueError("invalid channel FSM: ...")`` listing
-    every violated invariant.
+    every violated invariant. The sequences may be given as JSON lists and
+    are stored as tuples, so a config's ``fsm`` section is read with
+    ``ChannelFsm(**section)`` and written with ``dataclasses.asdict``.
     """
 
     num_states: int
@@ -62,7 +64,10 @@ class ChannelFsm:
 def _violations(fsm: ChannelFsm):
     """Every invariant violation of an FSM description, as readable strings;
     the first entry of the wrong type in each field (a bool is no number)
-    is reported alone."""
+    is reported alone, and so is the first transition that is no pair."""
+    for i, t in enumerate(fsm.transitions):
+        if not (isinstance(t, (list, tuple)) and len(t) == 2):
+            return [f"transitions[{i}] must be a 2-element list, got {t!r}"]
     integer = functools.partial(is_number, kind=numbers.Integral)
     fields = (("num_states", [fsm.num_states], integer, "an integer"),
               ("initial_state", [fsm.initial_state], integer, "an integer"),
@@ -164,30 +169,3 @@ def workload_chain_fsm(window: int, drop_probs) -> ChannelFsm:
     transitions = tuple((max(i - 1, 0), min(i + 1, window)) for i in range(window + 1))
     return ChannelFsm(window + 1, transitions, tuple(drop_probs), initial_state=0,
                       transmit_allowed=tuple(True for _ in range(window + 1)))
-
-
-def fsm_to_dict(fsm: ChannelFsm) -> dict:
-    return {
-        "num_states": fsm.num_states,
-        "transitions": [[t0, t1] for t0, t1 in fsm.transitions],
-        "drop_probs": list(fsm.drop_probs),
-        "initial_state": fsm.initial_state,
-        "transmit_allowed": list(fsm.transmit_allowed),
-    }
-
-
-def fsm_from_dict(data: dict) -> ChannelFsm:
-    try:
-        for i, t in enumerate(data["transitions"]):
-            if not (isinstance(t, (list, tuple)) and len(t) == 2):
-                raise ValueError(f"invalid channel FSM: transitions[{i}] must be a "
-                                 f"2-element list, got {t!r}")
-        return ChannelFsm(
-            num_states=data["num_states"],
-            transitions=tuple(map(tuple, data["transitions"])),
-            drop_probs=tuple(data["drop_probs"]),
-            initial_state=data["initial_state"],
-            transmit_allowed=tuple(data["transmit_allowed"]),
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed FSM description: {exc}") from exc

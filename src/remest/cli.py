@@ -17,13 +17,16 @@ Commands
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
 config, flag or policy CSV, a non-finite number included, or solver
 overflow), 3 internal error (the traceback goes to stderr). Plant, channel
-and solver settings check themselves when built; ``_read`` turns the error
-into a :class:`ConfigError` that names the input.
+and solver settings check themselves when built, an unknown key included;
+``_read`` turns the error into a :class:`ConfigError` that names the input.
+The other sections (the top level, ``channel`` and ``sim``) are checked for
+unknown keys here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import numbers
 import sys
@@ -37,7 +40,7 @@ from . import dp_iid
 from . import dp_symmetric as dps
 from . import oracle_sim
 from .policy import export_policy_csv, load_policy_csv
-from .process import PlantModel, is_number, plant_from_dict, plant_to_dict
+from .process import PlantModel, is_number
 from .quadrature import ErrorGrid
 
 
@@ -51,9 +54,10 @@ BUILDERS = {
 }
 
 
-def _read(what, reader, *args, **kwargs):
+def _read(what, reader, /, *args, **kwargs):
     """``reader(*args, **kwargs)``; an error that bad input makes it raise
-    becomes a :class:`ConfigError` that begins with ``what``."""
+    becomes a :class:`ConfigError` that begins with ``what``. The first two
+    parameters are positional-only, so any config key can be a keyword."""
     try:
         return reader(*args, **kwargs)
     except (OSError, TypeError, ValueError, OverflowError) as exc:
@@ -70,15 +74,22 @@ def _section(parent: dict, name: str, required: bool = False) -> dict:
     return section
 
 
+def _check_keys(where: str, section: dict, keys) -> None:
+    """A key of ``section`` outside ``keys`` is a :class:`ConfigError`."""
+    if unknown := sorted(set(section) - set(keys)):
+        raise ConfigError(f"unknown {where} keys {unknown}")
+
+
 def load_config(path) -> dict:
     config = _read(f"config {path}", lambda: json.loads(Path(path).read_text()))
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} is not a JSON object")
+    _check_keys("config", config, ("plant", "channel", "solver", "sim"))
     return config
 
 
 def plant_from_config(config: dict) -> PlantModel:
-    return _read("plant", plant_from_dict, _section(config, "plant", required=True))
+    return _read("plant", PlantModel, **_section(config, "plant", required=True))
 
 
 def fsm_from_config(config: dict) -> ch.ChannelFsm:
@@ -86,7 +97,9 @@ def fsm_from_config(config: dict) -> ch.ChannelFsm:
     if ("builder" in section) == ("fsm" in section):
         raise ConfigError("channel section needs exactly one of 'builder' or 'fsm'")
     if "fsm" in section:
-        return _read("channel", ch.fsm_from_dict, section["fsm"])
+        _check_keys("channel", section, ("fsm",))
+        return _read("channel", ch.ChannelFsm, **_section(section, "fsm"))
+    _check_keys("channel", section, ("builder", "params"))
     name = section["builder"]
     if not isinstance(name, str) or name not in BUILDERS:
         raise ConfigError(f"unknown channel builder {name!r}; "
@@ -130,8 +143,8 @@ def cmd_solve_symmetric(args) -> int:
     v, margin, satisfied = dps.threshold_optimality_condition(plant, fsm)
     report = {
         "provenance": table.provenance,
-        "plant": plant_to_dict(plant),
-        "channel": ch.fsm_to_dict(fsm),
+        "plant": dataclasses.asdict(plant),
+        "channel": dataclasses.asdict(fsm),
         "grid": {"half_width": table.grid.half_width,
                  "num_points": table.grid.num_points},
         "value_at_origin": dp_value,
@@ -160,7 +173,8 @@ def cmd_solve_iid(args) -> int:
             f"solve-iid requires plant gain a = 0 (got a={plant.a}); "
             "use solve-symmetric for a coupled plant")
     fsm = fsm_from_config(config)
-    provenance = dps.provenance_hash(plant, fsm, settings_from_config(config))
+    settings_from_config(config)  # checked, though no setting shapes the intervals
+    provenance = dps.provenance_hash(plant, fsm)
     out = _out_dir(args)
     table = dp_iid.iid_backward_induction(fsm, plant.sigma2, plant.horizon)
     dp_iid.export_iid_table_csv(table, out / "iid_table.csv")
@@ -187,6 +201,7 @@ def cmd_simulate(args) -> int:
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
     sim = _section(config, "sim")
+    _check_keys("sim", sim, ("trials", "seed"))
     trials = args.trials if args.trials is not None else _sim_count(sim, "trials", 10000)
     seed = args.seed if args.seed is not None else _sim_count(sim, "seed", 0)
     if trials < 1:
@@ -198,7 +213,8 @@ def cmd_simulate(args) -> int:
     policy, meta = _read(where, load_policy_csv, args.policy)
     _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
     dp_value = _read(where, float, meta["dp_value"]) if "dp_value" in meta else None
-    expected = dps.provenance_hash(plant, fsm, settings)
+    expected = dps.provenance_hash(plant, fsm,
+                                   None if policy.kind == "interval_pair" else settings)
     if "provenance" in meta and meta["provenance"] != expected:
         print(f"warning: policy provenance {meta['provenance']} does not match "
               f"config ({expected})", file=sys.stderr)

@@ -88,20 +88,22 @@ def _interval_terms(sigma2, lo, hi):
 
 
 NEVER_TRANSMIT = (-math.inf, math.inf)
-# The coarse search covers [-SPAN, SPAN] source standard deviations; local
-# refinement stops once its window is below REFINE_TOL standard deviations.
+# The coarse search covers [-SPAN, SPAN] source standard deviations with
+# COARSE points per axis; local refinement stops once its window is below
+# REFINE_TOL standard deviations.
 SPAN = 6.0
+COARSE = 121
 REFINE_TOL = 1e-6
 # An interval optimum counts as asymmetric when it beats the best symmetric
 # rule by more than this fraction of the source variance.
 ASYMMETRY_TOL = 1e-7
 
 
-def optimize_interval(sigma2: float, p_drop, continuation_gap, coarse: int = 121):
+def optimize_interval(sigma2: float, p_drop, continuation_gap):
     """Best no-transmit interval for one stage plus transition coupling.
 
     Minimizes ``stage cost + p_transmit * continuation_gap`` over
-    tau_lo <= tau_hi by a ``coarse``-point grid over [-SPAN*sigma,
+    tau_lo <= tau_hi by a ``COARSE``-point grid over [-SPAN*sigma,
     SPAN*sigma]^2 followed by zooming local refinement down to
     ``REFINE_TOL * sigma``.
     The never-transmit rule (interval = whole line) competes as an explicit
@@ -114,12 +116,10 @@ def optimize_interval(sigma2: float, p_drop, continuation_gap, coarse: int = 121
     are refined together. Returns ``(tau_lo, tau_hi, objective)``: floats
     for scalar settings, arrays otherwise.
     """
-    return _zoom(_interval_search, sigma2, p_drop, continuation_gap, -SPAN, coarse,
-                 NEVER_TRANSMIT)
+    return _zoom(_interval_search, sigma2, p_drop, continuation_gap, -SPAN, NEVER_TRANSMIT)
 
 
-def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap,
-                                 coarse: int = 121):
+def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap):
     """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
 
     Same objective as :func:`optimize_interval` restricted to the symmetric
@@ -128,11 +128,10 @@ def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap,
     :func:`optimize_interval`. Returns ``(tau, objective)`` with tau = inf
     when never-transmit wins.
     """
-    return _zoom(_symmetric_search, sigma2, p_drop, continuation_gap, 0.0, coarse,
-                 (math.inf,))
+    return _zoom(_symmetric_search, sigma2, p_drop, continuation_gap, 0.0, (math.inf,))
 
 
-def _zoom(search, sigma2, p_drop, continuation_gap, start, coarse, never_transmit):
+def _zoom(search, sigma2, p_drop, continuation_gap, start, never_transmit):
     """The search loop of both optimizers: ``search(sigma2, p, gap, *axes)``
     returns each state's best coordinates (one per entry of
     ``never_transmit``) and objective over one axis row per state, or one
@@ -143,9 +142,9 @@ def _zoom(search, sigma2, p_drop, continuation_gap, start, coarse, never_transmi
     scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
     p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
                                  np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
-    axis = np.linspace(start * sigma, SPAN * sigma, coarse)[None, :]
+    axis = np.linspace(start * sigma, SPAN * sigma, COARSE)[None, :]
     best = search(sigma2, p, gap, *[axis] * len(never_transmit))  # coordinates, objective
-    window = (SPAN - start) * sigma / (coarse - 1)
+    window = (SPAN - start) * sigma / (COARSE - 1)
     while window > REFINE_TOL * sigma:
         offsets = np.linspace(-window, window, 21)
         cand = search(sigma2, p, gap, *[x[:, None] + offsets for x in best[:-1]])
@@ -216,8 +215,7 @@ class IidValueTable:
         return float(self.values[0, self.fsm.initial_state])
 
 
-def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
-                           coarse: int = 121) -> IidValueTable:
+def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidValueTable:
     """Backward induction over channel states for a white Gaussian source.
 
     Each stage solves one interval optimization for all transmit-allowed
@@ -246,8 +244,8 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int,
         values[s] = sigma2 + values[s + 1, q0]
         silent_next = values[s + 1, q0[allowed]]
         gap = values[s + 1, q1] - silent_next
-        lo, hi, obj = optimize_interval(sigma2, p, gap, coarse=coarse)
-        _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap, coarse=coarse)
+        lo, hi, obj = optimize_interval(sigma2, p, gap)
+        _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap)
         values[s, allowed] = obj + silent_next
         intervals[s, allowed, 0], intervals[s, allowed, 1] = lo, hi
         log += [(s + 1, int(allowed[k]), float(obj_sym[k]), float(obj[k]))

@@ -29,14 +29,14 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelFsm, fsm_to_dict, reachable_pairs
+from .channel import ChannelFsm, reachable_pairs
 from .policy import TransmitPolicy, extract_threshold, write_csv
-from .process import PlantModel, is_number, plant_to_dict
+from .process import PlantModel, is_number
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
 
@@ -100,15 +100,17 @@ class SolverSettings:
                    value_cap=data.get("value_cap", 1e12))
 
 
-def provenance_hash(plant: PlantModel, fsm: ChannelFsm, settings: SolverSettings) -> str:
-    """Stable digest of everything that determines solver output, including
-    the grid ``settings`` resolves for ``plant``."""
-    grid = settings.make_grid(plant)
-    blob = json.dumps({"plant": plant_to_dict(plant), "fsm": fsm_to_dict(fsm),
-                       "settings": settings.to_dict(),
-                       "grid": {"half_width": grid.half_width,
-                                "num_points": grid.num_points}}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def provenance_hash(plant: PlantModel, fsm: ChannelFsm,
+                    settings: Optional[SolverSettings] = None) -> str:
+    """Stable digest of everything that determines a solver's output: the
+    plant and the channel, and for the grid solver its ``settings`` with the
+    grid they resolve for ``plant`` (the white-source solver takes none)."""
+    blob = {"plant": asdict(plant), "fsm": asdict(fsm)}
+    if settings is not None:
+        grid = settings.make_grid(plant)
+        blob.update(settings=settings.to_dict(),
+                    grid={"half_width": grid.half_width, "num_points": grid.num_points})
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

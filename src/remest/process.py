@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def is_number(value, kind=numbers.Real) -> bool:
@@ -17,13 +17,15 @@ class PlantModel:
     """Scalar linear plant x' = a*x + w with w ~ N(0, sigma2).
 
     The initial state x0 is known to the estimator, so the error starts
-    at zero. ``horizon`` is the number of decision stages.
+    at zero. ``horizon`` is the number of decision stages. A config's
+    ``plant`` section is read with ``PlantModel(**section)`` and written with
+    ``dataclasses.asdict``.
     """
 
     a: float
     sigma2: float
     x0: float = 0.0
-    horizon: int = 1
+    horizon: int = field(kw_only=True)  # required, so a config must name it
 
     def __post_init__(self):
         for name in ("a", "x0", "sigma2"):
@@ -52,16 +54,3 @@ def predicted_open_loop_cost(plant: PlantModel) -> float:
         var = plant.a ** 2 * var + plant.sigma2
         total += var
     return total
-
-
-def plant_to_dict(plant: PlantModel) -> dict:
-    return {"a": plant.a, "sigma2": plant.sigma2, "x0": plant.x0,
-            "horizon": plant.horizon}
-
-
-def plant_from_dict(data: dict) -> PlantModel:
-    try:
-        return PlantModel(a=data["a"], sigma2=data["sigma2"], x0=data.get("x0", 0.0),
-                          horizon=data["horizon"])
-    except KeyError as exc:
-        raise ValueError(f"malformed plant description: missing {exc}") from exc

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from remest import dp_iid
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.dp_iid import (iid_backward_induction, iid_stage_cost,
                            optimize_symmetric_threshold)
@@ -215,7 +216,7 @@ def _quad_stage_cost(sigma2, p_drop, lo, hi):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_criterion_09_white_source_solver():
+def test_criterion_09_white_source_solver(monkeypatch):
     rng = np.random.default_rng(2718)
     worst = 0.0
     for _ in range(1000):
@@ -229,8 +230,9 @@ def test_criterion_09_white_source_solver():
     cost_ok = worst < 1e-8
 
     fsm = energy_harvesting_fsm(4, 2, 0.3)
-    base = iid_backward_induction(fsm, 1.0, 5, coarse=121)
-    fine = iid_backward_induction(fsm, 1.0, 5, coarse=241)
+    base = iid_backward_induction(fsm, 1.0, 5)
+    monkeypatch.setattr(dp_iid, "COARSE", 241)
+    fine = iid_backward_induction(fsm, 1.0, 5)
     stable = float(np.max(np.abs(base.values - fine.values)))
     stable_ok = stable < 1e-4
 

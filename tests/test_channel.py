@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.channel import (ChannelFsm, energy_harvesting_fsm, fsm_from_dict,
-                            fsm_to_dict, workload_chain_fsm)
+from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.oracle_sim import simulate
 from remest.policy import TransmitPolicy
 from remest.process import PlantModel
@@ -141,21 +140,31 @@ class TestSampling:
         assert np.array_equal(seq1, seq2)
 
 
+def json_round_trip(fsm):
+    """The FSM a config's ``fsm`` section written from ``fsm`` reads back as."""
+    return ChannelFsm(**json.loads(json.dumps(dataclasses.asdict(fsm))))
+
+
 class TestJsonSchema:
     def test_round_trip(self, energy):
-        again = fsm_from_dict(json.loads(json.dumps(fsm_to_dict(energy))))
-        assert again == energy
+        assert json_round_trip(energy) == energy
 
     def test_null_transmit_target_only_when_masked(self, energy):
-        data = json.dumps(fsm_to_dict(energy))
-        assert '"transitions"' in data
-        again = fsm_from_dict(json.loads(data))
+        data = json.dumps(dataclasses.asdict(energy))
+        assert '"transitions": [[1, null], ' in data
+        again = json_round_trip(energy)
         assert again.transitions[0][1] is None
         assert not again.transmit_allowed[0]
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            fsm_from_dict(json.loads('{"num_states": 2}'))
+        with pytest.raises(TypeError, match="missing 4 required positional arguments"):
+            ChannelFsm(**json.loads('{"num_states": 2}'))
+
+    @pytest.mark.parametrize("pair", [[1, 1, 7], [1], 1, None],
+                             ids=["triple", "single", "int", "null"])
+    def test_transition_that_is_no_pair_rejected(self, pair):
+        assert violations(2, [pair, [0, 0]], [0.5, 0.5], 0, [True, True]) == [
+            f"transitions[0] must be a 2-element list, got {pair!r}"]
 
 
 @st.composite
@@ -191,7 +200,7 @@ class TestBuilderProperties:
     @settings(max_examples=100, deadline=None)
     @given(fsm=built_fsms())
     def test_dict_round_trip(self, fsm):
-        assert fsm_from_dict(json.loads(json.dumps(fsm_to_dict(fsm)))) == fsm
+        assert json_round_trip(fsm) == fsm
 
     @settings(max_examples=100, deadline=None)
     @given(fsm=built_fsms(), data=st.data())

@@ -221,17 +221,51 @@ class TestExitCodes:
         ({"channel": {"builder": ["energy_harvesting"]}}, "unknown channel builder"),
         ({"plant": None}, "config is missing the 'plant' section"),
         ({"plant": {"sigma2": 1.0, "horizon": 4}},
-         "plant: malformed plant description: missing 'a'"),
+         "plant: PlantModel.__init__() missing 1 required positional argument: 'a'"),
+        ({"plant": {"a": 1.1, "sigma2": 1.0}},
+         "plant: PlantModel.__init__() missing 1 required keyword-only argument: 'horizon'"),
+        ({"channel": {"fsm": {"num_states": 1, "transitions": [[0, 0]], "drop_probs": [0.5],
+                              "initial_state": 0}}},
+         "channel: ChannelFsm.__init__() missing 1 required positional argument: "
+         "'transmit_allowed'"),
+        ({"channel": {"fsm": [1]}}, "config section 'fsm' is not a JSON object"),
         ({"channel": {"builder": "workload_chain",
                       "params": {"window": 0, "drop_probs": [0.5]}}},
          "channel builder 'workload_chain': window must be >= 1, got 0"),
     ], ids=["plant", "grid", "sim", "params", "builder", "plant-missing", "plant.a-missing",
-            "window"])
+            "plant.horizon-missing", "fsm.transmit_allowed-missing", "fsm", "window"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
                      "simulate", str(tmp_path / "policy.csv")])
         assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("", "solvr", "unknown config keys ['solvr']"),
+        ("plant", "x_0", "plant: PlantModel.__init__() got an unexpected keyword argument "
+                         "'x_0'"),
+        ("channel", "param", "unknown channel keys ['param']"),
+        ("channel.fsm", "drop_prob", "channel: ChannelFsm.__init__() got an unexpected "
+                                     "keyword argument 'drop_prob'"),
+        ("sim", "trails", "unknown sim keys ['trails']"),
+    ], ids=["top-level", "plant", "channel", "channel.fsm", "sim"])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, section, key, message):
+        fsm = {"num_states": 1, "transitions": [[0, 0]], "drop_probs": [0.5],
+               "initial_state": 0, "transmit_allowed": [True]}
+        config = json.loads(write_config(
+            tmp_path, plant={"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 3},
+            channel={"fsm": fsm}).read_text())
+        node = config
+        for name in filter(None, section.split(".")):
+            node = node[name]
+        node[key] = 1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((3, 1))), policy_csv)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
+                     "simulate", str(policy_csv)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
@@ -344,7 +378,7 @@ class TestSolveIid:
         assert not decide_many(policy, 1, [0], [100.0])[0]
 
     def test_malformed_solver_section_exits_2(self, tmp_path, capsys):
-        # the solver settings enter the policy's provenance
+        # checked like every other section, though no setting shapes the intervals
         cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 5},
                            solver={"grid": {"num_point": 8001}})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
@@ -381,17 +415,22 @@ class TestSimulate:
         assert code == 0
         assert "does not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma2, warns", [(1.0, False), (4.0, True)],
-                             ids=["matching", "mismatched"])
-    def test_interval_policy_provenance_is_checked(self, tmp_path, capsys, sigma2, warns):
+    @pytest.mark.parametrize("sigma2, solver, flags, warns", [
+        (1.0, {}, [], False), (4.0, {}, [], True),
+        (1.0, {}, ["--grid-points", "201"], False),
+        (1.0, {"solver": {"grid": {"num_points": 4001}}}, [], False),
+    ], ids=["matching", "mismatched", "grid-points", "solver-grid"])
+    def test_interval_policy_provenance_is_checked(self, tmp_path, capsys, sigma2, solver,
+                                                   flags, warns):
+        # no solver setting shapes an interval policy, so none enters its provenance
         white = {"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 5}
         out = tmp_path / "run"
         assert main(["--config", str(write_config(tmp_path, plant=white)), "--out", str(out),
                      "solve-iid"]) == 0
-        cfg = write_config(tmp_path, plant={**white, "sigma2": sigma2})
+        cfg = write_config(tmp_path, plant={**white, "sigma2": sigma2}, **solver)
         capsys.readouterr()
-        assert main(["--config", str(cfg), "--out", str(out / "sim"), "--trials", "50",
-                     "simulate", str(out / "policy.csv")]) == 0
+        assert main(["--config", str(cfg), "--out", str(out / "sim"), "--trials", "50"]
+                    + flags + ["simulate", str(out / "policy.csv")]) == 0
         assert ("does not match" in capsys.readouterr().err) == warns
 
     def test_one_trial_prints_the_gap_without_a_ratio(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from remest import dp_iid
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.dp_iid import (ASYMMETRY_TOL, NEVER_TRANSMIT, REFINE_TOL, SPAN,
                            IidValueTable, _interval_terms, conditional_estimates,
@@ -304,10 +305,11 @@ class TestBackwardInduction:
                 if sym_obj - obj > 1e-7:
                     assert (s + 1, q) in logged
 
-    def test_search_refinement_stability(self):
+    def test_search_refinement_stability(self, monkeypatch):
         fsm = energy_harvesting_fsm(4, 2, 0.3)
-        base = iid_backward_induction(fsm, 1.0, 3, coarse=121)
-        fine = iid_backward_induction(fsm, 1.0, 3, coarse=241)
+        base = iid_backward_induction(fsm, 1.0, 3)
+        monkeypatch.setattr(dp_iid, "COARSE", 241)
+        fine = iid_backward_induction(fsm, 1.0, 3)
         assert np.max(np.abs(base.values - fine.values)) < 1e-4
 
     def test_policy_export_shape(self):
@@ -462,8 +464,10 @@ class TestBatchedSearchMatchesReference:
     @given(fsm=built_fsms(), sigma2=st.floats(0.1, 4.0), horizon=st.integers(1, 4),
            coarse=st.sampled_from([121, 241]))
     def test_built_fsms_bit_identical(self, fsm, sigma2, horizon, coarse):
-        assert_tables_identical(iid_backward_induction(fsm, sigma2, horizon, coarse),
-                                reference_backward_induction(fsm, sigma2, horizon, coarse))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dp_iid, "COARSE", coarse)
+            got = iid_backward_induction(fsm, sigma2, horizon)
+        assert_tables_identical(got, reference_backward_induction(fsm, sigma2, horizon, coarse))
 
     @settings(max_examples=50, deadline=None)
     @given(sigma2=st.floats(0.1, 4.0), p=st.floats(0.0, 1.0), gap=st.floats(-2.0, 4.0))

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import norm
 
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.cli import _random_discrete_instance
 from remest.dp_iid import conditional_estimates, iid_backward_induction
 from remest.dp_symmetric import SolverSettings, solve_and_extract
 from remest.oracle_sim import (BLOCK_TRIALS, DiscreteInstance,
@@ -26,24 +27,6 @@ def single_state(p_drop):
 
 def never_policy(horizon, states):
     return TransmitPolicy.symmetric(np.full((horizon, states), math.inf))
-
-
-def random_symmetric_instance(rng):
-    k = int(rng.integers(1, 3))
-    pos = np.sort(rng.uniform(0.3, 2.0, size=k))
-    vals = np.concatenate([-pos[::-1], [0.0], pos])
-    raw = rng.uniform(0.2, 1.0, size=k + 1)
-    probs = np.concatenate([raw[1:][::-1], [raw[0]], raw[1:]])
-    probs = probs / probs.sum()
-    m = int(rng.integers(2, 4))
-    transitions = tuple((int(rng.integers(0, m)), int(rng.integers(0, m)))
-                        for _ in range(m))
-    drops = tuple(float(p) for p in rng.uniform(0.0, 0.95, size=m))
-    fsm = ChannelFsm(m, transitions, drops, initial_state=0,
-                     transmit_allowed=tuple(True for _ in range(m)))
-    support = tuple((float(v), float(p)) for v, p in zip(vals, probs))
-    return DiscreteInstance(support=support, fsm=fsm,
-                            horizon=int(rng.integers(1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +294,7 @@ class TestDiscreteOracles:
     def test_dp_equals_exhaustive_on_random_instances(self):
         for trial in range(60):
             rng = np.random.default_rng(9000 + trial)
-            inst = random_symmetric_instance(rng)
+            inst = _random_discrete_instance(rng)
             best, minimizers = exhaustive_policy_search(inst)
             dp_value, _ = discrete_dp(inst)
             assert abs(best - dp_value) <= 1e-12
@@ -388,7 +371,7 @@ class TestDiscreteOracles:
     def test_interval_structure_exists_on_random_instances(self):
         for trial in range(40):
             rng = np.random.default_rng(4000 + trial)
-            inst = random_symmetric_instance(rng)
+            inst = _random_discrete_instance(rng)
             _, minimizers = exhaustive_policy_search(inst)
             assert any(minimizer_has_interval_structure(inst, p)
                        for p in minimizers), trial

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,8 +9,7 @@ import pytest
 from remest.channel import ChannelFsm
 from remest.oracle_sim import simulate
 from remest.policy import TransmitPolicy
-from remest.process import (PlantModel, plant_from_dict, plant_to_dict,
-                            predicted_open_loop_cost)
+from remest.process import PlantModel, predicted_open_loop_cost
 
 
 def error_run(plant, tau, drop=0.5, trials=8, seed=0):
@@ -45,7 +45,7 @@ class TestPlantModel:
         fields = {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 3, field: value}
         message = f"{field} must be a number, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            plant_from_dict(fields)
+            PlantModel(**fields)
 
     def test_numbers_are_stored_as_floats(self):
         plant = PlantModel(a=1, sigma2=2, x0=0, horizon=3)
@@ -55,11 +55,13 @@ class TestPlantModel:
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 2.5, 3.0, "3", 0, True])
     def test_horizon_must_be_a_positive_integer(self, horizon):
         with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
-            plant_from_dict({"a": 1.1, "sigma2": 1.0, "horizon": horizon})
+            PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
 
     def test_json_round_trip(self):
         plant = PlantModel(a=1.1, sigma2=2.0, x0=0.5, horizon=7)
-        assert plant_from_dict(json.loads(json.dumps(plant_to_dict(plant)))) == plant
+        data = json.dumps(dataclasses.asdict(plant))
+        assert data == '{"a": 1.1, "sigma2": 2.0, "x0": 0.5, "horizon": 7}'
+        assert PlantModel(**json.loads(data)) == plant
 
 
 class TestErrorStep:
