@@ -61,10 +61,24 @@ class ChannelFsm:
         return range(self.num_states)
 
 
+def _require(name, value, kind=numbers.Real):
+    """Raise ``ValueError`` naming a builder parameter that is no ``kind``
+    number (a bool is none)."""
+    if not is_number(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 def _violations(fsm: ChannelFsm):
     """Every invariant violation of an FSM description, as readable strings;
-    the first entry of the wrong type in each field (a bool is no number)
-    is reported alone, and so is the first transition that is no pair."""
+    sequence fields that are no list are reported alone, then the first
+    transition that is no pair, then the first entry of the wrong type in
+    each field (a bool is no number)."""
+    not_lists = [f"{name} must be a list, got {seq!r}"
+                 for name in ("transitions", "drop_probs", "transmit_allowed")
+                 if not isinstance(seq := getattr(fsm, name), (list, tuple))]
+    if not_lists:
+        return not_lists
     for i, t in enumerate(fsm.transitions):
         if not (isinstance(t, (list, tuple)) and len(t) == 2):
             return [f"transitions[{i}] must be a 2-element list, got {t!r}"]
@@ -137,6 +151,9 @@ def energy_harvesting_fsm(capacity: int, tx_cost: int, p_tx: float) -> ChannelFs
     Every state that can transmit drops with probability ``p_tx``. The
     battery starts full.
     """
+    _require("capacity", capacity, numbers.Integral)
+    _require("tx_cost", tx_cost, numbers.Integral)
+    _require("p_tx", p_tx)
     if tx_cost < 1 or capacity < tx_cost:
         raise ValueError(f"need capacity >= tx_cost >= 1, got ({capacity}, {tx_cost})")
     transitions = []
@@ -164,8 +181,9 @@ def workload_chain_fsm(window: int, drop_probs) -> ChannelFsm:
     both saturating at the ends. ``drop_probs[i]`` is the probability a
     request in state i goes unanswered. All states allow transmitting.
     """
+    _require("window", window, numbers.Integral)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     transitions = tuple((max(i - 1, 0), min(i + 1, window)) for i in range(window + 1))
-    return ChannelFsm(window + 1, transitions, tuple(drop_probs), initial_state=0,
+    return ChannelFsm(window + 1, transitions, drop_probs, initial_state=0,
                       transmit_allowed=tuple(True for _ in range(window + 1)))

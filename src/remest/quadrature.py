@@ -7,14 +7,17 @@ operation is the Gaussian expectation
     h(e) = E[f(a*e + W)],   W ~ N(0, sigma2),
 
 applied by :class:`GaussianExpectationOperator` to a stack of sampled
-slices at once. The module also provides the unnormalized truncated-normal
-moments behind the operator's tails and the white-source solver, and the
-symmetry/monotonicity check used to validate solver output.
+slices at once; on fine grids it splits its rows over threads, bit for bit
+as one thread would compute them. The module also provides the
+unnormalized truncated-normal moments behind the operator's tails and the
+white-source solver, and the symmetry/monotonicity check used to validate
+solver output.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,6 +152,20 @@ def _fit_tails(x, values):
 # by more than about 1e-20 of the largest sample.
 BAND_Z = 10.0
 
+# A band of E entries is cut into E // SHARE_ENTRIES row shares (at least 1,
+# at most MAX_SHARES and the CPUs this process may use), each built and
+# applied on its own thread.
+SHARE_ENTRIES = 4_000_000
+MAX_SHARES = 4
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
 
 class GaussianExpectationOperator:
     """Precomputed linear map of grid samples f to h(e) = E[f(a*e + W)].
@@ -168,6 +185,15 @@ class GaussianExpectationOperator:
     integrals of the quadratic tails beyond the grid. The build costs
     O(n * band) rather than O(n^2), and one application is a sparse product
     over a stack of sample vectors. The stored arrays are read-only.
+
+    The band is cut into row shares, one CSR matrix per run of rows. With
+    one share the operator works in the calling thread; with more, it owns
+    a pool of one thread per further share (ended when the operator is
+    collected) and builds and applies the shares in parallel, since
+    ``ndtr``, the numpy ufuncs and the CSR kernel release the GIL. The
+    results are bit-identical for any number of shares: each weight comes
+    from the same elementwise ufuncs, each row's sum runs through scipy's
+    sequential CSR kernel, and the tails are fitted once to the whole stack.
     """
 
     def __init__(self, grid: ErrorGrid, a: float, sigma2: float):
@@ -189,26 +215,42 @@ class GaussianExpectationOperator:
         first = np.floor((centers - BAND_Z * sigma + grid.half_width) / dx)
         first = np.clip(first, 0, n - width).astype(np.intp)
         index_dtype = np.int32 if n * width < 2 ** 31 else np.int64  # half the bytes
-        data = np.zeros((n, width))
-        indices = np.empty((n, width), dtype=index_dtype)
-        for start in range(0, n, 256):  # row blocks keep the temporaries small
-            rows = slice(start, start + 256)
-            cols = first[rows, None] + np.arange(width)
-            indices[rows] = cols
-            u, c = xs[cols], centers[rows, None]
-            z = (u - c) / sigma
-            cdf = ndtr(z)
-            dens = _std_pdf(z) / sigma
-            p0 = cdf[:, 1:] - cdf[:, :-1]
-            # integral of u * pdf over each cell
-            p1 = c * p0 + sigma2 * (dens[:, :-1] - dens[:, 1:])
-            block = data[rows]
-            block[:, :-1] += (u[:, 1:] * p0 - p1) / dx
-            block[:, 1:] += (p1 - u[:, :-1] * p0) / dx
-        self._weights = csr_array(
-            (data.reshape(-1), indices.reshape(-1),
-             np.arange(n + 1, dtype=index_dtype) * width),
-            shape=(n, n))
+        num_shares = max(1, min(n * width // SHARE_ENTRIES, _cpu_count(), MAX_SHARES))
+        block = 256 // num_shares  # all shares' temporaries fit one 256-row block
+
+        def fill(share):
+            share_first, share_centers, data, indices = share
+            for start in range(0, len(data), block):
+                rows = slice(start, start + block)
+                cols = share_first[rows, None] + np.arange(width)
+                indices[rows] = cols
+                u, c = xs[cols], share_centers[rows, None]
+                z = (u - c) / sigma
+                cdf = ndtr(z)
+                dens = _std_pdf(z) / sigma
+                p0 = cdf[:, 1:] - cdf[:, :-1]
+                # integral of u * pdf over each cell
+                p1 = c * p0 + sigma2 * (dens[:, :-1] - dens[:, 1:])
+                weights = data[rows]
+                weights[:, :-1] += (u[:, 1:] * p0 - p1) / dx
+                weights[:, 1:] += (p1 - u[:, :-1] * p0) / dx
+            return csr_array(
+                (data.reshape(-1), indices.reshape(-1),
+                 np.arange(len(data) + 1, dtype=index_dtype) * width),
+                shape=(len(data), n))
+
+        self._pool = None
+        if num_shares > 1:
+            from concurrent.futures import ThreadPoolExecutor  # deferred like scipy
+            self._pool = ThreadPoolExecutor(num_shares - 1)
+        # each share owns its arrays, allocated in this thread: scipy copies a
+        # view of less than half its base array, and what a worker allocates
+        # stays in that thread's malloc arena
+        bounds = [n * k // num_shares for k in range(num_shares + 1)]
+        self._shares = self._map(fill, [
+            (first[lo:hi], centers[lo:hi], np.zeros((hi - lo, width)),
+             np.empty((hi - lo, width), dtype=index_dtype))
+            for lo, hi in zip(bounds, bounds[1:])])
         # moments (x^2, x, 1) beyond the left grid end, then the right one (the
         # tail fit's order), from those of x - center ~ N(0, sigma2)
         hw = grid.half_width
@@ -217,9 +259,18 @@ class GaussianExpectationOperator:
             m0, m1, m2 = gaussian_partial_moments(sigma2, lo, hi)
             tails += [m2 + 2.0 * centers * m1 + centers ** 2 * m0, m1 + centers * m0, m0]
         self._tail_moments = np.stack(tails)
-        for arr in (self._weights.data, self._weights.indices,
-                    self._weights.indptr, self._tail_moments):
+        for arr in (self._tail_moments,
+                    *(arr for w in self._shares for arr in (w.data, w.indices, w.indptr))):
             arr.flags.writeable = False
+
+    def _map(self, fn, items):
+        """``[fn(x) for x in items]``, the first item in this thread while the
+        pool's threads, if any, take the others."""
+        if self._pool is None:
+            return [fn(x) for x in items]
+        futures = [self._pool.submit(fn, x) for x in items[1:]]
+        first = fn(items[0])
+        return [first] + [f.result() for f in futures]
 
     def apply(self, values) -> np.ndarray:
         """h on the grid for each f sampled along the last axis of ``values``
@@ -229,7 +280,8 @@ class GaussianExpectationOperator:
         if v.shape[-1:] != (n,):
             raise ValueError(f"values shape {v.shape} does not match grid (..., {n})")
         stack = v.reshape(-1, n)
-        h = (self._weights @ stack.T).T
+        columns = np.ascontiguousarray(stack.T)  # else each product copies it
+        h = np.concatenate(self._map(lambda w: w @ columns, self._shares)).T
         h += np.concatenate(_fit_tails(self.grid.points, stack)).T @ self._tail_moments
         return h.reshape(v.shape)
 

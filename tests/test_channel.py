@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ class TestEnergyBuilder:
         with pytest.raises(ValueError):
             energy_harvesting_fsm(1, 2, 0.3)
 
+    @pytest.mark.parametrize("args, message", [
+        (("4", 2, 0.3), "capacity must be an integer, got '4'"),
+        ((4, 2.0, 0.3), "tx_cost must be an integer, got 2.0"),
+        ((4, True, 0.3), "tx_cost must be an integer, got True"),
+        ((4, 2, "0.3"), "p_tx must be a number, got '0.3'"),
+        ((4, 2, None), "p_tx must be a number, got None"),
+    ], ids=["capacity-string", "tx_cost-float", "tx_cost-bool", "p_tx-string", "p_tx-null"])
+    def test_mistyped_parameter_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            energy_harvesting_fsm(*args)
+
     def test_battery_bookkeeping_along_trajectories(self, energy):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -71,6 +83,15 @@ class TestWorkloadBuilder:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             workload_chain_fsm(4, [0.1, 0.3])
+
+    @pytest.mark.parametrize("window, drop_probs, message", [
+        (1.0, [0.5, 0.5], "window must be an integer, got 1.0"),
+        ("1", [0.5, 0.5], "window must be an integer, got '1'"),
+        (1, 0.5, "invalid channel FSM: drop_probs must be a list, got 0.5"),
+    ], ids=["window-float", "window-string", "drop_probs-number"])
+    def test_mistyped_parameter_named(self, window, drop_probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            workload_chain_fsm(window, drop_probs)
 
 
 def violations(*args, **kwargs):

@@ -232,8 +232,26 @@ class TestExitCodes:
         ({"channel": {"builder": "workload_chain",
                       "params": {"window": 0, "drop_probs": [0.5]}}},
          "channel builder 'workload_chain': window must be >= 1, got 0"),
+        ({"channel": {"builder": "workload_chain",
+                      "params": {"window": 1.0, "drop_probs": [0.5, 0.5]}}},
+         "channel builder 'workload_chain': window must be an integer, got 1.0"),
+        ({"channel": {"builder": "workload_chain",
+                      "params": {"window": 1, "drop_probs": 0.5}}},
+         "channel builder 'workload_chain': invalid channel FSM: drop_probs must be a list, "
+         "got 0.5"),
+        ({"channel": {"builder": "energy_harvesting",
+                      "params": {"capacity": "4", "tx_cost": 2, "p_tx": 0.3}}},
+         "channel builder 'energy_harvesting': capacity must be an integer, got '4'"),
+        ({"channel": {"builder": "energy_harvesting",
+                      "params": {"capacity": 4, "tx_cost": 2.0, "p_tx": 0.3}}},
+         "channel builder 'energy_harvesting': tx_cost must be an integer, got 2.0"),
+        ({"channel": {"builder": "energy_harvesting",
+                      "params": {"capacity": 4, "tx_cost": 2, "p_tx": True}}},
+         "channel builder 'energy_harvesting': p_tx must be a number, got True"),
     ], ids=["plant", "grid", "sim", "params", "builder", "plant-missing", "plant.a-missing",
-            "plant.horizon-missing", "fsm.transmit_allowed-missing", "fsm", "window"])
+            "plant.horizon-missing", "fsm.transmit_allowed-missing", "fsm", "window",
+            "window-float", "workload-drop_probs-number", "capacity-string", "tx_cost-float",
+            "p_tx-bool"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
@@ -283,9 +301,13 @@ class TestExitCodes:
         ("initial_state", 2, "initial_state 2 outside 0..1"),
         ("transitions", [[1, None], [0, 0]],
          "state 0: missing r=1 transition at an unmasked state"),
+        ("transitions", 1, "transitions must be a list, got 1"),
+        ("drop_probs", 0.5, "drop_probs must be a list, got 0.5"),
+        ("transmit_allowed", 1, "transmit_allowed must be a list, got 1"),
     ], ids=["num_states", "initial_state", "transitions", "transitions-triple",
             "transitions-single", "drop_probs-string", "drop_probs-bool", "transmit_allowed",
-            "num_states-zero", "initial_state-outside", "transitions-unmasked-none"])
+            "num_states-zero", "initial_state-outside", "transitions-unmasked-none",
+            "transitions-number", "drop_probs-number", "transmit_allowed-number"])
     def test_mistyped_fsm_field_exits_2(self, tmp_path, capsys, field, value, message):
         fsm = {"num_states": 2, "transitions": [[1, 1], [0, 0]], "drop_probs": [0.5, 0.5],
                "initial_state": 0, "transmit_allowed": [True, True]}
@@ -580,9 +602,11 @@ class TestExportExamples:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported where it is used, so commands that solve nothing
-    # (export-examples, simulating a threshold policy) never pay for it
-    code = "import sys, remest.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # scipy and the operator's thread pool are imported where they are used,
+    # so commands that solve nothing (export-examples, simulating a threshold
+    # policy) never pay for them
+    code = ("import sys, remest.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')])")
     env = dict(os.environ, PYTHONPATH=str(Path(remest.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

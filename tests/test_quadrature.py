@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from remest import quadrature
 from remest.channel import ChannelFsm, energy_harvesting_fsm
 from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
@@ -265,7 +267,9 @@ class TestBandedOperator:
 
         def counting_init(self, grid, a, sigma2):
             real_init(self, grid, a, sigma2)
-            assert not self._weights.data.flags.writeable
+            for share in self._shares:
+                for arr in (share.data, share.indices, share.indptr):
+                    assert not arr.flags.writeable
             assert not self._tail_moments.flags.writeable
             builds.append(weakref.ref(self))
 
@@ -277,6 +281,45 @@ class TestBandedOperator:
         assert builds[0]() is None  # nothing holds the operator past the solve
         check_growth_rate_bound(result.table)
         assert len(builds) == 1
+
+    def test_results_are_bit_identical_for_any_share_count(self, monkeypatch):
+        grid = ErrorGrid(20.0, 401)
+        stack = np.cumsum(np.random.default_rng(5).normal(size=(3, 4, grid.num_points)),
+                          axis=-1)
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)
+        fsm = energy_harvesting_fsm(4, 2, 0.3)
+        results = []
+        for count in (1, 2, 3):
+            with monkeypatch.context() as m:
+                force_shares(m, count)
+                op = GaussianExpectationOperator(grid, 1.1, 0.7)
+                table = backward_induction(plant, fsm, SolverSettings(num_points=401))
+            assert len(op._shares) == count
+            assert sum(share.shape[0] for share in op._shares) == grid.num_points
+            results.append([op.apply(stack)] + [
+                getattr(table, name)
+                for name in ("values", "smoothed", "cost_wait", "cost_send", "transmit")])
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_share_threads_end_with_the_operator(self, monkeypatch):
+        force_shares(monkeypatch, 3)
+        before = set(threading.enumerate())
+        op = GaussianExpectationOperator(ErrorGrid(20.0, 401), 1.1, 0.7)
+        op.apply(np.ones(401))
+        workers = [t for t in threading.enumerate() if t not in before]
+        assert len(workers) == 2  # the calling thread fills and applies one share
+        del op
+        for t in workers:
+            t.join(timeout=10)
+            assert not t.is_alive()
+
+
+def force_shares(monkeypatch, count):
+    """Make every operator band, however small, split into ``count`` row shares."""
+    monkeypatch.setattr(quadrature, "SHARE_ENTRIES", 1)
+    monkeypatch.setattr(quadrature, "_cpu_count", lambda: count)
 
 
 def scalar_shape_scan(grid, v, tol):
