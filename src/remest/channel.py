@@ -15,6 +15,8 @@ import functools
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .process import is_number
 
 
@@ -38,7 +40,10 @@ class ChannelFsm:
     Construction raises ``ValueError("invalid channel FSM: ...")`` listing
     every violated invariant. The sequences may be given as JSON lists and
     are stored as tuples, so a config's ``fsm`` section is read with
-    ``ChannelFsm(**section)`` and written with ``dataclasses.asdict``.
+    ``ChannelFsm(**section)`` and written with ``dataclasses.asdict``. It
+    then builds the read-only arrays ``successor[q, r]``, ``drop[q]`` and
+    ``allowed[q]``, which ``asdict``, equality and hashing ignore (they are
+    not fields). A masked state's r=1 successor is its r=0 one, never taken.
     """
 
     num_states: int
@@ -56,6 +61,13 @@ class ChannelFsm:
                                  for a, b in self.transitions))
         object.__setattr__(self, "drop_probs", tuple(float(p) for p in self.drop_probs))
         object.__setattr__(self, "transmit_allowed", tuple(self.transmit_allowed))
+        successor = [(t0, t1 if ok else t0)
+                     for (t0, t1), ok in zip(self.transitions, self.transmit_allowed)]
+        for name, table in (("successor", np.array(successor, dtype=np.intp)),
+                            ("drop", np.array(self.drop_probs, dtype=float)),
+                            ("allowed", np.array(self.transmit_allowed, dtype=bool))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def states(self):
         return range(self.num_states)
@@ -129,17 +141,11 @@ def _violations(fsm: ChannelFsm):
 
 def reachable_pairs(fsm: ChannelFsm, horizon: int):
     """(stage, state) pairs reachable from (1, initial) under some actions."""
-    reachable = {(1, fsm.initial_state)}
-    frontier = {fsm.initial_state}
-    for n in range(2, horizon + 1):
-        nxt = set()
-        for q in frontier:
-            nxt.add(fsm.transitions[q][0])
-            if fsm.transmit_allowed[q]:
-                nxt.add(fsm.transitions[q][1])
-        reachable.update((n, q) for q in nxt)
-        frontier = nxt
-    return reachable
+    reach = np.zeros((horizon, fsm.num_states), dtype=bool)
+    reach[0, fsm.initial_state] = True
+    for s in range(1, horizon):
+        reach[s, fsm.successor[reach[s - 1]]] = True
+    return {(int(s) + 1, int(q)) for s, q in np.argwhere(reach)}
 
 
 def energy_harvesting_fsm(capacity: int, tx_cost: int, p_tx: float) -> ChannelFsm:

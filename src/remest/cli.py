@@ -17,10 +17,10 @@ Commands
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
 config, flag or policy CSV, a non-finite number included, or solver
 overflow), 3 internal error (the traceback goes to stderr). Plant, channel
-and solver settings check themselves when built, an unknown key included;
-``_read`` turns the error into a :class:`ConfigError` that names the input.
-The other sections (the top level, ``channel`` and ``sim``) are checked for
-unknown keys here.
+and solver settings check themselves when built, an unknown plant or fsm
+key included; ``_read`` turns the error into a :class:`ConfigError` that
+names the input. The other sections (the top level, ``channel``, ``solver``,
+``solver.grid`` and ``sim``) are checked for unknown keys here.
 """
 
 from __future__ import annotations
@@ -111,10 +111,13 @@ def fsm_from_config(config: dict) -> ch.ChannelFsm:
 def settings_from_config(config: dict, grid_points=None) -> dps.SolverSettings:
     """Solver settings of the config, with ``--grid-points`` applied."""
     solver = _section(config, "solver")
+    _check_keys("solver", solver, ("grid", "value_cap"))
     grid = _section(solver, "grid")
+    _check_keys("solver.grid", grid, ("half_width", "num_points"))
     if grid_points is not None:
-        solver = {**solver, "grid": {**grid, "num_points": grid_points}}
-    return _read("solver settings", dps.SolverSettings.from_dict, solver)
+        grid = {**grid, "num_points": grid_points}
+    cap = {"value_cap": solver["value_cap"]} if "value_cap" in solver else {}
+    return _read("solver settings", dps.SolverSettings, **grid, **cap)
 
 
 def _out_dir(args) -> Path:

@@ -235,15 +235,14 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
     intervals = np.full((horizon, m, 2), NEVER_TRANSMIT)
     p_transmit = np.zeros((horizon, m))
     log: List[Tuple[int, int, float, float]] = []
-    q0 = np.array([t0 for t0, _ in fsm.transitions])
-    allowed = np.flatnonzero(fsm.transmit_allowed)
-    q1 = np.array([fsm.transitions[q][1] for q in allowed], dtype=np.intp)
-    p = np.array(fsm.drop_probs)[allowed]
+    q0, q1 = fsm.successor.T
+    allowed = np.flatnonzero(fsm.allowed)
+    p = fsm.drop[allowed]
     for s in range(horizon - 1, -1, -1):
         # every state silent; the transmit-allowed ones are overwritten below
         values[s] = sigma2 + values[s + 1, q0]
         silent_next = values[s + 1, q0[allowed]]
-        gap = values[s + 1, q1] - silent_next
+        gap = values[s + 1, q1[allowed]] - silent_next
         lo, hi, obj = optimize_interval(sigma2, p, gap)
         _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap)
         values[s, allowed] = obj + silent_next

@@ -86,19 +86,6 @@ class SolverSettings:
         return {"grid": {"half_width": self.half_width, "num_points": self.num_points},
                 "value_cap": self.value_cap}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverSettings":
-        """Settings from a config's ``solver`` section; unknown keys raise
-        ``ValueError``."""
-        grid = data.get("grid", {})
-        unknown = sorted(set(data) - {"grid", "value_cap"}) + sorted(
-            f"grid.{key}" for key in set(grid) - {"half_width", "num_points"})
-        if unknown:
-            raise ValueError(f"unknown solver keys {unknown}")
-        return cls(half_width=grid.get("half_width", "auto"),
-                   num_points=grid.get("num_points", 2001),
-                   value_cap=data.get("value_cap", 1e12))
-
 
 def provenance_hash(plant: PlantModel, fsm: ChannelFsm,
                     settings: Optional[SolverSettings] = None) -> str:
@@ -177,10 +164,8 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
 
     x_sq = grid.points ** 2
     values[n_stages, :, :] = x_sq[None, :]
-    # a masked state's r=1 successor is any valid index: its C1 row becomes NaN
-    q0, q1 = np.array([(t0, t0 if t1 is None else t1) for t0, t1 in fsm.transitions]).T
-    p = np.array(fsm.drop_probs)[:, None]
-    masked = ~np.array(fsm.transmit_allowed, dtype=bool)
+    q0, q1 = fsm.successor.T
+    p = fsm.drop[:, None]
     tie = np.flatnonzero(q0 == q1)  # an exact tie at e = 0, which must stay silent
 
     for s in range(n_stages - 1, -1, -1):
@@ -189,7 +174,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
         reset = h[q1, center]
         c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset[:, None]
         c1[tie, center] = reset[tie]
-        c1[masked] = np.nan
+        c1[~fsm.allowed] = np.nan
         cost_send[s] = c1
         send = transmit[s] = c1 < c0
         values[s] = np.where(send, c1, c0)
@@ -308,8 +293,7 @@ def threshold_optimality_condition(plant: PlantModel, fsm: ChannelFsm):
     """
     v = float(growth_rate_bounds(plant)[0])
     threshold = 1.0 / (1.0 + v)
-    satisfied = all(fsm.drop_probs[q] < threshold
-                    for q in fsm.states() if fsm.transmit_allowed[q])
+    satisfied = bool(np.all(fsm.drop[fsm.allowed] < threshold))
     return v, threshold, satisfied
 
 

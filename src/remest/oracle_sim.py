@@ -23,7 +23,7 @@ with the enumeration to rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -66,17 +66,9 @@ class SimSummary:
     trace: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "stage_mse": [float(v) for v in self.stage_mse],
-            "stage_se": [float(v) for v in self.stage_se],
-            "total": self.total,
-            "total_se": self.total_se,
-            "transmit_rate": [float(v) for v in self.transmit_rate],
-            "occupancy": [int(v) for v in self.occupancy],
-            "horizon_term_included": self.horizon_term_included,
-        }
+        """Every field but ``trace``, in field order, arrays as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "trace")
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 
 def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
@@ -130,14 +122,10 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     """
     white = policy.kind == "interval_pair"
     n_stages, m = plant.horizon, fsm.num_states
-    # per-(state, attempt) tables are flat, indexed by slot = 2 q + r
-    successor = np.array([[t0, t1 if t1 is not None else 0] for t0, t1 in fsm.transitions],
-                         dtype=np.intp).reshape(-1)
+    successor = fsm.successor.reshape(-1)  # indexed by slot = 2 q + r
     if white:
         xhat = np.stack(conditional_estimates(plant.sigma2, policy.intervals[..., 0],
                                               policy.intervals[..., 1]), -1).reshape(n_stages, -1)
-    drop = np.asarray(fsm.drop_probs)
-    allowed = np.asarray(fsm.transmit_allowed, dtype=bool)
     n_costs = n_stages if white else n_stages + 1
 
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -165,9 +153,9 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
             occupancy += np.bincount(q, minlength=m)
             if white:
                 e = w[s]
-            r = decide_many(policy, s + 1, q, e) & allowed[q]
+            r = decide_many(policy, s + 1, q, e) & fsm.allowed[q]
             slot = 2 * q + r
-            success = u[s] >= drop[q]
+            success = u[s] >= fsm.drop[q]
             delivered = r & success
             if white:
                 est = np.where(delivered, e, xhat[s][slot])
@@ -283,10 +271,7 @@ def _stage_cost_tables(inst: DiscreteInstance):
     with np.errstate(divide="ignore", invalid="ignore"):
         var_send = np.where(p_send > 0, m2_send - m1_send ** 2 / np.maximum(p_send, 1e-300), 0.0)
         var_stay = np.where(p_stay > 0, m2_stay - m1_stay ** 2 / np.maximum(p_stay, 1e-300), 0.0)
-    cost = np.empty((inst.fsm.num_states, n_maps))
-    for q in range(inst.fsm.num_states):
-        cost[q] = var_stay + inst.fsm.drop_probs[q] * var_send
-    return cost, p_send
+    return var_stay + inst.fsm.drop[:, None] * var_send, p_send
 
 
 def _slot_maps(inst: DiscreteInstance, q: int) -> np.ndarray:

@@ -204,22 +204,27 @@ def load_policy_csv(path):
     kind = meta.get("kind")
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown policy kind {kind!r}")
+    gridded = kind == "gridded"
     try:
         horizon, m = _count(path, meta, "horizon"), _count(path, meta, "num_states")
-        grid, cells = None, np.zeros((horizon, m, 2))
-        if kind == "gridded":
-            grid = ErrorGrid(_width(path, meta), _count(path, meta, "grid_num_points"))
-            cells = np.zeros((horizon, m, grid.num_points), dtype=bool)
+        shape = (horizon, m) + ((_count(path, meta, "grid_num_points"),) if gridded else ())
+        width = _width(path, meta) if gridded else None
     except KeyError as exc:
         raise ValueError(f"{path}: missing header line '# {exc.args[0]}='") from exc
-    seen = np.zeros(cells.shape if grid is not None else (horizon, m), dtype=bool)
+    # a row per point, checked before allocating (quoted fields only merge lines)
+    if (need := math.prod(shape)) > (rows := max(len(data) - 1, 0)):
+        raise ValueError(f"{path}: the header lines claim {need} points, but the file "
+                         f"has at most {rows} data rows")
+    grid = ErrorGrid(width, shape[2]) if gridded else None
+    cells = np.zeros(shape, dtype=bool) if gridded else np.zeros((horizon, m, 2))
+    seen = np.zeros(shape, dtype=bool)
     for index, row in enumerate(csv.DictReader(data), start=1):
         try:
             n, q = int(row["n"]), int(row["q"])
             if not (1 <= n <= horizon and 0 <= q < m):
                 raise ValueError(f"(n, q) = ({n}, {q}) is outside the policy shape")
             point = (n - 1, q)
-            if grid is not None:
+            if gridded:
                 point += (grid.index_of(float(row["e"])),)
                 value = bool(int(row["transmit"]))
             else:
@@ -234,7 +239,7 @@ def load_policy_csv(path):
         n, q, *i = np.argwhere(~seen)[0]
         first = f"n={n + 1}, q={q}" + (f", e={float(grid.points[i[0]])!r}" if i else "")
         raise ValueError(f"{path}: {int((~seen).sum())} points have no row, first {first}")
-    if grid is not None:
+    if gridded:
         return TransmitPolicy.gridded(grid, cells), meta
     return TransmitPolicy(kind, intervals=cells), meta
 

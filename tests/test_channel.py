@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
+from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
+                            workload_chain_fsm)
 from remest.oracle_sim import simulate
 from remest.policy import TransmitPolicy
 from remest.process import PlantModel
+from test_dp_symmetric import channel_fsms
 
 
 @pytest.fixture
@@ -159,6 +161,61 @@ class TestSampling:
         seq1 = channel_trace(energy, 20, 5, seed=7)["c"]
         seq2 = channel_trace(energy, 20, 5, seed=7)["c"]
         assert np.array_equal(seq1, seq2)
+
+
+def set_walk_reachable(fsm, horizon):
+    """Reference for ``reachable_pairs``: a walk over sets of states that
+    reads the FSM's fields, not its tables."""
+    reachable = {(1, fsm.initial_state)}
+    frontier = {fsm.initial_state}
+    for n in range(2, horizon + 1):
+        nxt = set()
+        for q in frontier:
+            nxt.add(fsm.transitions[q][0])
+            if fsm.transmit_allowed[q]:
+                nxt.add(fsm.transitions[q][1])
+        reachable.update((n, q) for q in nxt)
+        frontier = nxt
+    return reachable
+
+
+class TestTables:
+    def test_tables_are_read_only_copies_of_the_fields(self, energy):
+        assert energy.successor.dtype == np.intp
+        # states 0 and 1 are masked: r=1 repeats r=0
+        assert energy.successor.tolist() == [[1, 1], [2, 2], [3, 0], [4, 1], [4, 2]]
+        assert energy.drop.tolist() == list(energy.drop_probs)
+        assert energy.allowed.dtype == bool
+        assert energy.allowed.tolist() == list(energy.transmit_allowed)
+        for table in (energy.successor, energy.drop, energy.allowed):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_masked_r1_arc_is_not_a_successor(self):
+        fsm = ChannelFsm(2, ((1, 0), (0, 1)), (1.0, 0.5), 0, (False, True))
+        assert fsm.successor.tolist() == [[1, 1], [0, 1]]
+        assert reachable_pairs(fsm, 3) == {(1, 0), (2, 1), (3, 0), (3, 1)}
+
+    def test_tables_are_no_fields(self, energy):
+        assert list(dataclasses.asdict(energy)) == [
+            "num_states", "transitions", "drop_probs", "initial_state", "transmit_allowed"]
+        twin = energy_harvesting_fsm(4, 2, 0.3)
+        assert twin == energy and hash(twin) == hash(energy)
+        assert twin.successor is not energy.successor
+
+    def test_replace_rebuilds_the_tables(self, energy):
+        changed = dataclasses.replace(
+            energy, transitions=((1, None), (2, None), (3, 0), (4, 1), (3, 2)),
+            drop_probs=(1.0, 1.0, 0.5, 0.5, 0.5))
+        assert changed.successor[4].tolist() == [3, 2]
+        assert changed.drop.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5]
+        assert not (changed.successor.flags.writeable or changed.drop.flags.writeable)
+        assert energy.successor[4].tolist() == [4, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(fsm=channel_fsms(), horizon=st.integers(1, 8))
+    def test_reachable_pairs_match_the_set_walk(self, fsm, horizon):
+        assert reachable_pairs(fsm, horizon) == set_walk_reachable(fsm, horizon)
 
 
 def json_round_trip(fsm):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,31 @@ class TestSimulate:
                      "--trials", "50", "simulate", str(policy_csv)]) == code
         out, err = capsys.readouterr()
         assert message in out + err
+
+    @pytest.mark.parametrize("policy, line, claim", [
+        (TransmitPolicy.gridded(ErrorGrid(1.0, 3), np.zeros((1, 1, 3), dtype=bool)),
+         "# grid_num_points=3", "# grid_num_points=400000001"),
+        (TransmitPolicy.symmetric(np.ones((2, 1))), "# horizon=2", "# horizon=1000000000"),
+    ], ids=["gridded", "threshold"])
+    def test_oversized_header_exits_2_in_bounded_memory(self, tmp_path, capsys, policy,
+                                                        line, claim):
+        # the claimed shapes would take 3 GB and 75 GB; the few rows bound the memory
+        cfg = write_config(tmp_path)
+        policy_csv = tmp_path / "policy.csv"
+        export_policy_csv(policy, policy_csv)
+        text = policy_csv.read_text()
+        assert line + "\n" in text
+        policy_csv.write_text(text.replace(line + "\n", claim + "\n"))
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(cfg), "--out", str(tmp_path / "sim"),
+                         "--trials", "50", "simulate", str(policy_csv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "the header lines claim" in capsys.readouterr().err
+        assert peak < 10e6
 
     def test_trace_flag_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)

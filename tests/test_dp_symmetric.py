@@ -391,8 +391,7 @@ class TestSolverSettings:
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=4)
         fsm = energy_harvesting_fsm(4, 2, 0.3)
         for spelling in (3, 3.0):
-            settings = SolverSettings.from_dict({"grid": {"half_width": spelling,
-                                                          "num_points": 201}})
+            settings = SolverSettings(half_width=spelling, num_points=201)
             assert type(settings.half_width) is float
             assert provenance_hash(plant, fsm, settings) == "4d2de6c9f5693554"
 

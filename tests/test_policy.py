@@ -426,7 +426,7 @@ class TestCsvLoading:
         ("off_grid", "not a grid point"),
         ("infinite", "data row 6: inf is not a grid point"),
         ("duplicate", "repeats an earlier row"),
-        ("missing", "1 points have no row, first n=1, q=0, e=-3.0"),
+        ("missing", "the header lines claim 366 points, but the file has at most 365 data rows"),
     ])
     def test_gridded_defects_are_rejected(self, tmp_path, defect, message):
         path = tmp_path / "policy.csv"
@@ -442,6 +442,16 @@ class TestCsvLoading:
             del rows[0]
         path.write_text("".join(head + rows))
         with pytest.raises(ValueError, match=message):
+            load_policy_csv(path)
+
+    def test_quoted_field_spanning_lines_leaves_its_points_missing(self, tmp_path):
+        # as many lines as points, but the quoted e joins two of them into one row
+        path = tmp_path / "policy.csv"
+        export_policy_csv(_gridded_policy(), path)
+        head, rows = _split_csv(path)
+        n, q, e, t = rows[-1].strip().split(",")
+        path.write_text("".join(head + rows[1:-1] + [f'{n},{q},"{e}\r\n",{t}\r\n']))
+        with pytest.raises(ValueError, match="1 points have no row, first n=1, q=0, e=-3.0"):
             load_policy_csv(path)
 
     @pytest.mark.parametrize("policy, tau_lo, tau_hi, message", [
@@ -468,7 +478,7 @@ class TestCsvLoading:
         export_policy_csv(TransmitPolicy.symmetric(np.ones((2, 2))), path)
         head, rows = _split_csv(path)
         path.write_text("".join(head + rows[:-1]))
-        with pytest.raises(ValueError, match="first n=2, q=1"):
+        with pytest.raises(ValueError, match="claim 4 points, but the file has at most 3 data rows"):
             load_policy_csv(path)
 
     @pytest.mark.parametrize("policy, key", [
