@@ -148,8 +148,7 @@ def cmd_solve_symmetric(args) -> int:
         "provenance": table.provenance,
         "plant": dataclasses.asdict(plant),
         "channel": dataclasses.asdict(fsm),
-        "grid": {"half_width": table.grid.half_width,
-                 "num_points": table.grid.num_points},
+        "grid": dataclasses.asdict(table.grid),
         "value_at_origin": dp_value,
         "structure_ok": structure.ok,
         "structure_violations": len(structure.violations),
@@ -213,7 +212,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
     settings = settings_from_config(config, args.grid_points)
     where = f"policy {args.policy}"
-    policy, meta = _read(where, load_policy_csv, args.policy)
+    policy, meta = _read("policy", load_policy_csv, args.policy)  # its errors name the path
     _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
     dp_value = _read(where, float, meta["dp_value"]) if "dp_value" in meta else None
     expected = dps.provenance_hash(plant, fsm,

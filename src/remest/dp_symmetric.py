@@ -94,9 +94,7 @@ def provenance_hash(plant: PlantModel, fsm: ChannelFsm,
     grid they resolve for ``plant`` (the white-source solver takes none)."""
     blob = {"plant": asdict(plant), "fsm": asdict(fsm)}
     if settings is not None:
-        grid = settings.make_grid(plant)
-        blob.update(settings=settings.to_dict(),
-                    grid={"half_width": grid.half_width, "num_points": grid.num_points})
+        blob.update(settings=settings.to_dict(), grid=asdict(settings.make_grid(plant)))
     return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -108,7 +106,8 @@ class ValueTable:
     slice is the terminal squared error). ``cost_wait`` / ``cost_send``
     cover stages 1..N; ``cost_send`` is NaN at masked states where
     transmitting is undefined. ``transmit[s, q, i]`` is the optimal
-    decision indicator (strict improvement required, so ties stay silent).
+    decision indicator (strict improvement required, so ties stay silent);
+    ``values[:N]`` is ``np.where(transmit, cost_send, cost_wait)`` bit for bit.
     ``smoothed[s, q]`` is the Gaussian smoothing E[V(a e + W)] of
     ``values[s, q]``: the expectations backward induction took of every
     next-stage slice, plus one of the stage-1 slices. The growth check reads
@@ -123,7 +122,6 @@ class ValueTable:
     transmit: np.ndarray
     plant: PlantModel
     fsm: ChannelFsm
-    settings: SolverSettings
     provenance: str
 
     def __post_init__(self):
@@ -187,7 +185,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
 
     return ValueTable(grid=grid, values=values, smoothed=smoothed,
                       cost_wait=cost_wait, cost_send=cost_send,
-                      transmit=transmit, plant=plant, fsm=fsm, settings=settings,
+                      transmit=transmit, plant=plant, fsm=fsm,
                       provenance=provenance_hash(plant, fsm, settings))
 
 
@@ -344,7 +342,8 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
 
 def export_value_table_csv(table: ValueTable, path):
     """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point. Each
-    stage formats its bitwise-distinct C0/C1 slices once; V reuses their strings."""
+    stage formats its bitwise-distinct C0/C1 slices once; V is C1 where the table
+    transmits and C0 elsewhere (a :class:`ValueTable` invariant), so it takes their strings."""
     write_csv(path, ("n", "q", "e", "V", "C0", "C1", "transmit"),
               {"provenance": table.provenance}, _value_blocks(table))
 
@@ -352,13 +351,9 @@ def export_value_table_csv(table: ValueTable, path):
 def _value_blocks(table: ValueTable):
     e = list(map(repr, table.grid.points.tolist()))
     for s in range(table.horizon):  # strings live for one stage, so memory stays bounded
-        v, c0, c1 = table.values[s], table.cost_wait[s], table.cost_send[s]
+        c0, c1 = table.cost_wait[s], table.cost_send[s]
         unique = {c.tobytes(): c for c in (*c0, *c1)}
         text = {k: np.array(list(map(repr, c.tolist())), dtype=object) for k, c in unique.items()}
         for q, t in enumerate(table.transmit[s]):
             s0, s1 = text[c0[q].tobytes()], text[c1[q].tobytes()]
-            bits, bits0, bits1 = v[q].view(np.int64), c0[q].view(np.int64), c1[q].view(np.int64)
-            sv = np.where(bits == bits1, s1, s0)  # V's bits are C1's or C0's, or formatted here
-            for i in np.flatnonzero((bits != bits1) & (bits != bits0)):
-                sv[i] = repr(float(v[q, i]))
-            yield str(s + 1), str(q), e, sv.tolist(), s0.tolist(), s1.tolist(), t
+            yield str(s + 1), str(q), e, np.where(t, s1, s0).tolist(), s0.tolist(), s1.tolist(), t

@@ -204,11 +204,9 @@ class GaussianExpectationOperator:
         if not sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
         self.grid = grid
-        self.a = float(a)
-        self.sigma2 = float(sigma2)
         sigma = math.sqrt(sigma2)
         xs, n, dx = grid.points, grid.num_points, grid.spacing
-        centers = self.a * xs
+        centers = float(a) * xs
         # every node within BAND_Z sigma of the center, the window slid back
         # inside the grid near its ends
         width = min(n, math.ceil(2.0 * BAND_Z * sigma / dx) + 2)

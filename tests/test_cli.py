@@ -490,6 +490,23 @@ class TestSimulate:
         assert code == 2
         assert "missing header line '# horizon='" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("# kind=symmetric_threshold\n# horizon=x\n# num_states=5\n",
+         "header line '# horizon=x' must be an integer >= 1"),
+        (None, "No such file or directory"),
+    ], ids=["bad-header", "missing-file"])
+    def test_policy_error_names_the_file_once(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path)
+        policy_csv = tmp_path / "thr_bad.csv"
+        if text is not None:
+            policy_csv.write_text(text)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--trials", "50", "simulate", str(policy_csv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: policy: ") and message in err
+        assert err.count(str(policy_csv)) == 1
+
     @pytest.mark.parametrize("kind, row, message", [
         ("symmetric", "-100.0,1.0",
          "symmetric threshold at (n, q) = (1, 0) has tau_lo -100.0 != -tau_hi 1.0"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
                             workload_chain_fsm)
+from remest.dp_iid import optimize_symmetric_threshold
 from remest.dp_symmetric import (GROWTH_BOUNDARY_FRACTION, SolverSettings,
                                  SolverOverflowError, backward_induction,
                                  check_growth_rate_bound,
@@ -94,6 +95,9 @@ class TestTerminalAndRecursion:
                               reference):
             got = getattr(table, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # V is C1 where the table transmits and C0 elsewhere, masked states included
+        chosen = np.where(table.transmit, table.cost_send, table.cost_wait)
+        assert chosen.tobytes() == table.values[:horizon].tobytes()
 
     def test_terminal_slice_is_squared_error_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=3)
@@ -349,6 +353,45 @@ class TestGridRefinement:
         rel = abs(fine.value_at_origin() - coarse.value_at_origin())
         rel /= abs(coarse.value_at_origin())
         assert rel < 1e-3
+
+    @pytest.mark.parametrize("fsm", [energy_harvesting_fsm(4, 2, 0.3),
+                                     workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9])],
+                             ids=["energy", "workload"])
+    def test_gain_zero_matches_the_white_source_recursion(self, fsm):
+        """At a = 0 the error at stage s + 1 is fresh noise W ~ N(0, sigma2),
+        so every smoothed slice is a constant J[s, q], with no operator in it:
+        J[N] = sigma2, a masked q has J[s, q] = sigma2 + J[s+1, q0], and an
+        unmasked q has J[s, q] = J[s+1, q0] + E min(W^2, p W^2 + gap) with
+        gap = J[s+1, q1] - J[s+1, q0], the objective of
+        optimize_symmetric_threshold at its optimal tau.
+
+        Halving the spacing (1001 to 2001 points; the auto width is 8 sigma
+        at a = 0) turns the grid error g = smoothed - J into g' = g / r.
+        Richardson's estimate of g', exact for second-order error (r = 4),
+        is E = (g - g') / 3, so g' = 3 E / (r - 1), and |g'| <= 3 |E| holds
+        exactly when r >= 2 or r <= 0: the error at least halves with the
+        spacing, or changes sign. An error that does not shrink, such as a
+        misaligned stage or a wrong C1, has r near 1 and fails.
+        """
+        sigma2, horizon = 1.0, 20
+        reference = np.empty((horizon + 1, fsm.num_states))
+        reference[horizon] = sigma2
+        for s in range(horizon - 1, -1, -1):
+            nxt = reference[s + 1]
+            for q, ((q0, q1), p, ok) in enumerate(zip(fsm.transitions, fsm.drop_probs,
+                                                      fsm.transmit_allowed)):
+                stage = (optimize_symmetric_threshold(sigma2, p, nxt[q1] - nxt[q0])[1]
+                         if ok else sigma2)
+                reference[s, q] = nxt[q0] + stage
+        plant = PlantModel(a=0.0, sigma2=sigma2, horizon=horizon)
+        gaps = []
+        for num_points in (1001, 2001):
+            table = backward_induction(plant, fsm, SolverSettings(num_points=num_points))
+            assert np.all(table.smoothed == table.smoothed[..., :1])
+            gaps.append(table.smoothed[..., 0] - reference)
+        coarse, fine = gaps
+        estimate = (coarse - fine) / 3.0
+        assert np.all(np.abs(fine) <= 3.0 * np.abs(estimate))
 
 
 class TestExports:

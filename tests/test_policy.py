@@ -558,16 +558,6 @@ def _workload_table():
     return table
 
 
-def _edited_table():
-    # V matches neither C0 nor C1 at one point: -0.0 against C0's 0.0, which
-    # compare equal but print differently
-    table = _energy_table()
-    values, cost_wait = table.values.copy(), table.cost_wait.copy()
-    values[1, 3, 7], cost_wait[1, 3, 7] = -0.0, 0.0
-    assert table.cost_send[1, 3, 7] != 0.0
-    return dataclasses.replace(table, values=values, cost_wait=cost_wait)
-
-
 def _value_table_case(make_table):
     def case(path):
         table = make_table()
@@ -635,7 +625,6 @@ def _trace_case(path):
 ARTIFACTS = {
     "value_table": _value_table_case(_energy_table),
     "value_table_workload": _value_table_case(_workload_table),
-    "value_table_edited": _value_table_case(_edited_table),
     "threshold_policy": _policy_case(TransmitPolicy.symmetric(
         [[0.0, math.inf], [1.25, 1e-3]])),
     "interval_policy": _policy_case(TransmitPolicy.interval(
