@@ -198,7 +198,6 @@ class IidValueTable:
     """
 
     fsm: ChannelFsm
-    sigma2: float
     values: np.ndarray
     intervals: np.ndarray
     p_transmit: np.ndarray
@@ -251,9 +250,8 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
                 for k in np.flatnonzero(obj_sym - obj > ASYMMETRY_TOL * sigma2)]
     _, p_transmit[:, allowed] = iid_stage_cost(sigma2, p, intervals[:, allowed, 0],
                                                intervals[:, allowed, 1])
-    return IidValueTable(fsm=fsm, sigma2=sigma2, values=values,
-                         intervals=intervals, p_transmit=p_transmit,
-                         asymmetry_log=log)
+    return IidValueTable(fsm=fsm, values=values, intervals=intervals,
+                         p_transmit=p_transmit, asymmetry_log=log)
 
 
 def export_iid_table_csv(table: IidValueTable, path):

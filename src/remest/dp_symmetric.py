@@ -29,13 +29,16 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .channel import ChannelFsm, reachable_pairs
-from .policy import TransmitPolicy, extract_threshold, write_csv
+from . import quadrature
+from .policy import TransmitPolicy, _block_text, _write_texts, extract_threshold
 from .process import PlantModel, is_number
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
                          is_symmetric_nondecreasing)
@@ -340,20 +343,64 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
         reachable=reachable_pairs(fsm, plant.horizon))
 
 
+# The value CSV's stages are formatted in values // FORMAT_ENTRIES worker
+# processes (at least 1, at most the usable CPUs and the stages); below about
+# this many values a pool's start costs more than its share of the work saves.
+FORMAT_ENTRIES = 50_000
+
+
 def export_value_table_csv(table: ValueTable, path):
-    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point. Each
-    stage formats its bitwise-distinct C0/C1 slices once; V is C1 where the table
-    transmits and C0 elsewhere (a :class:`ValueTable` invariant), so it takes their strings."""
-    write_csv(path, ("n", "q", "e", "V", "C0", "C1", "transmit"),
-              {"provenance": table.provenance}, _value_blocks(table))
+    """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point.
+
+    Each stage formats its bitwise-distinct C0/C1 slices once; V is C1 where
+    the table transmits and C0 elsewhere (a :class:`ValueTable` invariant), so
+    it takes their strings. The stages are formatted in ``values.size //
+    FORMAT_ENTRIES`` forked worker processes, at most the usable CPUs and the
+    horizon, and written in stage order, so the bytes do not depend on the
+    worker count. With one worker, without ``os.fork`` or from Python 3.12 on,
+    this process formats them and starts none.
+    """
+    header = ("n", "q", "e", "V", "C0", "C1", "transmit")
+    metadata = {"provenance": table.provenance}
+    stages = range(table.horizon)
+    workers = max(1, min(table.values.size // FORMAT_ENTRIES, quadrature._cpu_count(),
+                         table.horizon))
+    # Fork only before Python 3.12: from 3.12 on os.fork warns in any
+    # multi-threaded process, OpenBLAS's threads make every numpy process one,
+    # and pyproject.toml turns that warning into a test error.
+    if workers > 1 and hasattr(os, "fork") and sys.version_info < (3, 12):
+        import multiprocessing  # deferred: importing the CLI skips them
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # fork hands the table to each worker without pickling it
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_hold, initargs=(table,)) as pool:
+            _write_texts(path, header, metadata, pool.map(_stage_text, stages))
+        return
+    _hold(table)
+    try:
+        _write_texts(path, header, metadata, map(_stage_text, stages))
+    finally:
+        _hold(None)
 
 
-def _value_blocks(table: ValueTable):
-    e = list(map(repr, table.grid.points.tolist()))
-    for s in range(table.horizon):  # strings live for one stage, so memory stays bounded
-        c0, c1 = table.cost_wait[s], table.cost_send[s]
-        unique = {c.tobytes(): c for c in (*c0, *c1)}
-        text = {k: np.array(list(map(repr, c.tolist())), dtype=object) for k, c in unique.items()}
-        for q, t in enumerate(table.transmit[s]):
-            s0, s1 = text[c0[q].tobytes()], text[c1[q].tobytes()]
-            yield str(s + 1), str(q), e, np.where(t, s1, s0).tolist(), s0.tolist(), s1.tolist(), t
+_held = None  # (table, its grid points' strings) that _stage_text formats
+
+
+def _hold(table):
+    global _held
+    _held = None if table is None else (table, list(map(repr, table.grid.points.tolist())))
+
+
+def _stage_text(s):
+    """The CSV rows of stage s + 1 of the table :func:`_hold` gave this process."""
+    table, e = _held
+    c0, c1 = table.cost_wait[s], table.cost_send[s]
+    unique = {c.tobytes(): c for c in (*c0, *c1)}
+    text = {k: np.array(list(map(repr, c.tolist())), dtype=object) for k, c in unique.items()}
+    rows = []
+    for q, t in enumerate(table.transmit[s]):
+        s0, s1 = text[c0[q].tobytes()], text[c1[q].tobytes()]
+        rows.append(_block_text((str(s + 1), str(q), e, np.where(t, s1, s0).tolist(),
+                                 s0.tolist(), s1.tolist(), t)))
+    return "".join(rows)

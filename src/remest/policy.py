@@ -142,11 +142,20 @@ def write_csv(path, header, metadata, blocks):
     a tuple of aligned columns: a ``str`` repeats, a float array (C order)
     prints as ``repr``, an int or bool array as integers, and a list of
     strings passes through. :func:`load_policy_csv` reads the format back."""
+    _write_texts(path, header, metadata, map(_block_text, blocks))
+
+
+def _write_texts(path, header, metadata, texts):
+    """:func:`write_csv` for blocks already rendered by :func:`_block_text`."""
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {key}={value}\n" for key, value in metadata.items()))
         fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write("\r\n".join(map(",".join, zip(*map(_fields, block)))) + "\r\n")
+        fh.writelines(texts)
+
+
+def _block_text(block):
+    """One block's rows as CRLF-terminated text (see :func:`write_csv`)."""
+    return "\r\n".join(map(",".join, zip(*map(_fields, block)))) + "\r\n"
 
 
 def _fields(column):
@@ -189,8 +198,16 @@ def load_policy_csv(path):
     Rows are placed by their (n, q) and, for gridded policies, by the grid
     index of their ``e``, so row order does not matter. An off-grid,
     duplicate or missing point raises ``ValueError``. Returns
-    ``(policy, metadata)``.
+    ``(policy, metadata)``. Every ``ValueError`` begins with ``path``.
     """
+    try:
+        return _parse_policy_csv(path)
+    except ValueError as exc:  # the constructors' errors too, so each names the file once
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_policy_csv(path):
+    """:func:`load_policy_csv` with errors that do not name the file."""
     meta = {}
     data = []
     with open(path, newline="") as fh:
@@ -203,18 +220,18 @@ def load_policy_csv(path):
                 data.append(line)
     kind = meta.get("kind")
     if kind not in KINDS:
-        raise ValueError(f"{path}: unknown policy kind {kind!r}")
+        raise ValueError(f"unknown policy kind {kind!r}")
     gridded = kind == "gridded"
     try:
-        horizon, m = _count(path, meta, "horizon"), _count(path, meta, "num_states")
-        shape = (horizon, m) + ((_count(path, meta, "grid_num_points"),) if gridded else ())
-        width = _width(path, meta) if gridded else None
+        horizon, m = _count(meta, "horizon"), _count(meta, "num_states")
+        shape = (horizon, m) + ((_count(meta, "grid_num_points"),) if gridded else ())
+        width = _width(meta) if gridded else None
     except KeyError as exc:
-        raise ValueError(f"{path}: missing header line '# {exc.args[0]}='") from exc
+        raise ValueError(f"missing header line '# {exc.args[0]}='") from exc
     # a row per point, checked before allocating (quoted fields only merge lines)
     if (need := math.prod(shape)) > (rows := max(len(data) - 1, 0)):
-        raise ValueError(f"{path}: the header lines claim {need} points, but the file "
-                         f"has at most {rows} data rows")
+        raise ValueError(f"the header lines claim {need} points, but the file has at most "
+                         f"{rows} data rows")
     grid = ErrorGrid(width, shape[2]) if gridded else None
     cells = np.zeros(shape, dtype=bool) if gridded else np.zeros((horizon, m, 2))
     seen = np.zeros(shape, dtype=bool)
@@ -230,29 +247,29 @@ def load_policy_csv(path):
             else:
                 value = (float(row["tau_lo"]), float(row["tau_hi"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: data row {index}: {exc}") from exc
+            raise ValueError(f"data row {index}: {exc}") from exc
         if seen[point]:
-            raise ValueError(f"{path}: data row {index} repeats an earlier row's point")
+            raise ValueError(f"data row {index} repeats an earlier row's point")
         seen[point] = True
         cells[point] = value
     if not seen.all():
         n, q, *i = np.argwhere(~seen)[0]
         first = f"n={n + 1}, q={q}" + (f", e={float(grid.points[i[0]])!r}" if i else "")
-        raise ValueError(f"{path}: {int((~seen).sum())} points have no row, first {first}")
+        raise ValueError(f"{int((~seen).sum())} points have no row, first {first}")
     if gridded:
         return TransmitPolicy.gridded(grid, cells), meta
     return TransmitPolicy(kind, intervals=cells), meta
 
 
-def _count(path, meta, key):
+def _count(meta, key):
     """The integer >= 1 on the ``# key=`` header line."""
     text = meta[key]
     if not (text.isascii() and text.isdigit() and int(text) >= 1):
-        raise ValueError(f"{path}: header line '# {key}={text}' must be an integer >= 1")
+        raise ValueError(f"header line '# {key}={text}' must be an integer >= 1")
     return int(text)
 
 
-def _width(path, meta):
+def _width(meta):
     """The positive finite number on the ``# grid_half_width=`` header line."""
     text = meta["grid_half_width"]
     try:
@@ -260,5 +277,5 @@ def _width(path, meta):
             return float(text)
     except ValueError:
         pass
-    raise ValueError(f"{path}: header line '# grid_half_width={text}' must be a positive "
+    raise ValueError(f"header line '# grid_half_width={text}' must be a positive "
                      "finite number")

@@ -494,7 +494,13 @@ class TestSimulate:
         ("# kind=symmetric_threshold\n# horizon=x\n# num_states=5\n",
          "header line '# horizon=x' must be an integer >= 1"),
         (None, "No such file or directory"),
-    ], ids=["bad-header", "missing-file"])
+        ("# kind=gridded\n# horizon=1\n# num_states=1\n# grid_half_width=1.0\n"
+         "# grid_num_points=2\nn,q,e,transmit\n1,0,-1.0,0\n1,0,1.0,0\n",
+         "num_points must be odd and >= 3, got 2"),
+        ("# kind=symmetric_threshold\n# horizon=1\n# num_states=1\n"
+         "n,q,kind,tau_lo,tau_hi\n1,0,symmetric_threshold,-1.0,2.0\n",
+         "symmetric threshold at (n, q) = (1, 0) has tau_lo -1.0 != -tau_hi 2.0"),
+    ], ids=["bad-header", "missing-file", "even-grid", "asymmetric-row"])
     def test_policy_error_names_the_file_once(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path)
         policy_csv = tmp_path / "thr_bad.csv"

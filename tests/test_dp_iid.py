@@ -435,7 +435,7 @@ def reference_backward_induction(fsm, sigma2, horizon, coarse=121):
             intervals[s, q] = (lo, hi)
             _, p_transmit[s, q] = iid_stage_cost(sigma2, fsm.drop_probs[q], lo, hi)
             values[s, q] = obj + values[s + 1, q0]
-    return IidValueTable(fsm=fsm, sigma2=sigma2, values=values, intervals=intervals,
+    return IidValueTable(fsm=fsm, values=values, intervals=intervals,
                          p_transmit=p_transmit, asymmetry_log=log)
 
 

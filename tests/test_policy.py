@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from remest import dp_symmetric, quadrature
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.cli import main
 from remest.dp_iid import export_iid_table_csv, iid_backward_induction
@@ -572,6 +575,27 @@ def _value_table_case(make_table):
     return case
 
 
+def _format_workers(cpus, entries=1):
+    """Patches that give export_value_table_csv ``cpus`` usable CPUs and a
+    worker per ``entries`` values, so a small table gets min(cpus, horizon)
+    workers at the default ``entries``."""
+    return (mock.patch.object(dp_symmetric, "FORMAT_ENTRIES", entries),
+            mock.patch.object(quadrature, "_cpu_count", lambda: cpus))
+
+
+def _pooled(case):
+    """``case`` with the value table's 3 stages formatted in 3 worker processes,
+    so rows written in any order but the stages' fail it."""
+    def pooled(path):
+        entries, cpus = _format_workers(3)
+        with entries, cpus:
+            return case(path)
+    return pooled
+
+
+FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
 def _policy_case(policy):
     def case(path):
         metadata = {"provenance": "0123abcd", "dp_value": repr(2.5)}
@@ -625,6 +649,8 @@ def _trace_case(path):
 ARTIFACTS = {
     "value_table": _value_table_case(_energy_table),
     "value_table_workload": _value_table_case(_workload_table),
+    "value_table_pooled": _pooled(_value_table_case(_energy_table)),
+    "value_table_workload_pooled": _pooled(_value_table_case(_workload_table)),
     "threshold_policy": _policy_case(TransmitPolicy.symmetric(
         [[0.0, math.inf], [1.25, 1e-3]])),
     "interval_policy": _policy_case(TransmitPolicy.interval(
@@ -640,4 +666,29 @@ class TestWriteCsv:
     def test_artifact_matches_csv_writer_bytes(self, tmp_path, artifact):
         path = tmp_path / f"{artifact}.csv"
         expected = ARTIFACTS[artifact](path)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.skipif(not FORKS, reason="the value CSV forks workers only before 3.12")
+    def test_value_csv_worker_error_reaches_the_caller(self, tmp_path):
+        table = _energy_table()
+
+        def fail(block):
+            raise RuntimeError(f"formatting failed in process {os.getpid()}")
+
+        entries, cpus = _format_workers(2)
+        with entries, cpus, mock.patch.object(dp_symmetric, "_block_text", fail):
+            with pytest.raises(RuntimeError, match="formatting failed in process") as info:
+                export_value_table_csv(table, tmp_path / "value_table.csv")
+        assert int(re.search(r"process (\d+)", str(info.value)).group(1)) != os.getpid()
+
+    @pytest.mark.parametrize("cpus, entries", [(1, 1), (4, dp_symmetric.FORMAT_ENTRIES)],
+                             ids=["one-cpu", "small-table"])
+    def test_value_csv_in_process_starts_no_process(self, tmp_path, cpus, entries):
+        # the 41-point table holds 4 * 5 * 41 = 820 values, far below FORMAT_ENTRIES
+        path = tmp_path / "value_table.csv"
+        patch_entries, patch_cpus = _format_workers(cpus, entries)
+        with patch_entries, patch_cpus, mock.patch(
+                "concurrent.futures.process.ProcessPoolExecutor",
+                side_effect=AssertionError("started a process pool")):
+            expected = _value_table_case(_energy_table)(path)
         assert path.read_bytes() == expected
