@@ -23,19 +23,25 @@ with the enumeration to rounding error.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import quadrature
 from .channel import ChannelFsm, reachable_pairs
 from .policy import TransmitPolicy, decide_many, write_csv
 from .process import PlantModel
 from .dp_iid import conditional_estimates
 
 ENUMERATION_LIMIT = 10 ** 7
-# Trials stepped together: a block's per-stage rows stay cache-resident.
+# Trials stepped together over all threads: each thread steps blocks of
+# BLOCK_TRIALS // threads trials, so every thread's per-stage rows stay
+# cache-resident and all threads' buffers together hold one block. At most
+# MAX_THREADS threads, one per BLOCK_TRIALS trials and usable CPU.
 BLOCK_TRIALS = 2 ** 15
+MAX_THREADS = 4
 _TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
                  ("c", bool), ("q", np.intp))
 
@@ -112,11 +118,16 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
     Stream contract (same seed, same summary): one Philox(key=seed)
     generator draws the (trials, stages) normals, then the uniforms, both
-    trial-major. Trials are stepped in blocks of ``BLOCK_TRIALS``,
-    stage-major; each block draws its rows of uniforms in turn, continuing
-    the stream, and every step is elementwise, so blocking changes no bit.
-    Only the estimator step differs: on a white source the decision sees
-    the stage's fresh sample and an undelivered one is estimated by its
+    trial-major. Trials are stepped in blocks, stage-major, on ``threads``
+    threads (at most ``MAX_THREADS``, the usable CPUs and one per
+    ``BLOCK_TRIALS`` trials), each stepping blocks of
+    ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and
+    draws its rows of uniforms while holding one lock, so the stream is
+    consumed in block order; it steps the block outside the lock and writes
+    its own rows of the cost table. Every step is elementwise and the counts
+    are integers, so neither the blocking nor the thread count changes a
+    bit. Only the estimator step differs: on a white source the decision
+    sees the stage's fresh sample and an undelivered one is estimated by its
     conditional mean given (attempt, state); on the chain it sees the
     carried error, which a delivery resets and the plant propagates.
     """
@@ -131,53 +142,73 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     rng = np.random.Generator(np.random.Philox(key=seed))
     noise = rng.normal(0.0, math.sqrt(plant.sigma2), size=(trials, n_stages))
     stage_costs = np.empty((trials, n_costs))
-    sends = np.zeros(n_stages, dtype=np.int64)
-    occupancy = np.zeros(m, dtype=np.int64)
     trace = ({key: np.empty((trials, n_stages), dtype=dtype)
               for key, dtype in _TRACE_FIELDS} if collect_trace else None)
-    block = min(trials, BLOCK_TRIALS)
-    drawn, costs_buf = np.empty((block, n_stages)), np.empty((n_costs, block))
-    w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
-    for start in range(0, trials, block):
-        k = min(block, trials - start)
-        rows = slice(start, start + k)
-        w, u, costs = w_buf[:, :k], u_buf[:, :k], costs_buf[:, :k]
-        np.copyto(w, noise[rows].T)
-        np.copyto(u, rng.random(out=drawn[:k]).T)
-        e = np.zeros(k)
-        q = np.full(k, fsm.initial_state, dtype=np.intp)
-        if collect_trace and not white:
-            est = np.full(k, plant.a * plant.x0)
-            x = est + e
-        for s in range(n_stages):
-            occupancy += np.bincount(q, minlength=m)
-            if white:
-                e = w[s]
-            r = decide_many(policy, s + 1, q, e) & fsm.allowed[q]
-            slot = 2 * q + r
-            success = u[s] >= fsm.drop[q]
-            delivered = r & success
-            if white:
-                est = np.where(delivered, e, xhat[s][slot])
-                residual = e - est
-            else:
-                residual = np.where(delivered, 0.0, e)
-            costs[s] = residual * residual
-            sends[s] += np.count_nonzero(r)
-            if collect_trace:
+    threads = min(quadrature._cpu_count(), MAX_THREADS, -(-trials // BLOCK_TRIALS))
+    block = min(trials, BLOCK_TRIALS // threads)  # all threads' buffers make one block
+    starts = iter(range(0, trials, block))
+    lock = threading.Lock()
+
+    def step_blocks():
+        """Step blocks until none is left; return this thread's counts."""
+        sends = np.zeros(n_stages, dtype=np.int64)
+        occupancy = np.zeros(m, dtype=np.int64)
+        drawn, costs_buf = np.empty((block, n_stages)), np.empty((n_costs, block))
+        w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
+        while True:
+            with lock:
+                start = next(starts, None)
+                if start is None:
+                    return sends, occupancy
+                k = min(block, trials - start)
+                rng.random(out=drawn[:k])
+            rows = slice(start, start + k)
+            w, u, costs = w_buf[:, :k], u_buf[:, :k], costs_buf[:, :k]
+            np.copyto(w, noise[rows].T)
+            np.copyto(u, drawn[:k].T)
+            e = np.zeros(k)
+            q = np.full(k, fsm.initial_state, dtype=np.intp)
+            if collect_trace and not white:
+                est = np.full(k, plant.a * plant.x0)
+                x = est + e
+            for s in range(n_stages):
+                occupancy += np.bincount(q, minlength=m)
+                if white:
+                    e = w[s]
+                r = decide_many(policy, s + 1, q, e) & fsm.allowed[q]
+                slot = 2 * q + r
+                success = u[s] >= fsm.drop[q]
+                delivered = r & success
+                if white:
+                    est = np.where(delivered, e, xhat[s][slot])
+                    residual = e - est
+                else:
+                    residual = np.where(delivered, 0.0, e)
+                costs[s] = residual * residual
+                sends[s] += np.count_nonzero(r)
+                if collect_trace:
+                    if not white:
+                        est = np.where(delivered, x, est)
+                    row = (e, est, residual) if white else (x, est, e)
+                    for (key, _), value in zip(_TRACE_FIELDS, row + (r, success, q)):
+                        trace[key][rows, s] = value
+                    if not white:
+                        est, x = plant.a * est, plant.a * x + w[s]
                 if not white:
-                    est = np.where(delivered, x, est)
-                row = (e, est, residual) if white else (x, est, e)
-                for (key, _), value in zip(_TRACE_FIELDS, row + (r, success, q)):
-                    trace[key][rows, s] = value
-                if not white:
-                    est, x = plant.a * est, plant.a * x + w[s]
+                    e = plant.a * residual + w[s]
+                q = successor[slot]
             if not white:
-                e = plant.a * residual + w[s]
-            q = successor[slot]
-        if not white:
-            costs[n_stages] = e * e
-        stage_costs[rows] = costs.T
+                costs[n_stages] = e * e
+            stage_costs[rows] = costs.T
+
+    if threads == 1:
+        counts = [step_blocks()]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # importing the CLI skips it
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures = [pool.submit(step_blocks) for _ in range(threads - 1)]
+            counts = [step_blocks()] + [f.result() for f in futures]
+    sends, occupancy = (sum(c) for c in zip(*counts))
     del noise  # the reductions below take a cost-table-sized temporary
 
     stage_mse = stage_costs.mean(axis=0)

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from remest import oracle_sim, quadrature
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.cli import _random_discrete_instance
 from remest.dp_iid import conditional_estimates, iid_backward_induction
@@ -437,11 +440,16 @@ def policy_cases():
 
 
 class TestBlockedLoopMatchesReference:
+    # at 3 threads the blocks have BLOCK_TRIALS // 3 = 10,922 trials, and the
+    # last block of every trial count here is short
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["threshold", "gridded", "interval"])
     @pytest.mark.parametrize("trials", [1, 7, BLOCK_TRIALS - 1, BLOCK_TRIALS,
                                         BLOCK_TRIALS + 1, 3 * BLOCK_TRIALS + 5])
-    def test_bit_identical_summary_and_trace(self, policy_cases, kind, trials):
+    def test_bit_identical_summary_and_trace(self, policy_cases, monkeypatch, kind,
+                                             trials, threads):
         plant, fsm, policy = policy_cases[kind]
+        monkeypatch.setattr(quadrature, "_cpu_count", lambda: threads)
         for seed in (0, 13):
             got = simulate(plant, fsm, policy, trials, seed, collect_trace=True)
             want = reference_simulate(plant, fsm, policy, trials, seed,
@@ -455,19 +463,49 @@ class TestBlockedLoopMatchesReference:
             assert_summaries_identical(
                 got, reference_simulate(plant, fsm, policy, 2 * BLOCK_TRIALS + 3, 4))
 
+    @pytest.mark.parametrize("cpus, trials", [(1, 3 * BLOCK_TRIALS + 5), (4, BLOCK_TRIALS)],
+                             ids=["one-cpu", "one-block"])
+    def test_in_thread_run_starts_no_pool(self, policy_cases, monkeypatch, cpus, trials):
+        plant, fsm, policy = policy_cases["threshold"]
+        monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
+        with mock.patch("concurrent.futures.ThreadPoolExecutor",
+                        side_effect=AssertionError("started a thread pool")):
+            got = simulate(plant, fsm, policy, trials, 2)
+        assert_summaries_identical(got, reference_simulate(plant, fsm, policy, trials, 2))
 
-def test_peak_memory_is_noise_and_cost_tables_plus_blocks():
+    def test_worker_error_reaches_the_caller(self, policy_cases, monkeypatch):
+        plant, fsm, policy = policy_cases["threshold"]
+        caller = threading.current_thread()
+
+        def decide(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError(f"decision failed on {threading.current_thread().name}")
+            return decide_many(*args)
+
+        monkeypatch.setattr(quadrature, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(oracle_sim, "decide_many", decide)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decision failed on"):
+            simulate(plant, fsm, policy, 3 * BLOCK_TRIALS, 2)
+        assert threading.active_count() == before
+
+
+def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
     # the whole-table loops also held every uniform and per-stage temporaries
-    # over all trials; the blocked loop holds only one block of them
+    # over all trials; the blocked loop holds only one block of them, however
+    # many threads share it
     trials, horizon = 200_000, 20
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
     bound = 8 * trials * horizon + 8 * trials * (horizon + 1) + 30e6
-    tracemalloc.start()
-    try:
-        simulate(plant, fsm, policy, trials, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
+    for threads in (1, 3):
+        monkeypatch.setattr(quadrature, "_cpu_count", lambda: threads)
+        tracemalloc.start()
+        try:
+            simulate(plant, fsm, policy, trials, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{threads} threads: peak {peak / 1e6:.1f} MB over " \
+                             f"{bound / 1e6:.1f} MB"
