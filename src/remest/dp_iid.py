@@ -112,11 +112,12 @@ def optimize_interval(sigma2: float, p_drop, continuation_gap):
     centered interval is preferred.
 
     ``p_drop`` and ``continuation_gap`` are scalars, or equal-length 1-D
-    arrays with one entry per state; all states share one coarse table and
-    are refined together. Returns ``(tau_lo, tau_hi, objective)``: floats
-    for scalar settings, arrays otherwise.
+    arrays with one entry per row (a state, or a (stage, state) pair); all
+    rows share one coarse table and are refined together, each exactly as
+    if it were searched alone. Returns ``(tau_lo, tau_hi, objective)``:
+    floats for scalar settings, arrays otherwise.
     """
-    return _zoom(_interval_search, sigma2, p_drop, continuation_gap, -SPAN, NEVER_TRANSMIT)
+    return _zoom(_interval_search, sigma2, -SPAN, NEVER_TRANSMIT)(p_drop, continuation_gap)
 
 
 def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap):
@@ -124,65 +125,81 @@ def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap):
 
     Same objective as :func:`optimize_interval` restricted to the symmetric
     diagonal, searched over tau in [0, SPAN*sigma]; used to quantify how
-    much asymmetry buys. Takes scalar or per-state settings like
+    much asymmetry buys. Takes scalar or per-row settings like
     :func:`optimize_interval`. Returns ``(tau, objective)`` with tau = inf
     when never-transmit wins.
     """
-    return _zoom(_symmetric_search, sigma2, p_drop, continuation_gap, 0.0, (math.inf,))
+    return _zoom(_symmetric_search, sigma2, 0.0, (math.inf,))(p_drop, continuation_gap)
 
 
-def _zoom(search, sigma2, p_drop, continuation_gap, start, never_transmit):
-    """The search loop of both optimizers: ``search(sigma2, p, gap, *axes)``
-    returns each state's best coordinates (one per entry of
-    ``never_transmit``) and objective over one axis row per state, or one
-    shared row. A coarse search over [start, SPAN] standard deviations, then
-    21-point windows shrinking 8x down to ``REFINE_TOL``; a tying candidate
-    replaces the incumbent, and ``never_transmit`` goes where sigma2 wins."""
+def _zoom(search, sigma2, start, never_transmit):
+    """The search loop of both optimizers. ``search(sigma2, *axes)`` tabulates
+    the interval terms over one axis row per row of settings, or one shared
+    row, and returns ``pick(p, gap)``: each row's best coordinates (one per
+    entry of ``never_transmit``) and objective. The coarse table over
+    [start, SPAN] standard deviations is built here once; the returned
+    ``solve(p_drop, continuation_gap)`` picks from it for any number of
+    rows, then refines each row in 21-point windows shrinking 8x down to
+    ``REFINE_TOL``. A tying candidate replaces the incumbent, and
+    ``never_transmit`` goes where sigma2 wins."""
     sigma = math.sqrt(sigma2)
-    scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
-    p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
-                                 np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
-    axis = np.linspace(start * sigma, SPAN * sigma, COARSE)[None, :]
-    best = search(sigma2, p, gap, *[axis] * len(never_transmit))  # coordinates, objective
-    window = (SPAN - start) * sigma / (COARSE - 1)
-    while window > REFINE_TOL * sigma:
-        offsets = np.linspace(-window, window, 21)
-        cand = search(sigma2, p, gap, *[x[:, None] + offsets for x in best[:-1]])
-        better = cand[-1] <= best[-1]
-        for x, c in zip(best, cand):
-            x[better] = c[better]
-        window /= 8.0
-    never = sigma2 < best[-1]  # silence forever: estimate 0, p_transmit 0
-    for x, v in zip(best, never_transmit + (sigma2,)):
-        x[never] = v
-    return tuple(float(x[0]) if scalar else x for x in best)
+    axes = [np.linspace(start * sigma, SPAN * sigma, COARSE)[None, :]] * len(never_transmit)
+    coarse = search(sigma2, *axes)
+
+    def solve(p_drop, continuation_gap):
+        scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
+        p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
+                                     np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
+        best = coarse(p, gap)  # coordinates, objective
+        window = (SPAN - start) * sigma / (COARSE - 1)
+        while window > REFINE_TOL * sigma:
+            offsets = np.linspace(-window, window, 21)
+            cand = search(sigma2, *[x[:, None] + offsets for x in best[:-1]])(p, gap)
+            better = cand[-1] <= best[-1]
+            for x, c in zip(best, cand):
+                x[better] = c[better]
+            window /= 8.0
+        never = sigma2 < best[-1]  # silence forever: estimate 0, p_transmit 0
+        for x, v in zip(best, never_transmit + (sigma2,)):
+            x[never] = v
+        return tuple(float(x[0]) if scalar else x for x in best)
+
+    return solve
 
 
-def _interval_search(sigma2, p, gap, lo_axes, hi_axes):
-    """Per-state minimum over the tables lo_axes[k] x hi_axes[k]:
-    ``(lo, hi, objective)`` arrays."""
+def _interval_search(sigma2, lo_axes, hi_axes):
+    """Table over lo_axes[k] x hi_axes[k]; its ``pick(p, gap)`` returns each
+    row's minimum as ``(lo, hi, objective)`` arrays."""
     term_in, term_out, m0c = _interval_terms(sigma2, lo_axes[:, :, None], hi_axes[:, None, :])
-    obj = term_in + p[:, None, None] * term_out + gap[:, None, None] * m0c
-    best = obj.min(axis=(1, 2))
-    # tie polish within each state: narrowest interval first, then the most
-    # centered one, then the first in row-major order
-    k, i, j = np.nonzero(obj <= best[:, None, None] + 1e-15)
-    lo = np.broadcast_to(lo_axes, (len(p), lo_axes.shape[1]))[k, i]
-    hi = np.broadcast_to(hi_axes, (len(p), hi_axes.shape[1]))[k, j]
-    order = np.lexsort((np.abs(hi + lo), hi - lo, k))
-    first = order[np.searchsorted(k[order], np.arange(len(p)))]
-    return lo[first], hi[first], best
+
+    def pick(p, gap):
+        obj = term_in + p[:, None, None] * term_out + gap[:, None, None] * m0c
+        best = obj.min(axis=(1, 2))
+        # tie polish within each row: narrowest interval first, then the most
+        # centered one, then the first in row-major order
+        k, i, j = np.nonzero(obj <= best[:, None, None] + 1e-15)
+        lo = np.broadcast_to(lo_axes, (len(p), lo_axes.shape[1]))[k, i]
+        hi = np.broadcast_to(hi_axes, (len(p), hi_axes.shape[1]))[k, j]
+        order = np.lexsort((np.abs(hi + lo), hi - lo, k))
+        first = order[np.searchsorted(k[order], np.arange(len(p)))]
+        return lo[first], hi[first], best
+
+    return pick
 
 
-def _symmetric_search(sigma2, p, gap, axes):
-    """Per-state first minimum over tau in axes[k], clamped at 0:
-    ``(tau, objective)`` arrays."""
+def _symmetric_search(sigma2, axes):
+    """Table over tau in axes[k], clamped at 0; its ``pick(p, gap)`` returns
+    each row's first minimum as ``(tau, objective)`` arrays."""
     axes = np.maximum(axes, 0.0)
     term_in, term_out, m0c = _interval_terms(sigma2, -axes, axes)
-    obj = term_in + p[:, None] * term_out + gap[:, None] * m0c
-    k = np.argmin(obj, axis=1)
-    rows = np.arange(len(p))
-    return np.broadcast_to(axes, obj.shape)[rows, k], obj[rows, k]
+
+    def pick(p, gap):
+        obj = term_in + p[:, None] * term_out + gap[:, None] * m0c
+        k = np.argmin(obj, axis=1)
+        rows = np.arange(len(p))
+        return np.broadcast_to(axes, obj.shape)[rows, k], obj[rows, k]
+
+    return pick
 
 
 @dataclass
@@ -224,8 +241,11 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
         V[n, q] = min_{lo<=hi} stage(lo, hi) + p_tx (V[n+1, q1] - V[n+1, q0])
                   + V[n+1, q0]
 
-    Masked states skip the optimization and stay silent (stage cost equal
-    to the source variance). The terminal slice is zero.
+    The coarse interval table depends on sigma2 alone, so it is built once
+    and every stage picks from it. Masked states skip the optimization and
+    stay silent (stage cost equal to the source variance). The terminal
+    slice is zero. No value reads the symmetric comparison, so it runs once
+    after the loop, over every (stage, allowed state) row.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -233,23 +253,26 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
     values = np.zeros((horizon + 1, m))
     intervals = np.full((horizon, m, 2), NEVER_TRANSMIT)
     p_transmit = np.zeros((horizon, m))
-    log: List[Tuple[int, int, float, float]] = []
     q0, q1 = fsm.successor.T
     allowed = np.flatnonzero(fsm.allowed)
     p = fsm.drop[allowed]
+    search = _zoom(_interval_search, sigma2, -SPAN, NEVER_TRANSMIT)
+    objs = np.empty((horizon, len(allowed)))
     for s in range(horizon - 1, -1, -1):
         # every state silent; the transmit-allowed ones are overwritten below
         values[s] = sigma2 + values[s + 1, q0]
         silent_next = values[s + 1, q0[allowed]]
-        gap = values[s + 1, q1[allowed]] - silent_next
-        lo, hi, obj = optimize_interval(sigma2, p, gap)
-        _, obj_sym = optimize_symmetric_threshold(sigma2, p, gap)
-        values[s, allowed] = obj + silent_next
+        lo, hi, objs[s] = search(p, values[s + 1, q1[allowed]] - silent_next)
+        values[s, allowed] = objs[s] + silent_next
         intervals[s, allowed, 0], intervals[s, allowed, 1] = lo, hi
-        log += [(s + 1, int(allowed[k]), float(obj_sym[k]), float(obj[k]))
-                for k in np.flatnonzero(obj_sym - obj > ASYMMETRY_TOL * sigma2)]
     _, p_transmit[:, allowed] = iid_stage_cost(sigma2, p, intervals[:, allowed, 0],
                                                intervals[:, allowed, 1])
+    gaps = values[1:, q1[allowed]] - values[1:, q0[allowed]]
+    _, obj_sym = optimize_symmetric_threshold(sigma2, np.tile(p, horizon), gaps.ravel())
+    obj_sym = obj_sym.reshape(objs.shape)
+    wins = obj_sym - objs > ASYMMETRY_TOL * sigma2
+    log = [(s + 1, int(allowed[k]), float(obj_sym[s, k]), float(objs[s, k]))
+           for s in range(horizon - 1, -1, -1) for k in np.flatnonzero(wins[s])]
     return IidValueTable(fsm=fsm, values=values, intervals=intervals,
                          p_transmit=p_transmit, asymmetry_log=log)
 

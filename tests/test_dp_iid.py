@@ -312,6 +312,22 @@ class TestBackwardInduction:
         fine = iid_backward_induction(fsm, 1.0, 3)
         assert np.max(np.abs(base.values - fine.values)) < 1e-4
 
+    @pytest.mark.parametrize("horizon", [1, 100])
+    def test_one_coarse_table_per_search_per_solve(self, monkeypatch, horizon):
+        # the coarse tables depend on sigma2 alone: one interval table and
+        # one symmetric table per solve, not one of each per stage
+        shapes = []
+        terms = dp_iid._interval_terms
+
+        def counting(sigma2, lo, hi):
+            if np.shape(hi)[-1] == dp_iid.COARSE:
+                shapes.append(np.broadcast_shapes(np.shape(lo), np.shape(hi)))
+            return terms(sigma2, lo, hi)
+
+        monkeypatch.setattr(dp_iid, "_interval_terms", counting)
+        iid_backward_induction(energy_harvesting_fsm(4, 2, 0.3), 1.0, horizon)
+        assert sorted(shapes) == [(1, dp_iid.COARSE), (1, dp_iid.COARSE, dp_iid.COARSE)]
+
     def test_policy_export_shape(self):
         fsm = energy_harvesting_fsm(4, 2, 0.3)
         table = iid_backward_induction(fsm, 1.0, 2)
@@ -452,13 +468,20 @@ def assert_tables_identical(got, want):
 
 
 class TestBatchedSearchMatchesReference:
-    @pytest.mark.parametrize("fsm", [
-        energy_harvesting_fsm(4, 2, 0.3),
-        workload_chain_fsm(4, (0.1, 0.3, 0.5, 0.7, 0.9)),
-    ], ids=["energy_harvesting", "workload_chain"])
-    def test_presets_bit_identical(self, fsm):
-        assert_tables_identical(iid_backward_induction(fsm, 1.0, 20),
-                                reference_backward_induction(fsm, 1.0, 20))
+    @pytest.mark.parametrize("fsm, horizon", [
+        (energy_harvesting_fsm(4, 2, 0.3), 20),
+        (workload_chain_fsm(4, (0.1, 0.3, 0.5, 0.7, 0.9)), 20),
+        # the white-source benchmark's horizon; the workload preset's scalar
+        # reference takes twice as long there, so it stays at 20
+        (energy_harvesting_fsm(4, 2, 0.3), 100),
+        # no transmit-allowed state: both searches run on zero rows
+        (ChannelFsm(2, ((1, 0), (0, 1)), (1.0, 1.0), 0, (False, False)), 5),
+        (ChannelFsm(1, ((0, 0),), (0.0,), 0, (True,)), 5),
+    ], ids=["energy_harvesting", "workload_chain", "energy_harvesting_n100",
+            "all_masked", "free_channel"])
+    def test_presets_bit_identical(self, fsm, horizon):
+        assert_tables_identical(iid_backward_induction(fsm, 1.0, horizon),
+                                reference_backward_induction(fsm, 1.0, horizon))
 
     @settings(max_examples=50, deadline=None)
     @given(fsm=built_fsms(), sigma2=st.floats(0.1, 4.0), horizon=st.integers(1, 4),
