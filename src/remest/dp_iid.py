@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelFsm
 from .policy import TransmitPolicy, write_csv
-from .quadrature import MASS_FLOOR, _moments_given_mass, gaussian_partial_moments
+from .quadrature import MASS_FLOOR, _moments_given_mass, gaussian_partial_moments, ndtr
 
 
 def _split_costs(sigma2, m0, m1, m2):
@@ -76,14 +76,14 @@ def _interval_terms(sigma2, lo, hi):
     The one difference from :func:`gaussian_partial_moments` is the inside
     mass, taken as ``ndtr(zb) - ndtr(za)`` also where lo > 0, where that
     difference cancels. Reflecting it moves solved intervals, so it waits
-    for the benchmark re-baseline (ROADMAP item 1).
+    for the benchmark re-baseline (ROADMAP item 1). Both ends go through one
+    :func:`ndtr` call, which has a fixed cost of a few dozen numpy calls.
     """
-    from scipy.special import ndtr  # deferred: importing the CLI skips scipy
-
     sigma = math.sqrt(sigma2)
     za, zb = lo / sigma, hi / sigma
-    term_in, term_out, m0c = _split_costs(
-        sigma2, *_moments_given_mass(sigma2, za, zb, ndtr(zb) - ndtr(za)))
+    cdf = ndtr(np.concatenate((za.ravel(), zb.ravel())))
+    m0 = cdf[za.size:].reshape(zb.shape) - cdf[:za.size].reshape(za.shape)
+    term_in, term_out, m0c = _split_costs(sigma2, *_moments_given_mass(sigma2, za, zb, m0))
     return np.where(lo > hi, np.inf, term_in), term_out, m0c
 
 

@@ -660,3 +660,23 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_white_source_commands_load_no_scipy(tmp_path):
+    # solve-iid and simulating its interval policy take the normal CDF from
+    # the numpy ndtr; only the grid solver's operator needs scipy
+    cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 5})
+    iid = tmp_path / "iid"
+    commands = [["--config", str(cfg), "--out", str(iid), "solve-iid"],
+                ["--config", str(cfg), "--out", str(tmp_path / "sim"), "--trials", "2000",
+                 "simulate", str(iid / "policy.csv")]]
+    code = ("import json, sys\nfrom remest.cli import main\nloaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "    loaded.append([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "print(json.dumps(loaded))")
+    env = dict(os.environ, PYTHONPATH=str(Path(remest.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], []]
+    assert load_policy_csv(iid / "policy.csv")[0].kind == "interval_pair"

@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from remest import dp_iid
+from remest import dp_iid, quadrature
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.dp_iid import (ASYMMETRY_TOL, NEVER_TRANSMIT, REFINE_TOL, SPAN,
                            IidValueTable, _interval_terms, conditional_estimates,
@@ -501,3 +501,40 @@ class TestBatchedSearchMatchesReference:
         got = optimize_symmetric_threshold(sigma2, p, gap)
         want = reference_optimize_symmetric(sigma2, p, gap)
         assert all(type(v) is float for v in got) and bits(got) == bits(want)
+
+
+PRESET_FSMS = {"energy_harvesting": energy_harvesting_fsm(4, 2, 0.3),
+               "workload_chain": workload_chain_fsm(4, (0.1, 0.3, 0.5, 0.7, 0.9))}
+
+
+@pytest.fixture
+def with_scipy_ndtr(monkeypatch):
+    """Puts scipy's ndtr where the solver reads the numpy port, counting calls."""
+    calls = []
+
+    def scipy_ndtr(a):
+        calls.append(np.size(a))
+        return ndtr(a)
+
+    for module in (dp_iid, quadrature):
+        monkeypatch.setattr(module, "ndtr", scipy_ndtr)
+    return calls
+
+
+class TestSolveWithScipyNdtr:
+    """The numpy ndtr changes no result the white-source solver reports."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_FSMS))
+    def test_backward_induction_bit_identical(self, name, request):
+        fsm = PRESET_FSMS[name]
+        ours = iid_backward_induction(fsm, 1.0, 20)
+        calls = request.getfixturevalue("with_scipy_ndtr")
+        assert_tables_identical(ours, iid_backward_induction(fsm, 1.0, 20))
+        assert calls
+
+    def test_conditional_estimates_bit_identical(self, request):
+        intervals = iid_backward_induction(PRESET_FSMS["workload_chain"], 1.0, 20).intervals
+        lo, hi = intervals[..., 0], intervals[..., 1]
+        ours = conditional_estimates(1.0, lo, hi)
+        calls = request.getfixturevalue("with_scipy_ndtr")
+        assert bits(ours) == bits(conditional_estimates(1.0, lo, hi)) and calls

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -114,6 +115,66 @@ class TestTruncatedMoments:
                   gaussian_partial_moments(2.0, cuts[0], cuts[1])[0],
                   gaussian_partial_moments(2.0, cuts[1], math.inf)[0]]
         assert sum(pieces) == pytest.approx(1.0, abs=1e-12)
+
+
+def ulp_neighbours(values, k):
+    """Each value with its k nearest floats on either side."""
+    out = []
+    for v in values:
+        up = down = v
+        for _ in range(k):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+            out += [up, down]
+        out.append(v)
+    return np.array(out)
+
+
+def assert_ndtr_matches_scipy(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quadrature.ndtr(a)
+    want = ndtr(a)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    mismatched = got[finite].view(np.int64) != want[finite].view(np.int64)
+    assert not mismatched.any(), np.asarray(a)[finite][mismatched][:5]
+
+
+class TestNdtr:
+    """The numpy ndtr is scipy's (cephes) bit for bit; a libm or scipy build
+    that breaks the equivalence fails here first."""
+
+    def test_seeded_arguments_at_many_scales(self):
+        rng = np.random.default_rng(2016)
+        for scale in (0.5, 1.0, 2.0, 6.0, 12.0, 40.0, 1e3, 1e200):
+            assert_ndtr_matches_scipy(scale * rng.standard_normal(125_000))
+
+    def test_branch_edges_and_their_neighbours(self):
+        # |x| = 1 and 8 in x = a / sqrt(2), and where -x^2 passes -MAXLOG
+        underflow = math.sqrt(2.0 * quadrature._MAXLOG)
+        edges = [math.sqrt(2.0), 8.0 * math.sqrt(2.0), underflow]
+        points = ulp_neighbours(edges + [-e for e in edges], 64)
+        assert_ndtr_matches_scipy(points)
+        # the neighbours of the underflow edge fall on both sides of it
+        left_tail = quadrature.ndtr(ulp_neighbours([-underflow], 64))
+        assert np.any(left_tail == 0.0) and np.any(left_tail > 0.0)
+
+    def test_special_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, tiny, 1e-310, 2.2250738585072014e-308, 1e300, math.inf, 37.7]
+        assert_ndtr_matches_scipy(np.array(special + [-v for v in special] + [math.nan]))
+        assert quadrature.ndtr(-math.inf) == 0.0 and quadrature.ndtr(math.inf) == 1.0
+        assert math.isnan(quadrature.ndtr(math.nan))
+
+    @pytest.mark.parametrize("a", [0.3, -2.0, np.float64(9.0), np.array(-40.0)])
+    def test_scalar_in_scalar_out(self, a):
+        got = quadrature.ndtr(a)
+        assert type(got) is np.float64 and got == ndtr(a)
+
+    def test_shape_is_kept(self):
+        a = np.linspace(-10.0, 10.0, 24).reshape(2, 3, 4)
+        assert_ndtr_matches_scipy(a)
+        assert_ndtr_matches_scipy(np.empty((0, 3)))
 
 
 class TestGaussianExpectation:
