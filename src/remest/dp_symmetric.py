@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelFsm, reachable_pairs
-from . import quadrature
+from . import workers
 from .policy import TransmitPolicy, _block_text, _write_texts, extract_threshold
 from .process import PlantModel, is_number
 from .quadrature import (ErrorGrid, GaussianExpectationOperator,
@@ -343,9 +343,9 @@ def solve_and_extract(plant: PlantModel, fsm: ChannelFsm,
         reachable=reachable_pairs(fsm, plant.horizon))
 
 
-# The value CSV's stages are formatted in values // FORMAT_ENTRIES worker
-# processes (at least 1, at most the usable CPUs and the stages); below about
-# this many values a pool's start costs more than its share of the work saves.
+# The value CSV's stages are formatted in workers.count(values //
+# FORMAT_ENTRIES) worker processes, at most one per stage; below about this
+# many values a pool's start costs more than its share of the work saves.
 FORMAT_ENTRIES = 50_000
 
 
@@ -354,26 +354,25 @@ def export_value_table_csv(table: ValueTable, path):
 
     Each stage formats its bitwise-distinct C0/C1 slices once; V is C1 where
     the table transmits and C0 elsewhere (a :class:`ValueTable` invariant), so
-    it takes their strings. The stages are formatted in ``values.size //
-    FORMAT_ENTRIES`` forked worker processes, at most the usable CPUs and the
-    horizon, and written in stage order, so the bytes do not depend on the
-    worker count. With one worker, without ``os.fork`` or from Python 3.12 on,
-    this process formats them and starts none.
+    it takes their strings. Formatting holds the GIL, so the stages are
+    formatted in ``workers.count(min(values.size // FORMAT_ENTRIES, horizon))``
+    forked processes and written in stage order: the bytes do not depend on
+    the count. With one, without ``os.fork`` or from Python 3.12 on, this
+    process formats them and starts none.
     """
     header = ("n", "q", "e", "V", "C0", "C1", "transmit")
     metadata = {"provenance": table.provenance}
     stages = range(table.horizon)
-    workers = max(1, min(table.values.size // FORMAT_ENTRIES, quadrature._cpu_count(),
-                         table.horizon))
+    processes = workers.count(min(table.values.size // FORMAT_ENTRIES, table.horizon))
     # Fork only before Python 3.12: from 3.12 on os.fork warns in any
     # multi-threaded process, OpenBLAS's threads make every numpy process one,
     # and pyproject.toml turns that warning into a test error.
-    if workers > 1 and hasattr(os, "fork") and sys.version_info < (3, 12):
+    if processes > 1 and hasattr(os, "fork") and sys.version_info < (3, 12):
         import multiprocessing  # deferred: importing the CLI skips them
         from concurrent.futures.process import ProcessPoolExecutor
 
         # fork hands the table to each worker without pickling it
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_hold, initargs=(table,)) as pool:
             _write_texts(path, header, metadata, pool.map(_stage_text, stages))
         return

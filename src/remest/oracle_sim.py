@@ -29,19 +29,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import quadrature
+from . import workers
 from .channel import ChannelFsm, reachable_pairs
 from .policy import TransmitPolicy, decide_many, write_csv
 from .process import PlantModel
 from .dp_iid import conditional_estimates
 
 ENUMERATION_LIMIT = 10 ** 7
-# Trials stepped together over all threads: each thread steps blocks of
-# BLOCK_TRIALS // threads trials, so every thread's per-stage rows stay
-# cache-resident and all threads' buffers together hold one block. At most
-# MAX_THREADS threads, one per BLOCK_TRIALS trials and usable CPU.
+# Trials stepped together over all workers.count(ceil(trials / BLOCK_TRIALS))
+# threads: each steps blocks of BLOCK_TRIALS // threads trials, so its
+# per-stage rows stay cache-resident and all buffers together hold one block.
 BLOCK_TRIALS = 2 ** 15
-MAX_THREADS = 4
 _TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
                  ("c", bool), ("q", np.intp))
 
@@ -118,9 +116,9 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
     Stream contract (same seed, same summary): one Philox(key=seed)
     generator draws the (trials, stages) normals, then the uniforms, both
-    trial-major. Trials are stepped in blocks, stage-major, on ``threads``
-    threads (at most ``MAX_THREADS``, the usable CPUs and one per
-    ``BLOCK_TRIALS`` trials), each stepping blocks of
+    trial-major. Trials are stepped in blocks, stage-major, on
+    ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
+    :func:`workers.run_each` runs and ends, each stepping blocks of
     ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and
     draws its rows of uniforms while holding one lock, so the stream is
     consumed in block order; it steps the block outside the lock and writes
@@ -144,7 +142,7 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     stage_costs = np.empty((trials, n_costs))
     trace = ({key: np.empty((trials, n_stages), dtype=dtype)
               for key, dtype in _TRACE_FIELDS} if collect_trace else None)
-    threads = min(quadrature._cpu_count(), MAX_THREADS, -(-trials // BLOCK_TRIALS))
+    threads = workers.count(-(-trials // BLOCK_TRIALS))
     block = min(trials, BLOCK_TRIALS // threads)  # all threads' buffers make one block
     starts = iter(range(0, trials, block))
     lock = threading.Lock()
@@ -201,13 +199,7 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
                 costs[n_stages] = e * e
             stage_costs[rows] = costs.T
 
-    if threads == 1:
-        counts = [step_blocks()]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # importing the CLI skips it
-        with ThreadPoolExecutor(threads - 1) as pool:
-            futures = [pool.submit(step_blocks) for _ in range(threads - 1)]
-            counts = [step_blocks()] + [f.result() for f in futures]
+    counts = workers.run_each(lambda _: step_blocks(), range(threads))
     sends, occupancy = (sum(c) for c in zip(*counts))
     del noise  # the reductions below take a cost-table-sized temporary
 

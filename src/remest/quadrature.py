@@ -7,22 +7,23 @@ operation is the Gaussian expectation
     h(e) = E[f(a*e + W)],   W ~ N(0, sigma2),
 
 applied by :class:`GaussianExpectationOperator` to a stack of sampled
-slices at once; on fine grids it splits its rows over threads, bit for bit
-as one thread would compute them. The module also provides the
-unnormalized truncated-normal moments behind the operator's tails and the
-white-source solver, a numpy normal CDF equal bit for bit to scipy's, so
-that the white-source solver and simulator import no scipy, and the
-symmetry/monotonicity check used to validate solver output.
+slices at once; on fine grids it splits its rows over threads (see
+:mod:`remest.workers`), bit for bit as one thread would compute them. The
+module also provides the unnormalized truncated-normal moments behind the
+operator's tails and the white-source solver, a numpy normal CDF equal bit
+for bit to scipy's, so that the white-source solver and simulator import no
+scipy, and the symmetry/monotonicity check used to validate solver output.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from . import workers
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -211,19 +212,8 @@ def _fit_tails(x, values):
 # by more than about 1e-20 of the largest sample.
 BAND_Z = 10.0
 
-# A band of E entries is cut into E // SHARE_ENTRIES row shares (at least 1,
-# at most MAX_SHARES and the CPUs this process may use), each built and
-# applied on its own thread.
+# A band of E entries is cut into workers.count(E // SHARE_ENTRIES) row shares.
 SHARE_ENTRIES = 4_000_000
-MAX_SHARES = 4
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 class GaussianExpectationOperator:
@@ -245,14 +235,14 @@ class GaussianExpectationOperator:
     O(n * band) rather than O(n^2), and one application is a sparse product
     over a stack of sample vectors. The stored arrays are read-only.
 
-    The band is cut into row shares, one CSR matrix per run of rows. With
-    one share the operator works in the calling thread; with more, it owns
-    a pool of one thread per further share (ended when the operator is
-    collected) and builds and applies the shares in parallel, since
-    ``ndtr``, the numpy ufuncs and the CSR kernel release the GIL. The
-    results are bit-identical for any number of shares: each weight comes
-    from the same elementwise ufuncs, each row's sum runs through scipy's
-    sequential CSR kernel, and the tails are fitted once to the whole stack.
+    The band is cut into row shares, one CSR matrix per run of rows. Each
+    build and each apply runs the shares through :func:`workers.run_each`:
+    in the calling thread with one share, in parallel with more (``ndtr``,
+    the numpy ufuncs and the CSR kernel release the GIL), and no thread
+    outlives the call. The results are bit-identical for any number of
+    shares: each weight comes from the same elementwise ufuncs, each row's
+    sum runs through scipy's sequential CSR kernel, and the tails are fitted
+    once to the whole stack.
 
     The cells take their CDFs from scipy's ``ndtr``: :func:`ndtr` gives the
     same values at about 8x the time per argument, and an 8001-point build
@@ -276,7 +266,7 @@ class GaussianExpectationOperator:
         first = np.floor((centers - BAND_Z * sigma + grid.half_width) / dx)
         first = np.clip(first, 0, n - width).astype(np.intp)
         index_dtype = np.int32 if n * width < 2 ** 31 else np.int64  # half the bytes
-        num_shares = max(1, min(n * width // SHARE_ENTRIES, _cpu_count(), MAX_SHARES))
+        num_shares = workers.count(n * width // SHARE_ENTRIES)
         block = 256 // num_shares  # all shares' temporaries fit one 256-row block
 
         def fill(share):
@@ -300,15 +290,11 @@ class GaussianExpectationOperator:
                  np.arange(len(data) + 1, dtype=index_dtype) * width),
                 shape=(len(data), n))
 
-        self._pool = None
-        if num_shares > 1:
-            from concurrent.futures import ThreadPoolExecutor  # deferred like scipy
-            self._pool = ThreadPoolExecutor(num_shares - 1)
         # each share owns its arrays, allocated in this thread: scipy copies a
         # view of less than half its base array, and what a worker allocates
         # stays in that thread's malloc arena
         bounds = [n * k // num_shares for k in range(num_shares + 1)]
-        self._shares = self._map(fill, [
+        self._shares = workers.run_each(fill, [
             (first[lo:hi], centers[lo:hi], np.zeros((hi - lo, width)),
              np.empty((hi - lo, width), dtype=index_dtype))
             for lo, hi in zip(bounds, bounds[1:])])
@@ -324,15 +310,6 @@ class GaussianExpectationOperator:
                     *(arr for w in self._shares for arr in (w.data, w.indices, w.indptr))):
             arr.flags.writeable = False
 
-    def _map(self, fn, items):
-        """``[fn(x) for x in items]``, the first item in this thread while the
-        pool's threads, if any, take the others."""
-        if self._pool is None:
-            return [fn(x) for x in items]
-        futures = [self._pool.submit(fn, x) for x in items[1:]]
-        first = fn(items[0])
-        return [first] + [f.result() for f in futures]
-
     def apply(self, values) -> np.ndarray:
         """h on the grid for each f sampled along the last axis of ``values``
         (one slice or a stack of any leading shape); same shape as ``values``."""
@@ -342,7 +319,7 @@ class GaussianExpectationOperator:
             raise ValueError(f"values shape {v.shape} does not match grid (..., {n})")
         stack = v.reshape(-1, n)
         columns = np.ascontiguousarray(stack.T)  # else each product copies it
-        h = np.concatenate(self._map(lambda w: w @ columns, self._shares)).T
+        h = np.concatenate(workers.run_each(lambda w: w @ columns, self._shares)).T
         h += np.concatenate(_fit_tails(self.grid.points, stack)).T @ self._tail_moments
         return h.reshape(v.shape)
 

@@ -651,9 +651,10 @@ class TestExportExamples:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy and the operator's thread pool are imported where they are used,
-    # so commands that solve nothing (export-examples, simulating a threshold
-    # policy) never pay for them
+    # scipy is imported where it is used, and concurrent.futures only when
+    # workers.run_each or the value CSV starts a thread or process, so commands
+    # that solve nothing (export-examples, simulating a threshold policy) never
+    # pay for them
     code = ("import sys, remest.cli; print([m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')])")
     env = dict(os.environ, PYTHONPATH=str(Path(remest.__file__).resolve().parents[1]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from remest import oracle_sim, quadrature
+from remest import oracle_sim, workers
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.cli import _random_discrete_instance
 from remest.dp_iid import conditional_estimates, iid_backward_induction
@@ -449,7 +449,7 @@ class TestBlockedLoopMatchesReference:
     def test_bit_identical_summary_and_trace(self, policy_cases, monkeypatch, kind,
                                              trials, threads):
         plant, fsm, policy = policy_cases[kind]
-        monkeypatch.setattr(quadrature, "_cpu_count", lambda: threads)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
         for seed in (0, 13):
             got = simulate(plant, fsm, policy, trials, seed, collect_trace=True)
             want = reference_simulate(plant, fsm, policy, trials, seed,
@@ -467,7 +467,7 @@ class TestBlockedLoopMatchesReference:
                              ids=["one-cpu", "one-block"])
     def test_in_thread_run_starts_no_pool(self, policy_cases, monkeypatch, cpus, trials):
         plant, fsm, policy = policy_cases["threshold"]
-        monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         with mock.patch("concurrent.futures.ThreadPoolExecutor",
                         side_effect=AssertionError("started a thread pool")):
             got = simulate(plant, fsm, policy, trials, 2)
@@ -482,7 +482,7 @@ class TestBlockedLoopMatchesReference:
                 raise RuntimeError(f"decision failed on {threading.current_thread().name}")
             return decide_many(*args)
 
-        monkeypatch.setattr(quadrature, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
         monkeypatch.setattr(oracle_sim, "decide_many", decide)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="decision failed on"):
@@ -500,7 +500,7 @@ def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
     bound = 8 * trials * horizon + 8 * trials * (horizon + 1) + 30e6
     for threads in (1, 3):
-        monkeypatch.setattr(quadrature, "_cpu_count", lambda: threads)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
         tracemalloc.start()
         try:
             simulate(plant, fsm, policy, trials, seed=1)

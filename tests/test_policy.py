@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest import dp_symmetric, quadrature
+from remest import dp_symmetric, workers
 from remest.channel import ChannelFsm, energy_harvesting_fsm, workload_chain_fsm
 from remest.cli import main
 from remest.dp_iid import export_iid_table_csv, iid_backward_induction
@@ -580,7 +580,7 @@ def _format_workers(cpus, entries=1):
     worker per ``entries`` values, so a small table gets min(cpus, horizon)
     workers at the default ``entries``."""
     return (mock.patch.object(dp_symmetric, "FORMAT_ENTRIES", entries),
-            mock.patch.object(quadrature, "_cpu_count", lambda: cpus))
+            mock.patch.object(workers, "usable_cpus", lambda: cpus))
 
 
 def _pooled(case):

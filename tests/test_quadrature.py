@@ -10,7 +10,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from remest import quadrature
+from remest import quadrature, workers
 from remest.channel import ChannelFsm, energy_harvesting_fsm
 from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
@@ -364,23 +364,39 @@ class TestBandedOperator:
             for got, want in zip(other, results[0]):
                 assert np.array_equal(got, want, equal_nan=True)
 
-    def test_share_threads_end_with_the_operator(self, monkeypatch):
+    def test_no_share_thread_outlives_a_build_or_an_apply(self, monkeypatch):
         force_shares(monkeypatch, 3)
+        caller, seen = threading.current_thread(), []  # the threads that fill or apply
+        pdf = quadrature._std_pdf
+        monkeypatch.setattr(quadrature, "_std_pdf",
+                            lambda z: seen.append(threading.current_thread()) or pdf(z))
+
+        class RecordingShare:
+            def __init__(self, share):
+                self.share = share
+
+            def __matmul__(self, columns):
+                seen.append(threading.current_thread())
+                return self.share @ columns
+
         before = set(threading.enumerate())
         op = GaussianExpectationOperator(ErrorGrid(20.0, 401), 1.1, 0.7)
+        built_by = set(seen)
+        assert not any(t.is_alive() for t in built_by - {caller})
+        seen.clear()
+        op._shares = [RecordingShare(share) for share in op._shares]
         op.apply(np.ones(401))
-        workers = [t for t in threading.enumerate() if t not in before]
-        assert len(workers) == 2  # the calling thread fills and applies one share
-        del op
-        for t in workers:
-            t.join(timeout=10)
-            assert not t.is_alive()
+        applied_by = set(seen)
+        assert not any(t.is_alive() for t in applied_by - {caller})
+        for threads in (built_by, applied_by):
+            assert caller in threads and len(threads) > 1  # the others took shares
+        assert set(threading.enumerate()) == before
 
 
 def force_shares(monkeypatch, count):
     """Make every operator band, however small, split into ``count`` row shares."""
     monkeypatch.setattr(quadrature, "SHARE_ENTRIES", 1)
-    monkeypatch.setattr(quadrature, "_cpu_count", lambda: count)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: count)
 
 
 def scalar_shape_scan(grid, v, tol):
