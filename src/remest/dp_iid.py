@@ -99,6 +99,24 @@ REFINE_TOL = 1e-6
 ASYMMETRY_TOL = 1e-7
 
 
+def _check_settings(sigma2, p_drop, continuation_gap=0.0):
+    """Raises ``ValueError`` unless sigma2 is positive and finite, every
+    p_drop lies in [0, 1] and every continuation gap is finite."""
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    if not np.all((np.asarray(p_drop) >= 0) & (np.asarray(p_drop) <= 1)):
+        raise ValueError(f"p_drop must be in [0, 1], got {p_drop}")
+    if not np.all(np.isfinite(continuation_gap)):
+        raise ValueError(f"continuation_gap must be finite, got {continuation_gap}")
+
+
+def _rows(p_drop, continuation_gap):
+    """Whether both settings are scalars, and both as equal-length 1-D arrays."""
+    p, gap = np.broadcast_arrays(np.array(p_drop, float, ndmin=1),
+                                 np.array(continuation_gap, float, ndmin=1))
+    return np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0, p, gap
+
+
 def optimize_interval(sigma2: float, p_drop, continuation_gap):
     """Best no-transmit interval for one stage plus transition coupling.
 
@@ -115,64 +133,49 @@ def optimize_interval(sigma2: float, p_drop, continuation_gap):
     arrays with one entry per row (a state, or a (stage, state) pair); all
     rows share one coarse table and are refined together, each exactly as
     if it were searched alone. Returns ``(tau_lo, tau_hi, objective)``:
-    floats for scalar settings, arrays otherwise.
+    floats for scalar settings, arrays otherwise. Raises ``ValueError``
+    unless sigma2 > 0 is finite, p_drop is in [0, 1] and the gap is finite.
     """
-    return _zoom(_interval_search, sigma2, -SPAN, NEVER_TRANSMIT)(p_drop, continuation_gap)
+    _check_settings(sigma2, p_drop, continuation_gap)
+    return _interval_search(sigma2)(p_drop, continuation_gap)
 
 
 def optimize_symmetric_threshold(sigma2: float, p_drop, continuation_gap):
     """Best symmetric rule (no-transmit interval [-tau, tau]) for one stage.
 
     Same objective as :func:`optimize_interval` restricted to the symmetric
-    diagonal, searched over tau in [0, SPAN*sigma]; used to quantify how
-    much asymmetry buys. Takes scalar or per-row settings like
-    :func:`optimize_interval`. Returns ``(tau, objective)`` with tau = inf
-    when never-transmit wins.
+    diagonal; used to quantify how much asymmetry buys. Both conditional
+    means are 0 there, so the objective's tau-derivative is
+    2 pdf(tau) ((1 - p_drop) tau^2 - gap), minimized in closed form at
+    tau = sqrt(gap / (1 - p_drop)): 0 where gap <= 0, inf where
+    p_drop = 1 < gap. Takes and checks scalar or per-row settings like
+    :func:`optimize_interval`. Returns ``(tau, objective)``.
     """
-    return _zoom(_symmetric_search, sigma2, 0.0, (math.inf,))(p_drop, continuation_gap)
+    _check_settings(sigma2, p_drop, continuation_gap)
+    scalar, p, gap = _rows(p_drop, continuation_gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(gap > 0, np.sqrt(gap / (1.0 - p)), 0.0)
+    cost, p_transmit = iid_stage_cost(sigma2, p, -tau, tau)
+    objective = cost + gap * p_transmit
+    never = sigma2 < objective  # silence forever: estimate 0, p_transmit 0
+    tau[never], objective[never] = math.inf, sigma2
+    return (float(tau[0]), float(objective[0])) if scalar else (tau, objective)
 
 
-def _zoom(search, sigma2, start, never_transmit):
-    """The search loop of both optimizers. ``search(sigma2, *axes)`` tabulates
-    the interval terms over one axis row per row of settings, or one shared
-    row, and returns ``pick(p, gap)``: each row's best coordinates (one per
-    entry of ``never_transmit``) and objective. The coarse table over
-    [start, SPAN] standard deviations is built here once; the returned
-    ``solve(p_drop, continuation_gap)`` picks from it for any number of
-    rows, then refines each row in 21-point windows shrinking 8x down to
-    ``REFINE_TOL``. A tying candidate replaces the incumbent, and
-    ``never_transmit`` goes where sigma2 wins."""
+def _interval_search(sigma2):
+    """The interval search of :func:`optimize_interval`. The coarse table
+    over [-SPAN, SPAN]^2 standard deviations depends on sigma2 alone, so it
+    is built here once; the returned ``solve(p_drop, continuation_gap)``
+    picks each row's best interval from it, then refines each row in
+    21-point windows shrinking 8x down to ``REFINE_TOL``. A tying candidate
+    replaces the incumbent, and never-transmit goes where sigma2 wins."""
     sigma = math.sqrt(sigma2)
-    axes = [np.linspace(start * sigma, SPAN * sigma, COARSE)[None, :]] * len(never_transmit)
-    coarse = search(sigma2, *axes)
+    axis = np.linspace(-SPAN * sigma, SPAN * sigma, COARSE)[None, :]
+    coarse = _interval_terms(sigma2, axis[:, :, None], axis[:, None, :])
 
-    def solve(p_drop, continuation_gap):
-        scalar = np.ndim(p_drop) == 0 and np.ndim(continuation_gap) == 0
-        p, gap = np.broadcast_arrays(np.atleast_1d(np.asarray(p_drop, dtype=float)),
-                                     np.atleast_1d(np.asarray(continuation_gap, dtype=float)))
-        best = coarse(p, gap)  # coordinates, objective
-        window = (SPAN - start) * sigma / (COARSE - 1)
-        while window > REFINE_TOL * sigma:
-            offsets = np.linspace(-window, window, 21)
-            cand = search(sigma2, *[x[:, None] + offsets for x in best[:-1]])(p, gap)
-            better = cand[-1] <= best[-1]
-            for x, c in zip(best, cand):
-                x[better] = c[better]
-            window /= 8.0
-        never = sigma2 < best[-1]  # silence forever: estimate 0, p_transmit 0
-        for x, v in zip(best, never_transmit + (sigma2,)):
-            x[never] = v
-        return tuple(float(x[0]) if scalar else x for x in best)
-
-    return solve
-
-
-def _interval_search(sigma2, lo_axes, hi_axes):
-    """Table over lo_axes[k] x hi_axes[k]; its ``pick(p, gap)`` returns each
-    row's minimum as ``(lo, hi, objective)`` arrays."""
-    term_in, term_out, m0c = _interval_terms(sigma2, lo_axes[:, :, None], hi_axes[:, None, :])
-
-    def pick(p, gap):
+    def pick(lo_axes, hi_axes, terms, p, gap):
+        # each row's minimum over lo_axes[k] x hi_axes[k] as (lo, hi, objective)
+        term_in, term_out, m0c = terms
         obj = term_in + p[:, None, None] * term_out + gap[:, None, None] * m0c
         best = obj.min(axis=(1, 2))
         # tie polish within each row: narrowest interval first, then the most
@@ -184,22 +187,25 @@ def _interval_search(sigma2, lo_axes, hi_axes):
         first = order[np.searchsorted(k[order], np.arange(len(p)))]
         return lo[first], hi[first], best
 
-    return pick
+    def solve(p_drop, continuation_gap):
+        scalar, p, gap = _rows(p_drop, continuation_gap)
+        best = pick(axis, axis, coarse, p, gap)
+        window = 2.0 * SPAN * sigma / (COARSE - 1)
+        while window > REFINE_TOL * sigma:
+            offsets = np.linspace(-window, window, 21)
+            lo_axes, hi_axes = best[0][:, None] + offsets, best[1][:, None] + offsets
+            terms = _interval_terms(sigma2, lo_axes[:, :, None], hi_axes[:, None, :])
+            cand = pick(lo_axes, hi_axes, terms, p, gap)
+            better = cand[2] <= best[2]
+            for x, c in zip(best, cand):
+                x[better] = c[better]
+            window /= 8.0
+        never = sigma2 < best[2]  # silence forever: estimate 0, p_transmit 0
+        for x, v in zip(best, NEVER_TRANSMIT + (sigma2,)):
+            x[never] = v
+        return tuple(float(x[0]) if scalar else x for x in best)
 
-
-def _symmetric_search(sigma2, axes):
-    """Table over tau in axes[k], clamped at 0; its ``pick(p, gap)`` returns
-    each row's first minimum as ``(tau, objective)`` arrays."""
-    axes = np.maximum(axes, 0.0)
-    term_in, term_out, m0c = _interval_terms(sigma2, -axes, axes)
-
-    def pick(p, gap):
-        obj = term_in + p[:, None] * term_out + gap[:, None] * m0c
-        k = np.argmin(obj, axis=1)
-        rows = np.arange(len(p))
-        return np.broadcast_to(axes, obj.shape)[rows, k], obj[rows, k]
-
-    return pick
+    return solve
 
 
 @dataclass
@@ -244,11 +250,13 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
     The coarse interval table depends on sigma2 alone, so it is built once
     and every stage picks from it. Masked states skip the optimization and
     stay silent (stage cost equal to the source variance). The terminal
-    slice is zero. No value reads the symmetric comparison, so it runs once
-    after the loop, over every (stage, allowed state) row.
+    slice is zero. No value reads the closed-form symmetric comparison, so
+    it runs once after the loop, over every (stage, allowed state) row.
+    Raises ``ValueError`` unless horizon >= 1 and sigma2 > 0 is finite.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_settings(sigma2, fsm.drop)
     m = fsm.num_states
     values = np.zeros((horizon + 1, m))
     intervals = np.full((horizon, m, 2), NEVER_TRANSMIT)
@@ -256,7 +264,7 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
     q0, q1 = fsm.successor.T
     allowed = np.flatnonzero(fsm.allowed)
     p = fsm.drop[allowed]
-    search = _zoom(_interval_search, sigma2, -SPAN, NEVER_TRANSMIT)
+    search = _interval_search(sigma2)
     objs = np.empty((horizon, len(allowed)))
     for s in range(horizon - 1, -1, -1):
         # every state silent; the transmit-allowed ones are overwritten below

@@ -298,9 +298,8 @@ def _stage_cost_tables(inst: DiscreteInstance):
 
 
 def _slot_maps(inst: DiscreteInstance, q: int) -> np.ndarray:
-    if inst.fsm.transmit_allowed[q]:
-        return np.arange(1 << len(inst.support))
-    return np.array([0])
+    """Every map where state q may transmit, else only map 0 (silence)."""
+    return np.arange(1 << len(inst.support) if inst.fsm.allowed[q] else 1)
 
 
 def exhaustive_policy_search(inst: DiscreteInstance):
@@ -339,13 +338,10 @@ def exhaustive_policy_search(inst: DiscreteInstance):
         maps = slot_maps[(n, q)]
         cost = shaped((n, q), cost_table[q, maps])
         p_send = shaped((n, q), p_send_table[maps])
-        q0, q1 = inst.fsm.transitions[q]
-        tail0 = expected_cost(n + 1, q0)
-        if inst.fsm.transmit_allowed[q]:
-            tail1 = expected_cost(n + 1, q1)
-            total = cost + (1.0 - p_send) * tail0 + p_send * tail1
-        else:
-            total = cost + tail0
+        # a masked state's one map has p_send = 0 and q1 = q0
+        q0, q1 = inst.fsm.successor[q].tolist()
+        total = (cost + (1.0 - p_send) * expected_cost(n + 1, q0)
+                 + p_send * expected_cost(n + 1, q1))
         cache[key] = total
         return total
 
@@ -374,15 +370,9 @@ def discrete_dp(inst: DiscreteInstance):
     for n in range(inst.horizon, 0, -1):
         for q in range(m):
             maps = _slot_maps(inst, q)
-            q0, q1 = inst.fsm.transitions[q]
-            tail0 = values[n, q0]
-            if inst.fsm.transmit_allowed[q]:
-                tail1 = values[n, q1]
-                totals = (cost_table[q, maps]
-                          + (1.0 - p_send_table[maps]) * tail0
-                          + p_send_table[maps] * tail1)
-            else:
-                totals = cost_table[q, maps] + tail0
+            q0, q1 = inst.fsm.successor[q]
+            totals = (cost_table[q, maps] + (1.0 - p_send_table[maps]) * values[n, q0]
+                      + p_send_table[maps] * values[n, q1])
             k = int(np.argmin(totals))
             values[n - 1, q] = totals[k]
             policy[(n, q)] = int(maps[k])

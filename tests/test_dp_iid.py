@@ -314,8 +314,9 @@ class TestBackwardInduction:
 
     @pytest.mark.parametrize("horizon", [1, 100])
     def test_one_coarse_table_per_search_per_solve(self, monkeypatch, horizon):
-        # the coarse tables depend on sigma2 alone: one interval table and
-        # one symmetric table per solve, not one of each per stage
+        # the coarse table depends on sigma2 alone: one interval table per
+        # solve, not one per stage; the symmetric rule is closed-form and
+        # tabulates nothing
         shapes = []
         terms = dp_iid._interval_terms
 
@@ -326,7 +327,7 @@ class TestBackwardInduction:
 
         monkeypatch.setattr(dp_iid, "_interval_terms", counting)
         iid_backward_induction(energy_harvesting_fsm(4, 2, 0.3), 1.0, horizon)
-        assert sorted(shapes) == [(1, dp_iid.COARSE), (1, dp_iid.COARSE, dp_iid.COARSE)]
+        assert shapes == [(1, dp_iid.COARSE, dp_iid.COARSE)]
 
     def test_policy_export_shape(self):
         fsm = energy_harvesting_fsm(4, 2, 0.3)
@@ -360,7 +361,8 @@ class TestBackwardInduction:
 
 
 # --- the per-(stage, state) search the batched one replaced, kept as the
-# reference it must reproduce bit for bit ------------------------------------
+# reference it must reproduce bit for bit; the symmetric search the closed
+# form replaced, kept as the oracle it must not lose to ------------------------
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -430,6 +432,18 @@ def reference_optimize_symmetric(sigma2, p_drop, gap, coarse=121):
     return tau_best, best
 
 
+def reference_closed_form_symmetric(sigma2, p_drop, gap):
+    """The symmetric optimum tau = sqrt(gap / (1 - p)), scalar by scalar."""
+    if gap <= 0:
+        tau = 0.0
+    elif p_drop == 1.0:
+        return math.inf, sigma2
+    else:
+        tau = math.sqrt(gap / (1.0 - p_drop))
+    best = float(reference_objective(sigma2, p_drop, gap, -tau, tau))
+    return (math.inf, sigma2) if sigma2 < best else (tau, best)
+
+
 def reference_backward_induction(fsm, sigma2, horizon, coarse=121):
     m = fsm.num_states
     values = np.zeros((horizon + 1, m))
@@ -445,7 +459,7 @@ def reference_backward_induction(fsm, sigma2, horizon, coarse=121):
                 continue
             gap = values[s + 1, q1] - values[s + 1, q0]
             lo, hi, obj = reference_optimize_interval(sigma2, fsm.drop_probs[q], gap, coarse)
-            _, obj_sym = reference_optimize_symmetric(sigma2, fsm.drop_probs[q], gap, coarse)
+            _, obj_sym = reference_closed_form_symmetric(sigma2, fsm.drop_probs[q], gap)
             if obj_sym - obj > ASYMMETRY_TOL * sigma2:
                 log.append((s + 1, q, obj_sym, obj))
             intervals[s, q] = (lo, hi)
@@ -499,8 +513,83 @@ class TestBatchedSearchMatchesReference:
         want = reference_optimize_interval(sigma2, p, gap)
         assert all(type(v) is float for v in got) and bits(got) == bits(want)
         got = optimize_symmetric_threshold(sigma2, p, gap)
-        want = reference_optimize_symmetric(sigma2, p, gap)
+        want = reference_closed_form_symmetric(sigma2, p, gap)
         assert all(type(v) is float for v in got) and bits(got) == bits(want)
+
+
+def symmetric_objective(sigma2, p_drop, gap, tau):
+    cost, p_transmit = iid_stage_cost(sigma2, p_drop, -tau, tau)
+    return cost + gap * p_transmit
+
+
+class TestClosedFormSymmetric:
+    """The closed-form symmetric rule against the search it replaced and a
+    dense scan."""
+
+    # the gap multiplies the attempt probability's rounding, so it is drawn
+    # in units of sigma2, where the search's spread was measured
+    @settings(max_examples=200, deadline=None)
+    @given(sigma2=st.floats(0.1, 4.0), p=st.floats(0.0, 1.0), gap=st.floats(-2.0, 4.0))
+    def test_never_worse_than_the_search(self, sigma2, p, gap):
+        _, got = optimize_symmetric_threshold(sigma2, p, gap * sigma2)
+        _, searched = reference_optimize_symmetric(sigma2, p, gap * sigma2)
+        assert got <= searched + 2e-15 * sigma2
+
+    @pytest.mark.parametrize("sigma2, p, gap", [
+        (1.0, 0.0, 1.0), (1.0, 0.3, 0.2), (0.5, 0.7, 0.4), (2.5, 0.9, 0.1), (1.7, 0.5, 3.0)])
+    def test_minimizes_a_dense_scan(self, sigma2, p, gap):
+        tau, got = optimize_symmetric_threshold(sigma2, p, gap)
+        scan = symmetric_objective(sigma2, p, gap, np.linspace(0.0, 10.0 * math.sqrt(sigma2),
+                                                               200001))
+        assert 0.0 < tau < math.inf
+        assert got <= scan.min() * (1.0 + 1e-12)
+        assert got == symmetric_objective(sigma2, p, gap, tau)
+
+    @pytest.mark.parametrize("gap, want", [
+        (-0.5, (0.0, 0.5)),  # always transmit: every drop costs p sigma2 = 1
+        (0.0, (0.0, 1.0)),  # any tau ties; the narrowest is 0
+        (0.5, (math.inf, 1.0)),  # an attempt only adds the gap
+    ])
+    def test_certain_drops(self, gap, want):
+        assert optimize_symmetric_threshold(1.0, 1.0, gap) == want
+
+    def test_free_channel_with_no_future_is_exactly_zero(self):
+        # the search returned (2.4e-6, -5.1e-17) here
+        got = optimize_symmetric_threshold(1.0, 0.0, 0.0)
+        assert bits(got) == bits((0.0, 0.0))
+
+    def test_beats_the_search_beyond_its_box(self):
+        # tau = 6.5 sigma lies outside the search's [0, 6] sigma, where it
+        # settled for never-transmit
+        tau, got = optimize_symmetric_threshold(1.0, 0.0, 42.25)
+        assert tau == 6.5
+        assert reference_optimize_symmetric(1.0, 0.0, 42.25) == (math.inf, 1.0)
+        assert 1.0 - got > 1e-11
+
+
+class TestBadSettingsRejected:
+    @pytest.mark.parametrize("sigma2, p, gap, match", [
+        (0.0, 0.3, 0.0, "sigma2 must be positive and finite, got 0.0"),
+        (-1.0, 0.3, 0.0, "sigma2 must be positive and finite, got -1.0"),
+        (math.inf, 0.3, 0.0, "sigma2 must be positive and finite, got inf"),
+        (math.nan, 0.3, 0.0, "sigma2 must be positive and finite, got nan"),
+        (1.0, 1.5, 0.0, r"p_drop must be in \[0, 1\], got 1.5"),
+        (1.0, -0.1, 0.0, r"p_drop must be in \[0, 1\], got -0.1"),
+        (1.0, math.nan, 0.0, r"p_drop must be in \[0, 1\], got nan"),
+        (1.0, np.array([0.3, 1.5]), 0.0, r"p_drop must be in \[0, 1\]"),
+        (1.0, 0.3, math.nan, "continuation_gap must be finite, got nan"),
+        (1.0, 0.3, math.inf, "continuation_gap must be finite, got inf"),
+        (1.0, 0.3, np.array([0.0, -math.inf]), "continuation_gap must be finite"),
+    ])
+    @pytest.mark.parametrize("optimizer", [optimize_interval, optimize_symmetric_threshold])
+    def test_optimizers(self, optimizer, sigma2, p, gap, match):
+        with pytest.raises(ValueError, match=match):
+            optimizer(sigma2, p, gap)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_backward_induction(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            iid_backward_induction(energy_harvesting_fsm(4, 2, 0.3), sigma2, 2)
 
 
 PRESET_FSMS = {"energy_harvesting": energy_harvesting_fsm(4, 2, 0.3),

@@ -363,7 +363,8 @@ class TestGridRefinement:
         J[N] = sigma2, a masked q has J[s, q] = sigma2 + J[s+1, q0], and an
         unmasked q has J[s, q] = J[s+1, q0] + E min(W^2, p W^2 + gap) with
         gap = J[s+1, q1] - J[s+1, q0], the objective of
-        optimize_symmetric_threshold at its optimal tau.
+        optimize_symmetric_threshold at its closed-form optimum
+        tau = sqrt(gap / (1 - p)): no search and no grid in the reference.
 
         Halving the spacing (1001 to 2001 points; the auto width is 8 sigma
         at a = 0) turns the grid error g = smoothed - J into g' = g / r.
