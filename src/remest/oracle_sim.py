@@ -116,18 +116,21 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
     Stream contract (same seed, same summary): one Philox(key=seed)
     generator draws the (trials, stages) normals, then the uniforms, both
-    trial-major. Trials are stepped in blocks, stage-major, on
-    ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
+    trial-major; the normals go in block order into the head of each block's
+    own cost rows, the stream and values of one whole-table
+    ``rng.normal(0.0, sigma)``. Trials are stepped in blocks, stage-major,
+    on ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
     :func:`workers.run_each` runs and ends, each stepping blocks of
     ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and
     draws its rows of uniforms while holding one lock, so the stream is
-    consumed in block order; it steps the block outside the lock and writes
-    its own rows of the cost table. Every step is elementwise and the counts
-    are integers, so neither the blocking nor the thread count changes a
-    bit. Only the estimator step differs: on a white source the decision
-    sees the stage's fresh sample and an undelivered one is estimated by its
-    conditional mean given (attempt, state); on the chain it sees the
-    carried error, which a delivery resets and the plant propagates.
+    consumed in block order; it steps the block outside the lock, having
+    copied out its normals, and writes its costs over them. Every step is
+    elementwise and the counts are integers, so neither the blocking nor the
+    thread count changes a bit. Only the estimator step differs: on a white
+    source the decision sees the stage's fresh sample and an undelivered one
+    is estimated by its conditional mean given (attempt, state); on the
+    chain it sees the carried error, which a delivery resets and the plant
+    propagates.
     """
     white = policy.kind == "interval_pair"
     n_stages, m = plant.horizon, fsm.num_states
@@ -138,12 +141,19 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     n_costs = n_stages if white else n_stages + 1
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    noise = rng.normal(0.0, math.sqrt(plant.sigma2), size=(trials, n_stages))
     stage_costs = np.empty((trials, n_costs))
     trace = ({key: np.empty((trials, n_stages), dtype=dtype)
               for key, dtype in _TRACE_FIELDS} if collect_trace else None)
     threads = workers.count(-(-trials // BLOCK_TRIALS))
     block = min(trials, BLOCK_TRIALS // threads)  # all threads' buffers make one block
+
+    def normals(start, k):  # the block's (k, n_stages) normals: its cost rows' head
+        return stage_costs[start:start + k].reshape(-1)[:k * n_stages].reshape(k, n_stages)
+
+    for start in range(0, trials, block):  # what rng.normal(0.0, sigma) computes
+        w = rng.standard_normal(out=normals(start, min(block, trials - start)))
+        w *= math.sqrt(plant.sigma2)
+        w += 0.0
     starts = iter(range(0, trials, block))
     lock = threading.Lock()
 
@@ -162,7 +172,7 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
                 rng.random(out=drawn[:k])
             rows = slice(start, start + k)
             w, u, costs = w_buf[:, :k], u_buf[:, :k], costs_buf[:, :k]
-            np.copyto(w, noise[rows].T)
+            np.copyto(w, normals(start, k).T)
             np.copyto(u, drawn[:k].T)
             e = np.zeros(k)
             q = np.full(k, fsm.initial_state, dtype=np.intp)
@@ -201,16 +211,18 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
 
     counts = workers.run_each(lambda _: step_blocks(), range(threads))
     sends, occupancy = (sum(c) for c in zip(*counts))
-    del noise  # the reductions below take a cost-table-sized temporary
 
+    # the totals and the mean first; then the cost table, read no more, holds
+    # its squared deviations: numpy's own std steps, with no cost-sized temporary
+    ddof = min(1, trials - 1)  # one trial has no spread
+    total_sd = float(stage_costs.sum(axis=1).std(ddof=ddof))
     stage_mse = stage_costs.mean(axis=0)
-    stage_se = stage_costs.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(n_costs)
-    totals = stage_costs.sum(axis=1)
-    total_se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    stage_costs -= stage_mse
+    np.square(stage_costs, out=stage_costs)
+    stage_sd = np.sqrt(stage_costs.sum(axis=0) / (trials - ddof))
     return SimSummary(trials=trials, seed=seed, stage_mse=stage_mse,
-                      stage_se=stage_se, total=float(stage_mse.sum()),
-                      total_se=total_se, transmit_rate=sends / trials,
+                      stage_se=stage_sd / math.sqrt(trials), total=float(stage_mse.sum()),
+                      total_se=total_sd / math.sqrt(trials), transmit_rate=sends / trials,
                       occupancy=occupancy, horizon_term_included=not white,
                       trace=trace)
 

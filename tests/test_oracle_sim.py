@@ -456,6 +456,36 @@ class TestBlockedLoopMatchesReference:
                                       collect_trace=True)
             assert_summaries_identical(got, want)
 
+    # every case above has sigma2 = 1, where a dropped or misplaced scaling of
+    # the normals goes unseen
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind", ["threshold", "interval"])
+    @pytest.mark.parametrize("sigma2", [0.3, 2.0])
+    @pytest.mark.parametrize("trials", [7, BLOCK_TRIALS + 1])
+    def test_bit_identical_with_noise_variance(self, policy_cases, monkeypatch, kind,
+                                               sigma2, trials, threads):
+        plant, fsm, policy = policy_cases[kind]
+        plant = dataclasses.replace(plant, sigma2=sigma2)
+        if kind == "interval":
+            policy = iid_backward_induction(fsm, sigma2, plant.horizon).policy()
+        monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
+        got = simulate(plant, fsm, policy, trials, 5, collect_trace=True)
+        assert_summaries_identical(
+            got, reference_simulate(plant, fsm, policy, trials, 5, collect_trace=True))
+
+    # one cost column (a horizon-1 white source), which numpy sums pairwise
+    # rather than row by row
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("trials", [1, 7, BLOCK_TRIALS + 1])
+    def test_bit_identical_at_horizon_one(self, monkeypatch, trials, threads):
+        plant = PlantModel(a=0.0, sigma2=1.0, horizon=1)
+        fsm = workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9])
+        policy = iid_backward_induction(fsm, 1.0, 1).policy()
+        monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
+        got = simulate(plant, fsm, policy, trials, 2, collect_trace=True)
+        assert_summaries_identical(
+            got, reference_simulate(plant, fsm, policy, trials, 2, collect_trace=True))
+
     def test_bit_identical_without_trace(self, policy_cases):
         for kind, (plant, fsm, policy) in policy_cases.items():
             got = simulate(plant, fsm, policy, 2 * BLOCK_TRIALS + 3, 4)
@@ -493,12 +523,15 @@ class TestBlockedLoopMatchesReference:
 def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
     # the whole-table loops also held every uniform and per-stage temporaries
     # over all trials; the blocked loop holds only one block of them, however
-    # many threads share it
+    # many threads share it. The normals live in the cost table's rows and the
+    # summary takes no cost-sized temporary, so the cost table, the per-trial
+    # totals with their std (16 bytes a trial) and the blocks are all there is:
+    # a second table fails this
     trials, horizon = 200_000, 20
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
-    bound = 8 * trials * horizon + 8 * trials * (horizon + 1) + 30e6
+    bound = 8 * trials * (horizon + 1) + 16 * trials + 30e6
     for threads in (1, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
         tracemalloc.start()
