@@ -180,7 +180,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
         send = transmit[s] = c1 < c0
         values[s] = np.where(send, c1, c0)
         worst = np.max(np.abs(values[s]))
-        if worst > settings.value_cap:
+        if not worst <= settings.value_cap:  # NaN too: a gain whose square overflows
             raise SolverOverflowError(
                 f"stage {s + 1}: value magnitude {worst:.3g} exceeds cap "
                 f"{settings.value_cap:.3g}; widen the grid")

@@ -212,6 +212,10 @@ def _fit_tails(x, values):
 # by more than about 1e-20 of the largest sample.
 BAND_Z = 10.0
 
+# The band is stored in 1 x BAND_BLOCK blocks of columns, one column index
+# per block rather than per weight.
+BAND_BLOCK = 16
+
 # A band of E entries is cut into workers.count(E // SHARE_ENTRIES) row shares.
 SHARE_ENTRIES = 4_000_000
 
@@ -235,27 +239,39 @@ class GaussianExpectationOperator:
     O(n * band) rather than O(n^2), and one application is a sparse product
     over a stack of sample vectors. The stored arrays are read-only.
 
-    The band is cut into row shares, one CSR matrix per run of rows. Each
-    build and each apply runs the shares through :func:`workers.run_each`:
-    in the calling thread with one share, in parallel with more (``ndtr``,
-    the numpy ufuncs and the CSR kernel release the GIL), and no thread
-    outlives the call. The results are bit-identical for any number of
-    shares: each weight comes from the same elementwise ufuncs, each row's
-    sum runs through scipy's sequential CSR kernel, and the tails are fitted
-    once to the whole stack.
+    The band is a block sparse (BSR) matrix of 1 x ``BAND_BLOCK`` blocks:
+    each row holds its weights in a zero-padded run of whole blocks, with one
+    int32 index per block, and the matrix has columns past the grid so that
+    the last rows' blocks fit. It is cut into row shares, one BSR matrix per
+    run of rows. Each build and each apply runs the shares through
+    :func:`workers.run_each`: in the calling thread with one share, in
+    parallel with more (``ndtr``, the numpy ufuncs and the BSR kernel release
+    the GIL), and no thread outlives the call. The results are bit-identical
+    for any number of shares and to a band of one column index per weight
+    (CSR): each weight comes from the same elementwise ufuncs, each row's sum
+    runs in column order through scipy's sequential kernel, which with
+    one-row blocks adds the same products in the same order as its CSR
+    kernel, the padding adds only exact zeros for finite samples, and the
+    tails are fitted once to the whole stack.
 
     The cells take their CDFs from scipy's ``ndtr``: :func:`ndtr` gives the
     same values at about 8x the time per argument, and an 8001-point build
-    evaluates about 12M of them. The CSR band needs scipy anyway.
+    evaluates about 12M of them. The sparse band needs scipy anyway.
     """
 
     def __init__(self, grid: ErrorGrid, a: float, sigma2: float):
         # deferred so that commands without a grid solve skip the imports
-        from scipy.sparse import csr_array
+        from scipy.sparse import bsr_array
         from scipy.special import ndtr
 
+        # a bad gain or variance would give garbage block indices, and the
+        # BSR kernel reads the samples they point at unchecked
+        if not math.isfinite(a):
+            raise ValueError(f"a must be finite, got {a}")
         if not sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        if sigma2 == math.inf:
+            raise ValueError(f"sigma2 must be finite, got {sigma2}")
         self.grid = grid
         sigma = math.sqrt(sigma2)
         xs, n, dx = grid.points, grid.num_points, grid.spacing
@@ -265,16 +281,28 @@ class GaussianExpectationOperator:
         width = min(n, math.ceil(2.0 * BAND_Z * sigma / dx) + 2)
         first = np.floor((centers - BAND_Z * sigma + grid.half_width) / dx)
         first = np.clip(first, 0, n - width).astype(np.intp)
-        index_dtype = np.int32 if n * width < 2 ** 31 else np.int64  # half the bytes
+        # row i's window lies in the per_row blocks from block start[i]; a grid
+        # narrower than a row's blocks gets columns for all of them, so that
+        # start stays >= 0
+        per_row = -(-(width + BAND_BLOCK - 1) // BAND_BLOCK)
+        col_blocks = max(-(-n // BAND_BLOCK), per_row)
+        start = np.minimum(first // BAND_BLOCK, col_blocks - per_row)
+        self._band_columns = col_blocks * BAND_BLOCK
+        index_dtype = np.int32 if n * per_row < 2 ** 31 else np.int64  # half the bytes
         num_shares = workers.count(n * width // SHARE_ENTRIES)
-        block = 256 // num_shares  # all shares' temporaries fit one 256-row block
+        chunk = 256 // num_shares  # all shares' temporaries fit one 256-row chunk
 
         def fill(share):
-            share_first, share_centers, data, indices = share
-            for start in range(0, len(data), block):
-                rows = slice(start, start + block)
-                cols = share_first[rows, None] + np.arange(width)
-                indices[rows] = cols
+            share_first, share_start, share_centers, data = share
+            pad = data.shape[1] - width  # no row pads more columns on either side
+            for lo in range(0, len(data), chunk):
+                rows = slice(lo, lo + chunk)
+                # the padding repeats the window's end nodes, so its cells
+                # have no mass and add exact zeros to the window's weights
+                cols = share_start[rows, None] * BAND_BLOCK + np.arange(data.shape[1])
+                left, right, ends = cols[:, :pad], cols[:, width:], share_first[rows, None]
+                np.maximum(left, ends, out=left)
+                np.minimum(right, ends + (width - 1), out=right)
                 u, c = xs[cols], share_centers[rows, None]
                 z = (u - c) / sigma
                 cdf = ndtr(z)
@@ -285,18 +313,19 @@ class GaussianExpectationOperator:
                 weights = data[rows]
                 weights[:, :-1] += (u[:, 1:] * p0 - p1) / dx
                 weights[:, 1:] += (p1 - u[:, :-1] * p0) / dx
-            return csr_array(
-                (data.reshape(-1), indices.reshape(-1),
-                 np.arange(len(data) + 1, dtype=index_dtype) * width),
-                shape=(len(data), n))
+            blocks = np.add.outer(share_start.astype(index_dtype),
+                                  np.arange(per_row, dtype=index_dtype))
+            return bsr_array(
+                (data.reshape(-1, 1, BAND_BLOCK), blocks.reshape(-1),
+                 np.arange(len(data) + 1, dtype=index_dtype) * per_row),
+                shape=(len(data), self._band_columns))
 
-        # each share owns its arrays, allocated in this thread: scipy copies a
-        # view of less than half its base array, and what a worker allocates
-        # stays in that thread's malloc arena
+        # each share owns its band, allocated in this thread: what a worker
+        # allocates stays in that thread's malloc arena
         bounds = [n * k // num_shares for k in range(num_shares + 1)]
         self._shares = workers.run_each(fill, [
-            (first[lo:hi], centers[lo:hi], np.zeros((hi - lo, width)),
-             np.empty((hi - lo, width), dtype=index_dtype))
+            (first[lo:hi], start[lo:hi], centers[lo:hi],
+             np.zeros((hi - lo, per_row * BAND_BLOCK)))
             for lo, hi in zip(bounds, bounds[1:])])
         # moments (x^2, x, 1) beyond the left grid end, then the right one (the
         # tail fit's order), from those of x - center ~ N(0, sigma2)
@@ -318,7 +347,10 @@ class GaussianExpectationOperator:
         if v.shape[-1:] != (n,):
             raise ValueError(f"values shape {v.shape} does not match grid (..., {n})")
         stack = v.reshape(-1, n)
-        columns = np.ascontiguousarray(stack.T)  # else each product copies it
+        # one row per band column, zero past the grid; contiguous, else each
+        # product copies it
+        columns = np.zeros((self._band_columns, len(stack)))
+        columns[:n] = stack.T
         h = np.concatenate(workers.run_each(lambda w: w @ columns, self._shares)).T
         h += np.concatenate(_fit_tails(self.grid.points, stack)).T @ self._tail_moments
         return h.reshape(v.shape)

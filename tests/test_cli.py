@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,20 @@ class TestExitCodes:
                      "--grid-points", "101"] + args) == code
         out, err = capsys.readouterr()
         assert message in out + err
+
+    @pytest.mark.parametrize("a", [1e10, 1e100, 1e200])
+    def test_huge_gain_is_a_solver_error_with_no_artifact(self, tmp_path, capsys, a):
+        cfg = write_config(tmp_path, plant={"a": a, "sigma2": 1.0, "x0": 0.0, "horizon": 3})
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg), "--out", str(out), "--grid-points", "101",
+                         "solve-symmetric"]) == 2
+        assert "solver error: stage 3: value magnitude" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        # past 1e154 the squared centers overflow, and the NaN values they
+        # leave fail the value cap as the huge finite ones do
+        assert {w.category for w in caught} == ({RuntimeWarning} if a > 1e154 else set())
 
     @pytest.mark.parametrize("command, flag", [
         ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.sparse import csr_array
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -15,9 +17,9 @@ from remest.channel import ChannelFsm, energy_harvesting_fsm
 from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
 from remest.process import PlantModel
-from remest.quadrature import (MAX_HALF_WIDTH, TAIL_FRACTION, ErrorGrid,
-                               GaussianExpectationOperator, ShapeViolation,
-                               gaussian_partial_moments,
+from remest.quadrature import (BAND_BLOCK, BAND_Z, MAX_HALF_WIDTH, TAIL_FRACTION,
+                               ErrorGrid, GaussianExpectationOperator,
+                               ShapeViolation, _fit_tails, gaussian_partial_moments,
                                is_symmetric_nondecreasing)
 
 
@@ -182,9 +184,18 @@ class TestGaussianExpectation:
         (lambda: gaussian_partial_moments(0.0, -1.0, 1.0), "sigma2 must be positive, got 0.0"),
         (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, -1.0),
          "sigma2 must be positive, got -1.0"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.nan),
+         "sigma2 must be positive, got nan"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.inf),
+         "sigma2 must be finite, got inf"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), math.nan, 1.0),
+         "a must be finite, got nan"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), -math.inf, 1.0),
+         "a must be finite, got -inf"),
         (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, 1.0).apply(
             np.zeros((2, 7))), r"values shape \(2, 7\) does not match grid \(\.\.\., 9\)"),
-    ], ids=["moments-sigma2", "operator-sigma2", "apply-shape"])
+    ], ids=["moments-sigma2", "operator-sigma2", "operator-sigma2-nan",
+            "operator-sigma2-inf", "operator-a-nan", "operator-a-inf", "apply-shape"])
     def test_bad_input_is_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -296,6 +307,47 @@ def dense_expectation(grid, a, sigma2, values):
     return np.array(out)
 
 
+def reference_csr_band(grid, a, sigma2):
+    """The operator's band as one CSR matrix with a column index per weight,
+    filled 256 rows at a time, as the operator stored it before its 1 x 16
+    blocks; returns it with the band's width."""
+    sigma = math.sqrt(sigma2)
+    xs, n, dx = grid.points, grid.num_points, grid.spacing
+    centers = float(a) * xs
+    width = min(n, math.ceil(2.0 * BAND_Z * sigma / dx) + 2)
+    first = np.floor((centers - BAND_Z * sigma + grid.half_width) / dx)
+    first = np.clip(first, 0, n - width).astype(np.intp)
+    data, indices = np.zeros((n, width)), np.empty((n, width), dtype=np.int32)
+    for start in range(0, n, 256):
+        rows = slice(start, start + 256)
+        cols = first[rows, None] + np.arange(width)
+        indices[rows] = cols
+        u, c = xs[cols], centers[rows, None]
+        z = (u - c) / sigma
+        cdf = ndtr(z)
+        dens = quadrature._std_pdf(z) / sigma
+        p0 = cdf[:, 1:] - cdf[:, :-1]
+        p1 = c * p0 + sigma2 * (dens[:, :-1] - dens[:, 1:])
+        weights = data[rows]
+        weights[:, :-1] += (u[:, 1:] * p0 - p1) / dx
+        weights[:, 1:] += (p1 - u[:, :-1] * p0) / dx
+    band = csr_array((data.reshape(-1), indices.reshape(-1),
+                      np.arange(n + 1, dtype=np.int32) * width), shape=(n, n))
+    return band, width
+
+
+def band_test_stack(grid):
+    """Slices with negatives, exact zeros and interior samples of 1e300 (the
+    tail fit sees ordinary values)."""
+    n = grid.num_points
+    stack = np.cumsum(np.random.default_rng(n).normal(size=(4, n)), axis=1)
+    stack[1] = 0.0
+    stack[2] = -grid.points ** 2
+    inner = np.abs(grid.points) < 0.5 * grid.half_width
+    stack[3, inner & (np.arange(n) % 3 == 0)] = 1e300
+    return stack
+
+
 class TestBandedOperator:
     @pytest.mark.parametrize("a", [0.0, 0.6, 1.1, -0.9])
     @pytest.mark.parametrize("half_width,num_points", [
@@ -363,6 +415,58 @@ class TestBandedOperator:
         for other in results[1:]:
             for got, want in zip(other, results[0]):
                 assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("half_width,num_points", [
+        (3.0, 5), (3.0, 11), (3.0, 15), (3.0, 17), (3.0, 61),
+        (45.0, 61),  # a band exactly one block wide at sigma2 = 1
+        (40.0, 401), (60.0, 2001),
+    ])
+    def test_block_band_is_bit_identical_to_the_csr_band(self, monkeypatch, shares,
+                                                          half_width, num_points):
+        force_shares(monkeypatch, shares)
+        grid = ErrorGrid(half_width, num_points)
+        stack = band_test_stack(grid)
+        for a in (0.0, 0.6, 1.1, -0.9):
+            for sigma2 in (0.3, 1.0):
+                op = GaussianExpectationOperator(grid, a, sigma2)
+                band, width = reference_csr_band(grid, a, sigma2)
+                want = (band @ np.ascontiguousarray(stack.T)).T
+                want += np.concatenate(_fit_tails(grid.points, stack)).T @ op._tail_moments
+                got = op.apply(stack)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (a, sigma2)
+                per_row = -(-(width + BAND_BLOCK - 1) // BAND_BLOCK)
+                assert len(op._shares) == min(shares, num_points)
+                for share in op._shares:
+                    assert share.blocksize == (1, BAND_BLOCK)
+                    assert share.indices.size == share.shape[0] * per_row
+                    share.check_format(full_check=True)  # block indices in range
+
+    def test_build_holds_little_more_than_the_padded_band(self, monkeypatch):
+        """The band with one index per 16 weights, plus the fill's temporaries
+        for one 256-row chunk of padded rows: an allowance of ten float arrays
+        of that chunk. The band with one index per weight does not fit."""
+        force_shares(monkeypatch, 1)
+        grid, a, sigma2 = ErrorGrid(8.0 * 1.1 ** 20, 4001), 1.1, 1.0
+        GaussianExpectationOperator(ErrorGrid(4.0, 9), a, sigma2)  # imports scipy
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                built = build()
+                return built, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        op, peak = traced_peak(lambda: GaussianExpectationOperator(grid, a, sigma2))
+        _, csr_peak = traced_peak(lambda: reference_csr_band(grid, a, sigma2))
+        n, padded_width = grid.num_points, op._shares[0].data.size // grid.num_points
+        band_bytes = n * padded_width * 8 + n * (padded_width // BAND_BLOCK) * 4 + (n + 1) * 4
+        assert sum(w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+                   for w in op._shares) == band_bytes
+        bound = band_bytes + 10 * 256 * padded_width * 8
+        assert peak <= bound
+        assert csr_peak > bound
 
     def test_no_share_thread_outlives_a_build_or_an_apply(self, monkeypatch):
         force_shares(monkeypatch, 3)
