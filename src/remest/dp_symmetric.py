@@ -45,8 +45,8 @@ from .quadrature import (ErrorGrid, GaussianExpectationOperator,
 
 
 class SolverOverflowError(RuntimeError):
-    """Values exceeded the configured cap; the grid half-width is too small
-    for the gain-to-the-horizon growth of the instance."""
+    """Values exceeded the configured cap, as the grid half-width is too small
+    for the gain-to-the-horizon growth, or the gain overflows the operator."""
 
 
 # Fewer grid points leave no difference quotient between the grid's center
@@ -149,9 +149,14 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     Returns the value table, whose ``transmit`` is the optimal gridded
     policy. Raises :class:`SolverOverflowError` when any value exceeds the
     configured cap, which signals that the grid half-width is too small for
-    the instance.
+    the instance, and before any work when the gain is so large that the
+    operator's squared centers or cell z^2 would overflow a float.
     """
     grid = settings.make_grid(plant)
+    reach = (abs(plant.a) + 1.0) * grid.half_width  # float products give inf, ** raises
+    if not math.isfinite(reach * reach / plant.sigma2):
+        raise SolverOverflowError(
+            f"gain {plant.a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float")
     m = fsm.num_states
     n_stages = plant.horizon
     center = grid.center_index
@@ -352,17 +357,18 @@ FORMAT_ENTRIES = 50_000
 def export_value_table_csv(table: ValueTable, path):
     """Plot-ready dump: one row (n, q, e, V, C0, C1, transmit) per grid point.
 
-    Each stage formats its bitwise-distinct C0/C1 slices once; V is C1 where
-    the table transmits and C0 elsewhere (a :class:`ValueTable` invariant), so
-    it takes their strings. Formatting holds the GIL, so the stages are
-    formatted in ``workers.count(min(values.size // FORMAT_ENTRIES, horizon))``
-    forked processes and written in stage order: the bytes do not depend on
-    the count. With one, without ``os.fork`` or from Python 3.12 on, this
-    process formats them and starts none.
+    Each stage is one task of :func:`_stage_text`: its index, the grid
+    points' strings and its C0, C1 and transmit slices. Formatting holds the
+    GIL, so the tasks are mapped over ``workers.count(min(values.size //
+    FORMAT_ENTRIES, horizon))`` forked processes and written in stage order:
+    the bytes do not depend on the count. With one, without ``os.fork`` or
+    from Python 3.12 on, this process maps them and starts none.
     """
     header = ("n", "q", "e", "V", "C0", "C1", "transmit")
     metadata = {"provenance": table.provenance}
-    stages = range(table.horizon)
+    e = ",".join(map(repr, table.grid.points.tolist()))  # one string pickles fastest
+    tasks = [(s, e, table.cost_wait[s], table.cost_send[s], table.transmit[s])
+             for s in range(table.horizon)]
     processes = workers.count(min(table.values.size // FORMAT_ENTRIES, table.horizon))
     # Fork only before Python 3.12: from 3.12 on os.fork warns in any
     # multi-threaded process, OpenBLAS's threads make every numpy process one,
@@ -371,34 +377,22 @@ def export_value_table_csv(table: ValueTable, path):
         import multiprocessing  # deferred: importing the CLI skips them
         from concurrent.futures.process import ProcessPoolExecutor
 
-        # fork hands the table to each worker without pickling it
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_hold, initargs=(table,)) as pool:
-            _write_texts(path, header, metadata, pool.map(_stage_text, stages))
-        return
-    _hold(table)
-    try:
-        _write_texts(path, header, metadata, map(_stage_text, stages))
-    finally:
-        _hold(None)
+        with ProcessPoolExecutor(processes,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            _write_texts(path, header, metadata, pool.map(_stage_text, tasks))
+    else:
+        _write_texts(path, header, metadata, map(_stage_text, tasks))
 
 
-_held = None  # (table, its grid points' strings) that _stage_text formats
-
-
-def _hold(table):
-    global _held
-    _held = None if table is None else (table, list(map(repr, table.grid.points.tolist())))
-
-
-def _stage_text(s):
-    """The CSV rows of stage s + 1 of the table :func:`_hold` gave this process."""
-    table, e = _held
-    c0, c1 = table.cost_wait[s], table.cost_send[s]
+def _stage_text(task):
+    """The CSV rows of stage s + 1 from its task (s, the grid points' strings
+    joined by commas, C0[s], C1[s], transmit[s])."""
+    s, e, c0, c1, transmit = task
+    e = e.split(",")
     unique = {c.tobytes(): c for c in (*c0, *c1)}
     text = {k: np.array(list(map(repr, c.tolist())), dtype=object) for k, c in unique.items()}
     rows = []
-    for q, t in enumerate(table.transmit[s]):
+    for q, t in enumerate(transmit):
         s0, s1 = text[c0[q].tobytes()], text[c1[q].tobytes()]
         rows.append(_block_text((str(s + 1), str(q), e, np.where(t, s1, s0).tolist(),
                                  s0.tolist(), s1.tolist(), t)))

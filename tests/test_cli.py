@@ -338,19 +338,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert message in out + err
 
-    @pytest.mark.parametrize("a", [1e10, 1e100, 1e200])
-    def test_huge_gain_is_a_solver_error_with_no_artifact(self, tmp_path, capsys, a):
-        cfg = write_config(tmp_path, plant={"a": a, "sigma2": 1.0, "x0": 0.0, "horizon": 3})
+    @pytest.mark.parametrize("a, sigma2, message", [
+        (1e10, 1.0, "stage 3: value magnitude"),
+        (1e100, 1.0, "stage 3: value magnitude"),
+        # past about 1e154 the operator's squared centers would overflow, and
+        # with a tiny sigma2 its cell z^2 would at a smaller gain: both fail
+        # before the operator is built
+        (1e200, 1.0, "gain 1e+200: ((|a| + 1) * half_width)^2 / sigma2 overflows"),
+        (1e150, 1e-10, "gain 1e+150: ((|a| + 1) * half_width)^2 / sigma2 overflows")])
+    def test_huge_gain_is_a_solver_error_with_no_artifact(self, tmp_path, capsys, a, sigma2,
+                                                           message):
+        cfg = write_config(tmp_path, plant={"a": a, "sigma2": sigma2, "x0": 0.0, "horizon": 3})
         out = tmp_path / "x"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["--config", str(cfg), "--out", str(out), "--grid-points", "101",
                          "solve-symmetric"]) == 2
-        assert "solver error: stage 3: value magnitude" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1 and message in err
         assert not out.exists() or not any(out.iterdir())
-        # past 1e154 the squared centers overflow, and the NaN values they
-        # leave fail the value cap as the huge finite ones do
-        assert {w.category for w in caught} == ({RuntimeWarning} if a > 1e154 else set())
+        assert not caught
 
     @pytest.mark.parametrize("command, flag", [
         ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),

@@ -327,22 +327,6 @@ class TestExtraction:
         assert (2, 2) in pairs and (2, 4) in pairs and (2, 3) not in pairs
         assert (3, 0) in pairs and (4, 1) in pairs
 
-    def test_margin_regime_sweep_has_no_witnesses(self):
-        for trial in range(10):
-            rng = np.random.default_rng(31000 + trial)
-            m = int(rng.integers(1, 6))
-            horizon = int(rng.integers(1, 11))
-            a = float(rng.uniform(0.5, 1.2))
-            plant = PlantModel(a=a, sigma2=1.0, horizon=horizon)
-            _, margin, _ = threshold_optimality_condition(plant, single_state(0.0))
-            transitions = tuple((int(rng.integers(0, m)), int(rng.integers(0, m)))
-                                for _ in range(m))
-            drops = tuple(float(p) for p in rng.uniform(0, 0.98 * margin, m))
-            fsm = ChannelFsm(m, transitions, drops, int(rng.integers(0, m)),
-                             tuple(True for _ in range(m)))
-            result = solve_and_extract(plant, fsm, SolverSettings(num_points=1201))
-            assert not result.witnesses, (trial, result.witnesses)
-
 
 class TestGridRefinement:
     def test_origin_value_stable_under_doubling(self):

@@ -561,17 +561,22 @@ def _workload_table():
     return table
 
 
+def _value_rows(table, stages):
+    """The value CSV's rows of ``stages`` (0-based), one per grid point."""
+    return [[s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
+             repr(float(table.cost_wait[s, q, i])), repr(float(table.cost_send[s, q, i])),
+             int(table.transmit[s, q, i])]
+            for s in stages for q in range(table.fsm.num_states)
+            for i, e in enumerate(table.grid.points)]
+
+
 def _value_table_case(make_table):
     def case(path):
         table = make_table()
         export_value_table_csv(table, path)
-        rows = [[s + 1, q, repr(float(e)), repr(float(table.values[s, q, i])),
-                 repr(float(table.cost_wait[s, q, i])), repr(float(table.cost_send[s, q, i])),
-                 int(table.transmit[s, q, i])]
-                for s in range(table.horizon) for q in range(table.fsm.num_states)
-                for i, e in enumerate(table.grid.points)]
         return _csv_writer_bytes({"provenance": table.provenance},
-                                 ["n", "q", "e", "V", "C0", "C1", "transmit"], rows)
+                                 ["n", "q", "e", "V", "C0", "C1", "transmit"],
+                                 _value_rows(table, range(table.horizon)))
     return case
 
 
@@ -680,6 +685,19 @@ class TestWriteCsv:
             with pytest.raises(RuntimeError, match="formatting failed in process") as info:
                 export_value_table_csv(table, tmp_path / "value_table.csv")
         assert int(re.search(r"process (\d+)", str(info.value)).group(1)) != os.getpid()
+
+    @pytest.mark.parametrize("make_table", [_energy_table, _workload_table],
+                             ids=["energy", "workload"])
+    def test_stage_text_is_a_function_of_its_task(self, make_table):
+        # one task, formatted in this process with nothing else set up: the
+        # energy table's stage has NaN send costs and a bitwise-shared C0 slice
+        table, s = make_table(), 1
+        points = ",".join(map(repr, table.grid.points.tolist()))
+        text = dp_symmetric._stage_text((s, points, table.cost_wait[s], table.cost_send[s],
+                                         table.transmit[s]))
+        out = io.StringIO(newline="")
+        csv.writer(out).writerows(_value_rows(table, [s]))
+        assert text.encode() == out.getvalue().encode()
 
     @pytest.mark.parametrize("cpus, entries", [(1, 1), (4, dp_symmetric.FORMAT_ENTRIES)],
                              ids=["one-cpu", "small-table"])

@@ -247,16 +247,6 @@ class TestGaussianExpectation:
         split = 2.5 * op.apply(f) - 0.7 * op.apply(g)
         assert np.max(np.abs(direct - split)) < 1e-12
 
-    def test_preserves_symmetric_monotone_shape(self):
-        grid = ErrorGrid(9.0, 801)
-        for trial in range(30):
-            rng = np.random.default_rng(500 + trial)
-            op = GaussianExpectationOperator(grid, float(rng.uniform(0, 1.3)),
-                                             float(rng.uniform(0.3, 2.0)))
-            h = op.apply(random_step_function(grid, rng))
-            ok, violation = is_symmetric_nondecreasing(grid, h, 1e-8)
-            assert ok, violation
-
     def test_min_of_shapes_stays_shaped(self):
         grid = ErrorGrid(9.0, 401)
         rng = np.random.default_rng(11)
