@@ -46,7 +46,8 @@ from .quadrature import (ErrorGrid, GaussianExpectationOperator,
 
 class SolverOverflowError(RuntimeError):
     """Values exceeded the configured cap, as the grid half-width is too small
-    for the gain-to-the-horizon growth, or the gain overflows the operator."""
+    for the gain-to-the-horizon growth; the gain overflows the operator; or
+    the half-width's fourth power underflows, leaving its tail fit no scale."""
 
 
 # Fewer grid points leave no difference quotient between the grid's center
@@ -150,13 +151,18 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     policy. Raises :class:`SolverOverflowError` when any value exceeds the
     configured cap, which signals that the grid half-width is too small for
     the instance, and before any work when the gain is so large that the
-    operator's squared centers or cell z^2 would overflow a float.
+    operator's squared centers or cell z^2 would overflow a float, or the
+    half-width so small that its fourth power underflows one.
     """
     grid = settings.make_grid(plant)
     reach = (abs(plant.a) + 1.0) * grid.half_width  # float products give inf, ** raises
     if not math.isfinite(reach * reach / plant.sigma2):
         raise SolverOverflowError(
             f"gain {plant.a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float")
+    hw_sq = grid.half_width * grid.half_width
+    if hw_sq * hw_sq < sys.float_info.min:
+        raise SolverOverflowError(f"half_width {grid.half_width:.3g}: half_width^4 underflows "
+                                  "a float; sigma2 or half_width is too small")
     m = fsm.num_states
     n_stages = plant.horizon
     center = grid.center_index

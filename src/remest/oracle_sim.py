@@ -22,6 +22,7 @@ with the enumeration to rounding error.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, fields
@@ -75,22 +76,6 @@ class SimSummary:
         return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 
-def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
-             trials: int, seed: int, collect_trace: bool = False) -> SimSummary:
-    """Monte Carlo estimate of the closed-loop cost of a policy.
-
-    Interval policies require a white source (plant gain 0) and use the
-    conditional-mean estimator; all other policies follow the stage-coupled
-    accounting described in the module docstring, which with nonzero gain is
-    valid only for symmetric ones (see :func:`check_policy_fits`). Fixed
-    ``seed`` gives a bit-identical summary.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_policy_fits(plant, fsm, policy)
-    return _simulate(plant, fsm, policy, trials, seed, collect_trace)
-
-
 def check_policy_fits(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy):
     """Raise ``ValueError`` unless :func:`simulate` can run ``policy`` against
     the plant and channel. With gain a != 0 the policy must be symmetric: a
@@ -111,8 +96,15 @@ def check_policy_fits(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy
                          f"{float(policy.grid.points[i])!r}), as nonzero plant gain requires")
 
 
-def _simulate(plant, fsm, policy, trials, seed, collect_trace):
-    """The draw-and-step loop of both accountings.
+def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
+             trials: int, seed: int, collect_trace: bool = False) -> SimSummary:
+    """Monte Carlo estimate of the closed-loop cost of a policy.
+
+    Interval policies require a white source (plant gain 0) and use the
+    conditional-mean estimator; all other policies follow the stage-coupled
+    accounting described in the module docstring, which with nonzero gain is
+    valid only for symmetric ones (see :func:`check_policy_fits`). Fixed
+    ``seed`` gives a bit-identical summary.
 
     Stream contract (same seed, same summary): one Philox(key=seed)
     generator draws the (trials, stages) normals, then the uniforms, both
@@ -132,6 +124,9 @@ def _simulate(plant, fsm, policy, trials, seed, collect_trace):
     chain it sees the carried error, which a delivery resets and the plant
     propagates.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_policy_fits(plant, fsm, policy)
     white = policy.kind == "interval_pair"
     n_stages, m = plant.horizon, fsm.num_states
     successor = fsm.successor.reshape(-1)  # indexed by slot = 2 q + r
@@ -270,6 +265,8 @@ class DiscreteInstance:
     def __post_init__(self):
         vals = [v for v, _ in self.support]
         probs = [p for _, p in self.support]
+        if not all(map(math.isfinite, vals + probs)):  # NaN passes every check below
+            raise ValueError("support values and probabilities must be finite")
         if sorted(vals) != vals:
             raise ValueError("support values must be sorted ascending")
         if abs(sum(probs) - 1.0) > 1e-12 or min(probs) < 0:
@@ -326,12 +323,8 @@ def exhaustive_policy_search(inst: DiscreteInstance):
     slots = sorted(reachable_pairs(inst.fsm, inst.horizon))
     slot_axis = {slot: axis for axis, slot in enumerate(slots)}
     slot_maps = {slot: _slot_maps(inst, slot[1]) for slot in slots}
-    total_combos = 1
-    for maps in slot_maps.values():
-        total_combos *= len(maps)
-        if total_combos > ENUMERATION_LIMIT:
-            raise EnumerationSizeError(
-                f"policy space exceeds {ENUMERATION_LIMIT} combinations")
+    if math.prod(map(len, slot_maps.values())) > ENUMERATION_LIMIT:
+        raise EnumerationSizeError(f"policy space exceeds {ENUMERATION_LIMIT} combinations")
     n_axes = len(slots)
 
     def shaped(slot, arr):
@@ -339,23 +332,17 @@ def exhaustive_policy_search(inst: DiscreteInstance):
         shape[slot_axis[slot]] = len(arr)
         return arr.reshape(shape)
 
-    cache: Dict[Tuple[int, int], np.ndarray] = {}
-
+    @functools.cache
     def expected_cost(n, q):
         if n > inst.horizon:
             return 0.0
-        key = (n, q)
-        if key in cache:
-            return cache[key]
         maps = slot_maps[(n, q)]
         cost = shaped((n, q), cost_table[q, maps])
         p_send = shaped((n, q), p_send_table[maps])
         # a masked state's one map has p_send = 0 and q1 = q0
         q0, q1 = inst.fsm.successor[q].tolist()
-        total = (cost + (1.0 - p_send) * expected_cost(n + 1, q0)
-                 + p_send * expected_cost(n + 1, q1))
-        cache[key] = total
-        return total
+        return (cost + (1.0 - p_send) * expected_cost(n + 1, q0)
+                + p_send * expected_cost(n + 1, q1))
 
     total = np.broadcast_to(expected_cost(1, inst.fsm.initial_state),
                             tuple(len(slot_maps[s]) for s in slots))

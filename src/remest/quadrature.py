@@ -18,6 +18,7 @@ scipy, and the symmetry/monotonicity check used to validate solver output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -272,6 +273,12 @@ class GaussianExpectationOperator:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
         if sigma2 == math.inf:
             raise ValueError(f"sigma2 must be finite, got {sigma2}")
+        # np.polyfit scales the tail fit's x^2 column by sqrt(sum(x^4)); were
+        # that 0, LAPACK would get NaN and may never return
+        hw_sq = grid.half_width * grid.half_width
+        if hw_sq * hw_sq < sys.float_info.min:
+            raise ValueError(f"half_width {grid.half_width} is too narrow: its fourth "
+                             "power underflows a float")
         self.grid = grid
         sigma = math.sqrt(sigma2)
         xs, n, dx = grid.points, grid.num_points, grid.spacing

@@ -359,6 +359,28 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
         assert not caught
 
+    # below a half-width of about 1.2e-77 the tail fit's scale sqrt(sum(x^4))
+    # underflows to 0 and LAPACK, handed NaN, may never return; this test
+    # catches no warnings, so under pytest's error::RuntimeWarning a grid that
+    # slipped past the check fails at once instead of hanging
+    @pytest.mark.parametrize("sigma2, half_width, code", [
+        (1e-300, "auto", 2), (1.0, 1e-90, 2), (1.0, 1e-300, 2), (1e-150, "auto", 0)],
+        ids=["sigma2-1e-300", "half_width-1e-90", "half_width-1e-300", "sigma2-1e-150"])
+    def test_grid_too_narrow_for_floats_is_a_solver_error(self, tmp_path, capsys, sigma2,
+                                                          half_width, code):
+        cfg = write_config(tmp_path, plant={"a": 1.1, "sigma2": sigma2, "x0": 0.0,
+                                            "horizon": 3},
+                           solver={"grid": {"half_width": half_width, "num_points": 101}})
+        out = tmp_path / "x"
+        assert main(["--config", str(cfg), "--out", str(out), "solve-symmetric"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and (out / "value_table.csv").exists()
+        else:
+            assert err.startswith("solver error: half_width ") and err.count("\n") == 1
+            assert "underflows a float; sigma2 or half_width is too small" in err
+            assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command, flag", [
         ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),
         ("solve-iid", "--seed"), ("solve-iid", "--trials"), ("solve-iid", "--grid-points"),

@@ -384,7 +384,11 @@ class TestDiscreteOracles:
         (((-1.0, 0.5), (1.0, 0.6)), 1, "support probabilities must be nonnegative and sum"),
         (((-1.0, -0.5), (1.0, 1.5)), 1, "support probabilities must be nonnegative and sum"),
         (((-1.0, 0.5), (1.0, 0.5)), 0, "horizon must be >= 1"),
-    ], ids=["unsorted", "sum", "negative", "horizon"])
+        (((0.0, math.nan), (1.0, 0.5)), 1, "support values and probabilities must be finite"),
+        (((0.0, 0.5), (math.nan, 0.5)), 1, "support values and probabilities must be finite"),
+        (((0.0, 0.5), (math.inf, 0.5)), 1, "support values and probabilities must be finite"),
+    ], ids=["unsorted", "sum", "negative", "horizon", "nan-probability", "nan-value",
+            "inf-value"])
     def test_invalid_instance_rejected(self, support, horizon, message):
         with pytest.raises(ValueError, match=message):
             DiscreteInstance(support=support, fsm=single_state(0.5), horizon=horizon)

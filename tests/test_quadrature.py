@@ -192,10 +192,13 @@ class TestGaussianExpectation:
          "a must be finite, got nan"),
         (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), -math.inf, 1.0),
          "a must be finite, got -inf"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(1e-90, 9), 1.1, 1.0),
+         "half_width 1e-90 is too narrow: its fourth power underflows a float"),
         (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, 1.0).apply(
             np.zeros((2, 7))), r"values shape \(2, 7\) does not match grid \(\.\.\., 9\)"),
     ], ids=["moments-sigma2", "operator-sigma2", "operator-sigma2-nan",
-            "operator-sigma2-inf", "operator-a-nan", "operator-a-inf", "apply-shape"])
+            "operator-sigma2-inf", "operator-a-nan", "operator-a-inf", "operator-narrow-grid",
+            "apply-shape"])
     def test_bad_input_is_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
