@@ -39,7 +39,9 @@ from .dp_iid import conditional_estimates
 ENUMERATION_LIMIT = 10 ** 7
 # Trials stepped together over all workers.count(ceil(trials / BLOCK_TRIALS))
 # threads: each steps blocks of BLOCK_TRIALS // threads trials, so its
-# per-stage rows stay cache-resident and all buffers together hold one block.
+# per-stage rows stay cache-resident. Each thread holds three buffers of its
+# block (the drawn uniforms, then stage-major normals and uniforms, the latter
+# overwritten by the costs), so all threads' buffers hold three blocks.
 BLOCK_TRIALS = 2 ** 15
 _TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
                  ("c", bool), ("q", np.intp))
@@ -115,8 +117,10 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     :func:`workers.run_each` runs and ends, each stepping blocks of
     ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and
     draws its rows of uniforms while holding one lock, so the stream is
-    consumed in block order; it steps the block outside the lock, having
-    copied out its normals, and writes its costs over them. Every step is
+    consumed in block order; it steps the block outside the lock on
+    stage-major copies of its normals and uniforms, writes each stage's
+    costs over that stage's uniforms once read, and then the block's costs
+    over its normals in the cost table. Every step is
     elementwise and the counts are integers, so neither the blocking nor the
     thread count changes a bit. Only the estimator step differs: on a white
     source the decision sees the stage's fresh sample and an undelivered one
@@ -140,7 +144,7 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     trace = ({key: np.empty((trials, n_stages), dtype=dtype)
               for key, dtype in _TRACE_FIELDS} if collect_trace else None)
     threads = workers.count(-(-trials // BLOCK_TRIALS))
-    block = min(trials, BLOCK_TRIALS // threads)  # all threads' buffers make one block
+    block = min(trials, BLOCK_TRIALS // threads)  # each buffer, over all threads, is one block
 
     def normals(start, k):  # the block's (k, n_stages) normals: its cost rows' head
         return stage_costs[start:start + k].reshape(-1)[:k * n_stages].reshape(k, n_stages)
@@ -156,7 +160,7 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
         """Step blocks until none is left; return this thread's counts."""
         sends = np.zeros(n_stages, dtype=np.int64)
         occupancy = np.zeros(m, dtype=np.int64)
-        drawn, costs_buf = np.empty((block, n_stages)), np.empty((n_costs, block))
+        drawn = np.empty((block, n_stages))
         w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
         while True:
             with lock:
@@ -166,7 +170,7 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                 k = min(block, trials - start)
                 rng.random(out=drawn[:k])
             rows = slice(start, start + k)
-            w, u, costs = w_buf[:, :k], u_buf[:, :k], costs_buf[:, :k]
+            w, u = w_buf[:, :k], u_buf[:, :k]
             np.copyto(w, normals(start, k).T)
             np.copyto(u, drawn[:k].T)
             e = np.zeros(k)
@@ -187,7 +191,7 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                     residual = e - est
                 else:
                     residual = np.where(delivered, 0.0, e)
-                costs[s] = residual * residual
+                np.multiply(residual, residual, out=u[s])  # over the uniforms just read
                 sends[s] += np.count_nonzero(r)
                 if collect_trace:
                     if not white:
@@ -200,9 +204,9 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                 if not white:
                     e = plant.a * residual + w[s]
                 q = successor[slot]
+            stage_costs[rows, :n_stages] = u.T
             if not white:
-                costs[n_stages] = e * e
-            stage_costs[rows] = costs.T
+                stage_costs[rows, n_stages] = e * e
 
     counts = workers.run_each(lambda _: step_blocks(), range(threads))
     sends, occupancy = (sum(c) for c in zip(*counts))
@@ -267,6 +271,8 @@ class DiscreteInstance:
         probs = [p for _, p in self.support]
         if not all(map(math.isfinite, vals + probs)):  # NaN passes every check below
             raise ValueError("support values and probabilities must be finite")
+        if not math.isfinite(sum(p * v * v for v, p in self.support)):  # oracles square v
+            raise ValueError("support second moment must be finite")
         if sorted(vals) != vals:
             raise ValueError("support values must be sorted ascending")
         if abs(sum(probs) - 1.0) > 1e-12 or min(probs) < 0:

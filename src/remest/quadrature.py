@@ -220,6 +220,10 @@ BAND_BLOCK = 16
 # A band of E entries is cut into workers.count(E // SHARE_ENTRIES) row shares.
 SHARE_ENTRIES = 4_000_000
 
+# Padded band entries the shares fill per chunk of rows, together: each fill
+# temporary of all shares holds about this many (one row per share at least).
+FILL_ENTRIES = 2 ** 15
+
 
 class GaussianExpectationOperator:
     """Precomputed linear map of grid samples f to h(e) = E[f(a*e + W)].
@@ -238,7 +242,10 @@ class GaussianExpectationOperator:
     as a sparse matrix with a fixed band width per row, plus analytic
     integrals of the quadratic tails beyond the grid. The build costs
     O(n * band) rather than O(n^2), and one application is a sparse product
-    over a stack of sample vectors. The stored arrays are read-only.
+    over a stack of sample vectors. The stored arrays are read-only. The
+    build fills chunks of rows of about ``FILL_ENTRIES`` band entries over
+    all shares, so its temporaries stay a few MB however wide the rows are;
+    each row is filled on its own, so the chunk changes no bit.
 
     The band is a block sparse (BSR) matrix of 1 x ``BAND_BLOCK`` blocks:
     each row holds its weights in a zero-padded run of whole blocks, with one
@@ -297,7 +304,7 @@ class GaussianExpectationOperator:
         self._band_columns = col_blocks * BAND_BLOCK
         index_dtype = np.int32 if n * per_row < 2 ** 31 else np.int64  # half the bytes
         num_shares = workers.count(n * width // SHARE_ENTRIES)
-        chunk = 256 // num_shares  # all shares' temporaries fit one 256-row chunk
+        chunk = max(1, FILL_ENTRIES // (num_shares * per_row * BAND_BLOCK))
 
         def fill(share):
             share_first, share_start, share_centers, data = share

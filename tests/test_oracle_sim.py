@@ -387,11 +387,21 @@ class TestDiscreteOracles:
         (((0.0, math.nan), (1.0, 0.5)), 1, "support values and probabilities must be finite"),
         (((0.0, 0.5), (math.nan, 0.5)), 1, "support values and probabilities must be finite"),
         (((0.0, 0.5), (math.inf, 0.5)), 1, "support values and probabilities must be finite"),
+        (((-1e200, 0.5), (1e200, 0.5)), 1, "support second moment must be finite"),
     ], ids=["unsorted", "sum", "negative", "horizon", "nan-probability", "nan-value",
-            "inf-value"])
+            "inf-value", "inf-square"])
     def test_invalid_instance_rejected(self, support, horizon, message):
         with pytest.raises(ValueError, match=message):
             DiscreteInstance(support=support, fsm=single_state(0.5), horizon=horizon)
+
+    def test_large_finite_squares_still_solve(self):
+        # squares of 1e300 are finite: the best policy sends at -1e150 and 0,
+        # leaving half the sent variance per stage when the packet drops
+        inst = DiscreteInstance(support=((-1e150, 0.25), (0.0, 0.5), (1e150, 0.25)),
+                                fsm=single_state(0.5), horizon=2)
+        sent_variance = 0.25e300 - (0.25e150) ** 2 / 0.75
+        for value, _ in (exhaustive_policy_search(inst), discrete_dp(inst)):
+            assert value == pytest.approx(2 * 0.5 * sent_variance, rel=1e-12)
 
     def test_enumeration_cap_enforced(self):
         support = tuple((float(v), 0.2) for v in (-2, -1, 0, 1, 2))
@@ -526,16 +536,19 @@ class TestBlockedLoopMatchesReference:
 
 def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
     # the whole-table loops also held every uniform and per-stage temporaries
-    # over all trials; the blocked loop holds only one block of them, however
-    # many threads share it. The normals live in the cost table's rows and the
-    # summary takes no cost-sized temporary, so the cost table, the per-trial
-    # totals with their std (16 bytes a trial) and the blocks are all there is:
-    # a second table fails this
+    # over all trials; the blocked loop holds only blocks of them, however
+    # many threads share them. The normals live in the cost table's rows and
+    # the summary takes no cost-sized temporary, so the cost table, the
+    # per-trial totals with their std (16 bytes a trial), three buffers of one
+    # block (drawn uniforms, stage-major normals and uniforms) and a slack of
+    # twelve one-block vectors for the per-stage temporaries are all there
+    # is: a fourth block buffer or a second table fails this
     trials, horizon = 200_000, 20
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
-    bound = 8 * trials * (horizon + 1) + 16 * trials + 30e6
+    bound = (8 * trials * (horizon + 1) + 16 * trials + 3 * BLOCK_TRIALS * horizon * 8
+             + 12 * BLOCK_TRIALS * 8)
     for threads in (1, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
         tracemalloc.start()

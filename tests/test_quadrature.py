@@ -435,12 +435,48 @@ class TestBandedOperator:
                     assert share.indices.size == share.shape[0] * per_row
                     share.check_format(full_check=True)  # block indices in range
 
-    def test_build_holds_little_more_than_the_padded_band(self, monkeypatch):
+    @pytest.mark.parametrize("shares", [1, 3])
+    @pytest.mark.parametrize("half_width,num_points", [
+        (3.0, 61),    # every row spans the grid
+        (10.0, 801),  # verify's operator: dense rows, 51 blocks each
+        (60.0, 2001),
+    ])
+    def test_band_is_bit_identical_for_any_fill_chunk(self, monkeypatch, shares,
+                                                       half_width, num_points):
+        force_shares(monkeypatch, shares)
+        grid = ErrorGrid(half_width, num_points)
+        stack = band_test_stack(grid)
+        pdf, calls = quadrature._std_pdf, []  # once per fill chunk, four times for the tails
+        monkeypatch.setattr(quadrature, "_std_pdf", lambda z: calls.append(1) or pdf(z))
+        builds, chunks = [], []
+        # one row per chunk, some rows, the whole band in one chunk per share
+        for entries in (1, 40 * num_points, 20 * num_points ** 2):
+            monkeypatch.setattr(quadrature, "FILL_ENTRIES", entries)
+            calls.clear()
+            op = GaussianExpectationOperator(grid, 1.1, 1.0)
+            chunks.append(len(calls) - 4)
+            builds.append([op.apply(stack).view(np.int64)] + [
+                arr for share in op._shares for arr in (share.data.view(np.int64),
+                                                        share.indices)])
+        assert chunks[0] == num_points and chunks[-1] == shares
+        assert chunks[-1] < chunks[1] < chunks[0]
+        for other in builds[1:]:
+            assert len(other) == len(builds[0])
+            for got, want in zip(other, builds[0]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("half_width,num_points", [
+        (8.0 * 1.1 ** 20, 4001),
+        (10.0, 801),  # verify's dense operator
+    ])
+    def test_build_holds_little_more_than_the_padded_band(self, monkeypatch, half_width,
+                                                          num_points):
         """The band with one index per 16 weights, plus the fill's temporaries
-        for one 256-row chunk of padded rows: an allowance of ten float arrays
-        of that chunk. The band with one index per weight does not fit."""
+        for one chunk of rows: an allowance of ten float arrays of
+        ``FILL_ENTRIES``. The CSR band, with one index per weight and filled
+        256 rows at a time, does not fit."""
         force_shares(monkeypatch, 1)
-        grid, a, sigma2 = ErrorGrid(8.0 * 1.1 ** 20, 4001), 1.1, 1.0
+        grid, a, sigma2 = ErrorGrid(half_width, num_points), 1.1, 1.0
         GaussianExpectationOperator(ErrorGrid(4.0, 9), a, sigma2)  # imports scipy
 
         def traced_peak(build):
@@ -457,7 +493,7 @@ class TestBandedOperator:
         band_bytes = n * padded_width * 8 + n * (padded_width // BAND_BLOCK) * 4 + (n + 1) * 4
         assert sum(w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
                    for w in op._shares) == band_bytes
-        bound = band_bytes + 10 * 256 * padded_width * 8
+        bound = band_bytes + 10 * quadrature.FILL_ENTRIES * 8
         assert peak <= bound
         assert csr_peak > bound
 
