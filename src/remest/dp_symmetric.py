@@ -40,14 +40,8 @@ from .channel import ChannelFsm, reachable_pairs
 from . import workers
 from .policy import TransmitPolicy, _block_text, _write_texts, extract_threshold
 from .process import PlantModel, is_number
-from .quadrature import (ErrorGrid, GaussianExpectationOperator,
+from .quadrature import (ErrorGrid, GaussianExpectationOperator, SolverOverflowError,
                          is_symmetric_nondecreasing)
-
-
-class SolverOverflowError(RuntimeError):
-    """Values exceeded the configured cap, as the grid half-width is too small
-    for the gain-to-the-horizon growth; the gain overflows the operator; or
-    the half-width's fourth power underflows, leaving its tail fit no scale."""
 
 
 # Fewer grid points leave no difference quotient between the grid's center
@@ -150,23 +144,14 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     Returns the value table, whose ``transmit`` is the optimal gridded
     policy. Raises :class:`SolverOverflowError` when any value exceeds the
     configured cap, which signals that the grid half-width is too small for
-    the instance, and before any work when the gain is so large that the
-    operator's squared centers or cell z^2 would overflow a float, or the
-    half-width so small that its fourth power underflows one.
+    the instance, and before any work when the expectation operator refuses
+    the gain, variance and grid as outside the float range.
     """
     grid = settings.make_grid(plant)
-    reach = (abs(plant.a) + 1.0) * grid.half_width  # float products give inf, ** raises
-    if not math.isfinite(reach * reach / plant.sigma2):
-        raise SolverOverflowError(
-            f"gain {plant.a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float")
-    hw_sq = grid.half_width * grid.half_width
-    if hw_sq * hw_sq < sys.float_info.min:
-        raise SolverOverflowError(f"half_width {grid.half_width:.3g}: half_width^4 underflows "
-                                  "a float; sigma2 or half_width is too small")
+    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
     m = fsm.num_states
     n_stages = plant.horizon
     center = grid.center_index
-    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
 
     values = np.empty((n_stages + 1, m, grid.num_points))
     smoothed = np.empty_like(values)
@@ -228,24 +213,24 @@ def check_value_structure(table: ValueTable) -> StructureReport:
 
     The tolerance is ``STRUCTURE_TOL`` times each slice's value range.
     Violations are reported per (stage, state) with the offending grid
-    point.
+    point; a NaN or infinite sample is one (kind "non-finite").
     """
     violations = []
     center = table.grid.center_index
     for s in range(table.values.shape[0]):
         for q in range(table.fsm.num_states):
             slice_vals = table.values[s, q]
-            spread = float(slice_vals.max() - slice_vals.min())
-            tol_abs = STRUCTURE_TOL * max(spread, 1e-30)
+            low = float(slice_vals.min())  # a Python float: -inf + inf is NaN, not a warning
+            tol_abs = STRUCTURE_TOL * max(float(slice_vals.max()) - low, 1e-30)
             ok, viol = is_symmetric_nondecreasing(table.grid, slice_vals, tol_abs)
             if not ok:
                 violations.append(StructureViolation(
                     s + 1, q, viol.kind, viol.e, viol.magnitude))
-            if slice_vals[center] > slice_vals.min() + tol_abs:
+            if slice_vals[center] > low + tol_abs:
                 violations.append(StructureViolation(
                     s + 1, q, "argmin not at zero",
                     float(table.grid.points[int(np.argmin(slice_vals))]),
-                    float(slice_vals[center] - slice_vals.min())))
+                    float(slice_vals[center]) - low))
     return StructureReport(ok=not violations, violations=violations)
 
 
@@ -278,7 +263,7 @@ def check_growth_rate_bound(table: ValueTable) -> GrowthRateReport:
     (``table.smoothed``) has its forward difference quotient with respect
     to e^2 evaluated at every nonnegative grid point outside the boundary
     band (the outer ``GROWTH_BOUNDARY_FRACTION`` of points). Quotients must
-    stay below the stage bound plus a slack of ten grid spacings.
+    stay below the stage bound plus a slack of ten grid spacings; NaN fails.
     """
     grid = table.grid
     slack = 10.0 * grid.spacing
@@ -288,9 +273,10 @@ def check_growth_rate_bound(table: ValueTable) -> GrowthRateReport:
     x = grid.points
     denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
     h = table.smoothed
-    max_quotient = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a corrupt table; the NaN fails below
+        max_quotient = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
     violations = [(int(s) + 1, int(q), float(max_quotient[s, q]), float(bounds[s]))
-                  for s, q in zip(*np.nonzero(max_quotient > bounds[:, None] + slack))]
+                  for s, q in zip(*np.nonzero(~(max_quotient <= bounds[:, None] + slack)))]
     return GrowthRateReport(ok=not violations, bounds=bounds, max_quotient=max_quotient,
                             violations=violations, slack=slack)
 

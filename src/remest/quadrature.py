@@ -103,12 +103,12 @@ def gaussian_partial_moments(sigma2, lo, hi):
     Returns ``(M0, M1, M2)`` with ``Mk = integral of x^k * pdf(x)`` over the
     interval. ``lo`` and ``hi`` are scalars or broadcastable arrays; either
     end may be infinite. Safe for intervals of zero mass (all three values
-    underflow to 0 together). Raises ``ValueError`` unless sigma2 > 0 and
-    lo <= hi everywhere. The mass comes from :func:`ndtr`, without scipy.
+    underflow to 0 together). Raises ``ValueError`` unless 0 < sigma2 < inf
+    and lo <= hi everywhere. The mass comes from :func:`ndtr`, without scipy.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if np.any(np.greater(lo, hi)):
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    if not np.all(np.less_equal(lo, hi)):  # NaN ends too
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
     sigma = math.sqrt(sigma2)
     za, zb = np.divide(lo, sigma), np.divide(hi, sigma)
@@ -225,6 +225,11 @@ SHARE_ENTRIES = 4_000_000
 FILL_ENTRIES = 2 ** 15
 
 
+class SolverOverflowError(RuntimeError):
+    """A grid solve left the float range: :class:`GaussianExpectationOperator`
+    refused its gain, variance and grid, or its values passed the solver's cap."""
+
+
 class GaussianExpectationOperator:
     """Precomputed linear map of grid samples f to h(e) = E[f(a*e + W)].
 
@@ -236,7 +241,9 @@ class GaussianExpectationOperator:
     the map is exact (up to rounding) for piecewise-linear data and for the
     quadratic tails. Sampled quadratics pick up only the interpolation bias
     of the model, about ``spacing**2 / 6`` in absolute terms, which cancels
-    in difference quotients.
+    in difference quotients. It raises :class:`SolverOverflowError` where its
+    squared centers or cell z^2 would overflow a float, or the half-width's
+    fourth power underflows one and leaves the tail fit no scale.
 
     The cells within ``BAND_Z`` standard deviations of the center are stored
     as a sparse matrix with a fixed band width per row, plus analytic
@@ -276,16 +283,19 @@ class GaussianExpectationOperator:
         # BSR kernel reads the samples they point at unchecked
         if not math.isfinite(a):
             raise ValueError(f"a must be finite, got {a}")
-        if not sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        if sigma2 == math.inf:
-            raise ValueError(f"sigma2 must be finite, got {sigma2}")
+        if not 0 < sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+        # bounds the squared centers and cell z^2; float products give inf, ** raises
+        reach = (abs(a) + 1.0) * grid.half_width
+        if not math.isfinite(reach * reach / sigma2):
+            raise SolverOverflowError(
+                f"gain {a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float")
         # np.polyfit scales the tail fit's x^2 column by sqrt(sum(x^4)); were
         # that 0, LAPACK would get NaN and may never return
         hw_sq = grid.half_width * grid.half_width
         if hw_sq * hw_sq < sys.float_info.min:
-            raise ValueError(f"half_width {grid.half_width} is too narrow: its fourth "
-                             "power underflows a float")
+            raise SolverOverflowError(f"half_width {grid.half_width:.3g}: half_width^4 underflows "
+                                      "a float; sigma2 or half_width is too small")
         self.grid = grid
         sigma = math.sqrt(sigma2)
         xs, n, dx = grid.points, grid.num_points, grid.spacing
@@ -371,7 +381,7 @@ class GaussianExpectationOperator:
 
 
 class ShapeViolation(NamedTuple):
-    kind: str  # "asymmetry" or "decrease"
+    kind: str  # "non-finite", "asymmetry" or "decrease"
     e: float
     magnitude: float
 
@@ -380,11 +390,14 @@ def is_symmetric_nondecreasing(grid: ErrorGrid, values, tol: float):
     """Check that the samples ``values`` on ``grid`` are symmetric and
     non-decreasing in |e|, up to tol.
 
-    Returns ``(ok, violation)`` where ``violation`` is the first
-    :class:`ShapeViolation` found scanning outward from the center
-    (symmetry first, then monotonicity on each half), or None.
+    Returns ``(ok, violation)``: the first NaN or infinite sample, else the
+    first :class:`ShapeViolation` found scanning outward from the center
+    (symmetry first, then monotonicity on each half); or ``(True, None)``.
     """
     v = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(v)  # NaN compares false, so the scan would pass it
+    if bad.any():
+        return False, ShapeViolation("non-finite", grid.points[bad][0], v[bad][0])
     c = grid.center_index
     right, x_right = v[c:], grid.points[c:]
     left, x_left = v[c::-1], grid.points[c::-1]

@@ -342,8 +342,8 @@ class TestExitCodes:
         (1e10, 1.0, "stage 3: value magnitude"),
         (1e100, 1.0, "stage 3: value magnitude"),
         # past about 1e154 the operator's squared centers would overflow, and
-        # with a tiny sigma2 its cell z^2 would at a smaller gain: both fail
-        # before the operator is built
+        # with a tiny sigma2 its cell z^2 would at a smaller gain: the operator
+        # refuses both before it computes a weight
         (1e200, 1.0, "gain 1e+200: ((|a| + 1) * half_width)^2 / sigma2 overflows"),
         (1e150, 1e-10, "gain 1e+150: ((|a| + 1) * half_width)^2 / sigma2 overflows")])
     def test_huge_gain_is_a_solver_error_with_no_artifact(self, tmp_path, capsys, a, sigma2,
@@ -642,13 +642,15 @@ class TestVerify:
         assert main(["--out", str(tmp_path), "verify"]) == 0
         assert "all properties verified" in capsys.readouterr().out
 
-    def test_injected_defect_names_the_check(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("corrupt", [lambda v: v - 1.0, lambda v: math.nan],
+                             ids=["minus-one", "nan"])
+    def test_injected_defect_names_the_check(self, tmp_path, capsys, monkeypatch, corrupt):
         solve = dp_symmetric.solve_and_extract
 
         def corrupted(*args, **kwargs):
             result = solve(*args, **kwargs)
             values = result.table.values.copy()
-            values[2, 2, -1] -= 1.0
+            values[2, 2, -1] = corrupt(values[2, 2, -1])
             return dataclasses.replace(
                 result, table=dataclasses.replace(result.table, values=values))
 

@@ -104,9 +104,14 @@ class TestStageCost:
             ref = quad_stage_cost(sigma2, p, float(lo), float(hi))
             assert mine == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            iid_stage_cost(1.0, 0.5, 2.0, -2.0)
+    # a NaN end compares false, so a "lo > hi" test would let it through
+    @pytest.mark.parametrize("lo, hi", [(2.0, -2.0), (math.nan, 1.0), (-1.0, math.nan)],
+                             ids=["reversed", "lo-nan", "hi-nan"])
+    def test_bad_interval_rejected(self, lo, hi):
+        for call in (lambda: iid_stage_cost(1.0, 0.5, lo, hi),
+                     lambda: conditional_estimates(1.0, lo, hi)):
+            with pytest.raises(ValueError, match="need lo <= hi"):
+                call()
 
     def test_optimizer_objective_uses_the_same_mass_floor(self):
         # a far-tail silence interval (mass about 6e-16) counts in both

@@ -193,16 +193,25 @@ class TestStructureChecks:
         report = check_value_structure(result.table)
         assert report.ok, report.violations[:3]
 
-    def test_planted_defect_is_located(self, energy_solution):
-        plant, fsm, _ = energy_solution
-        table = backward_induction(plant, fsm, SolverSettings(num_points=1201))
+    # a NaN compares false and an inf makes the slice's tolerance infinite, so
+    # only the finiteness test catches them
+    @pytest.mark.parametrize("cells, corrupt, kind, e_index", [
+        ((2, 2, -1), lambda v: v - 1.0, "asymmetry", -1),
+        ((2, 2, 900), lambda v: math.nan, "non-finite", 900),
+        ((2, 2), lambda v: math.nan, "non-finite", 0),
+        ((2, 2, 600), lambda v: math.inf, "non-finite", 600),
+        ((2, 2, 0), lambda v: -math.inf, "non-finite", 0),
+    ], ids=["minus-one", "nan-cell", "nan-slice", "inf-center", "minus-inf-edge"])
+    def test_planted_defect_is_located(self, energy_solution, cells, corrupt, kind, e_index):
+        table = energy_solution[2].table
         values = table.values.copy()
-        values[2, 2, -1] -= 1.0
+        values[cells] = corrupt(values[cells])
         table = dataclasses.replace(table, values=values)
         report = check_value_structure(table)
         assert not report.ok
         hits = [v for v in report.violations if (v.n, v.q) == (3, 2)]
-        assert hits and hits[0].e == pytest.approx(table.grid.half_width)
+        assert hits and hits[0].e == pytest.approx(table.grid.points[e_index])
+        assert [v.kind for v in hits] == [kind]
 
     def test_minimum_off_zero_is_reported(self):
         # the slice dips 0.5e-8 per step for 10 steps on each side of e = 0
@@ -259,6 +268,18 @@ class TestGrowthRateBound:
         report = check_growth_rate_bound(result.table)
         assert report.slack == 10.0 * result.table.grid.spacing
         assert report.ok, report.violations[:3]
+
+    @pytest.mark.parametrize("cells, value", [
+        ((1, 2, 700), math.nan), ((1, 2, 700), math.inf), ((1, 2), math.inf)],
+        ids=["nan", "inf", "inf-slice"])
+    def test_non_finite_smoothing_is_a_violation(self, energy_solution, cells, value):
+        table = energy_solution[2].table
+        smoothed = table.smoothed.copy()
+        smoothed[cells] = value
+        report = check_growth_rate_bound(dataclasses.replace(table, smoothed=smoothed))
+        assert not report.ok
+        assert [(n, q) for n, q, _, _ in report.violations] == [(2, 2)]
+        assert not math.isfinite(report.violations[0][2])
 
     def test_max_quotient_matches_a_fresh_smoothing_bitwise(self):
         # the check as it ran before the table carried its smoothings: one

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -19,7 +20,8 @@ from remest.dp_symmetric import (SolverSettings, backward_induction,
 from remest.process import PlantModel
 from remest.quadrature import (BAND_BLOCK, BAND_Z, MAX_HALF_WIDTH, TAIL_FRACTION,
                                ErrorGrid, GaussianExpectationOperator,
-                               ShapeViolation, _fit_tails, gaussian_partial_moments,
+                               ShapeViolation, SolverOverflowError, _fit_tails,
+                               gaussian_partial_moments,
                                is_symmetric_nondecreasing)
 
 
@@ -180,28 +182,51 @@ class TestNdtr:
 
 
 class TestGaussianExpectation:
-    @pytest.mark.parametrize("call, message", [
-        (lambda: gaussian_partial_moments(0.0, -1.0, 1.0), "sigma2 must be positive, got 0.0"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, -1.0),
-         "sigma2 must be positive, got -1.0"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.nan),
-         "sigma2 must be positive, got nan"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.inf),
-         "sigma2 must be finite, got inf"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), math.nan, 1.0),
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: gaussian_partial_moments(0.0, -1.0, 1.0), ValueError,
+         "sigma2 must be positive and finite, got 0.0"),
+        (lambda: gaussian_partial_moments(math.inf, -1.0, 1.0), ValueError,
+         "sigma2 must be positive and finite, got inf"),
+        (lambda: gaussian_partial_moments(1.0, math.nan, 1.0), ValueError,
+         r"need lo <= hi, got \(nan, 1.0\)"),
+        (lambda: gaussian_partial_moments(1.0, np.array([-1.0, 0.0]), np.array([1.0, math.nan])),
+         ValueError, "need lo <= hi"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, -1.0), ValueError,
+         "sigma2 must be positive and finite, got -1.0"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.nan), ValueError,
+         "sigma2 must be positive and finite, got nan"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, math.inf), ValueError,
+         "sigma2 must be positive and finite, got inf"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), math.nan, 1.0), ValueError,
          "a must be finite, got nan"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), -math.inf, 1.0),
+        (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), -math.inf, 1.0), ValueError,
          "a must be finite, got -inf"),
-        (lambda: GaussianExpectationOperator(ErrorGrid(1e-90, 9), 1.1, 1.0),
-         "half_width 1e-90 is too narrow: its fourth power underflows a float"),
+        (lambda: GaussianExpectationOperator(ErrorGrid(1e-90, 9), 1.1, 1.0), SolverOverflowError,
+         r"half_width 1e-90: half_width\^4 underflows a float; sigma2 or half_width is too small"),
+        # past about 1e154 the squared centers overflow, and with a tiny sigma2
+        # the cell z^2 do at a smaller gain; unrefused, numpy's RuntimeWarnings
+        # fail these under pytest's error::RuntimeWarning
+        *((lambda a=a, sigma2=sigma2: GaussianExpectationOperator(ErrorGrid(53.8, 201), a, sigma2),
+           SolverOverflowError,
+           re.escape(f"gain {a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float"))
+          for a, sigma2 in [(1e200, 1.0), (1e154, 1.0), (1e150, 1e-10)]),
         (lambda: GaussianExpectationOperator(ErrorGrid(4.0, 9), 1.1, 1.0).apply(
-            np.zeros((2, 7))), r"values shape \(2, 7\) does not match grid \(\.\.\., 9\)"),
-    ], ids=["moments-sigma2", "operator-sigma2", "operator-sigma2-nan",
-            "operator-sigma2-inf", "operator-a-nan", "operator-a-inf", "operator-narrow-grid",
-            "apply-shape"])
-    def test_bad_input_is_rejected(self, call, message):
-        with pytest.raises(ValueError, match=message):
+            np.zeros((2, 7))), ValueError,
+         r"values shape \(2, 7\) does not match grid \(\.\.\., 9\)"),
+    ], ids=["moments-sigma2", "moments-sigma2-inf", "moments-lo-nan", "moments-hi-nan",
+            "operator-sigma2", "operator-sigma2-nan", "operator-sigma2-inf", "operator-a-nan",
+            "operator-a-inf", "operator-narrow-grid", "operator-gain-1e200",
+            "operator-gain-1e154", "operator-gain-1e150-sigma2-1e-10", "apply-shape"])
+    def test_bad_input_is_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
             call()
+
+    def test_gain_whose_squares_fit_builds(self):
+        grid, a = ErrorGrid(53.8, 201), 1e100
+        h = GaussianExpectationOperator(grid, a, 1.0).apply(grid.points ** 2)
+        # the model's interpolation bias, spacing^2 / 6, as in the quadratic test
+        assert np.allclose(h, a * a * grid.points ** 2 + 1.0, rtol=1e-9,
+                           atol=grid.spacing ** 2 / 2)
 
     def test_constant_invariance(self):
         grid = ErrorGrid(8.0, 501)
@@ -587,6 +612,15 @@ class TestShapeChecks:
         # asymmetries and right-half drops all within tol
         (1.0, [-1.5, -1.5, -1.5, 0.75, 0.5, 0, 0, 0, -0.75, -0.75, -0.75],
          ShapeViolation("decrease", -3.0, 2.25)),
+        # a NaN compares false and an infinite tolerance passes an inf: the
+        # first non-finite sample in grid order, before any other violation
+        (0.0, [math.nan] * 11, ShapeViolation("non-finite", -5.0, math.nan)),
+        (0.0, [25, 16, 9, 4, 1, 0, 1, 4, 9, 16, math.inf],
+         ShapeViolation("non-finite", 5.0, math.inf)),
+        (math.inf, [25, 16, 9, 4, 1, math.inf, 1, 4, 9, 16, 25],
+         ShapeViolation("non-finite", 0.0, math.inf)),
+        (0.0, [25, 16, 9, 4, 1, -math.inf, 1, 4, 9, 16, 2],
+         ShapeViolation("non-finite", 0.0, -math.inf)),
     ])
     def test_first_violation_of_each_kind(self, tol, values, expected):
         grid = ErrorGrid(5.0, 11)
@@ -594,7 +628,7 @@ class TestShapeChecks:
         assert not ok
         assert violation.kind == expected.kind
         assert violation.e == expected.e
-        assert violation.magnitude == pytest.approx(expected.magnitude, abs=1e-15)
+        assert violation.magnitude == pytest.approx(expected.magnitude, abs=1e-15, nan_ok=True)
 
 
 def growth_quotient(smoothed_fn):

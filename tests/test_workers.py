@@ -23,6 +23,13 @@ def test_usable_cpus_is_positive():
     assert workers.usable_cpus() >= 1
 
 
+@pytest.mark.parametrize("cpu_count, expected", [(None, 1), (3, 3)])
+def test_usable_cpus_without_affinity_masks_reads_cpu_count(monkeypatch, cpu_count, expected):
+    monkeypatch.delattr(workers.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: cpu_count)
+    assert workers.usable_cpus() == expected
+
+
 def test_run_each_keeps_order_and_runs_the_first_item_in_the_caller():
     caller = threading.current_thread()
     before = set(threading.enumerate())
