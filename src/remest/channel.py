@@ -19,6 +19,13 @@ import numpy as np
 
 from .process import is_number
 
+# The builders and the FSM's own check loop over the states in Python, about
+# half a second per 10**5 states, and every solver table has a state axis
+# (each of the grid solver's (N+1)*m*n float tables takes 34 GB at 10**5
+# states on the presets' 21 stages and 2001 points): a builder refuses a
+# larger count before its loop.
+MAX_BUILT_STATES = 10 ** 5
+
 
 @dataclass(frozen=True)
 class ChannelFsm:
@@ -79,6 +86,13 @@ def _require(name, value, kind=numbers.Real):
     if not is_number(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def _cap_states(name, value):
+    """Raise ``ValueError`` when ``value + 1`` states exceed ``MAX_BUILT_STATES``."""
+    if value + 1 > MAX_BUILT_STATES:
+        raise ValueError(f"{name} {value} gives {value + 1} states, more than the "
+                         f"builders' cap of {MAX_BUILT_STATES}")
 
 
 def _violations(fsm: ChannelFsm):
@@ -162,6 +176,7 @@ def energy_harvesting_fsm(capacity: int, tx_cost: int, p_tx: float) -> ChannelFs
     _require("p_tx", p_tx)
     if tx_cost < 1 or capacity < tx_cost:
         raise ValueError(f"need capacity >= tx_cost >= 1, got ({capacity}, {tx_cost})")
+    _cap_states("capacity", capacity)
     transitions = []
     drop = []
     allowed = []
@@ -190,6 +205,7 @@ def workload_chain_fsm(window: int, drop_probs) -> ChannelFsm:
     _require("window", window, numbers.Integral)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    _cap_states("window", window)
     transitions = tuple((max(i - 1, 0), min(i + 1, window)) for i in range(window + 1))
     return ChannelFsm(window + 1, transitions, drop_probs, initial_state=0,
                       transmit_allowed=tuple(True for _ in range(window + 1)))

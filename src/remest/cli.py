@@ -15,12 +15,13 @@ Commands
 - ``export-examples``: writes the two bundled application configs.
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
-config, flag or policy CSV, a non-finite number included, or solver
-overflow), 3 internal error (the traceback goes to stderr). Plant, channel
-and solver settings check themselves when built, an unknown plant or fsm
-key included; ``_read`` turns the error into a :class:`ConfigError` that
-names the input. The other sections (the top level, ``channel``, ``solver``,
-``solver.grid`` and ``sim``) are checked for unknown keys here.
+config, flag or policy CSV, a non-finite number or a table numpy cannot
+index included, or solver overflow), 3 internal error (the traceback goes
+to stderr). Plant, channel and solver settings check themselves when
+built, an unknown plant or fsm key included; ``_read`` turns the error
+into a :class:`ConfigError` that names the input. The other sections
+(the top level, ``channel``, ``solver``, ``solver.grid`` and ``sim``) are
+checked for unknown keys here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import sys
 import traceback
@@ -78,6 +80,20 @@ def _check_keys(where: str, section: dict, keys) -> None:
     """A key of ``section`` outside ``keys`` is a :class:`ConfigError`."""
     if unknown := sorted(set(section) - set(keys)):
         raise ConfigError(f"unknown {where} keys {unknown}")
+
+
+def _indexable(what: str, *factors: int) -> None:
+    """Refuse, before any allocation, a table of ``math.prod(factors)``
+    floats whose bytes numpy cannot index (it raises on allocating one);
+    the error names the product."""
+    if 8 * math.prod(factors) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} = {' * '.join(map(str, factors))} floats, more bytes "
+                          f"than numpy can index ({np.iinfo(np.intp).max})")
+
+
+def _grid_table_fits(plant: PlantModel, fsm: ch.ChannelFsm, settings: dps.SolverSettings):
+    _indexable("the grid solver's table (N+1)*m*n", plant.horizon + 1, fsm.num_states,
+               settings.num_points)
 
 
 def load_config(path) -> dict:
@@ -131,6 +147,7 @@ def cmd_solve_symmetric(args) -> int:
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
     settings = settings_from_config(config, args.grid_points)
+    _grid_table_fits(plant, fsm, settings)
     out = _out_dir(args)
 
     result = dps.solve_and_extract(plant, fsm, settings=settings)
@@ -175,6 +192,7 @@ def cmd_solve_iid(args) -> int:
             f"solve-iid requires plant gain a = 0 (got a={plant.a}); "
             "use solve-symmetric for a coupled plant")
     fsm = fsm_from_config(config)
+    _indexable("the white-source table (N+1)*m", plant.horizon + 1, fsm.num_states)
     settings_from_config(config)  # checked, though no setting shapes the intervals
     provenance = dps.provenance_hash(plant, fsm)
     out = _out_dir(args)
@@ -210,7 +228,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
+    _indexable("the simulator's cost table trials*(N+1)", trials, plant.horizon + 1)
     settings = settings_from_config(config, args.grid_points)
+    _grid_table_fits(plant, fsm, settings)  # the provenance hash builds its grid
     where = f"policy {args.policy}"
     policy, meta = _read("policy", load_policy_csv, args.policy)  # its errors name the path
     _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
@@ -262,8 +282,9 @@ def cmd_export_examples(args) -> int:
 # verify: bundled property suite
 # ---------------------------------------------------------------------------
 
-def _verify_properties(grid_points=None):
-    """Yield (name, ok, detail) for each bundled property."""
+def _verify_properties(plant: PlantModel, fsm: ch.ChannelFsm, settings: dps.SolverSettings):
+    """Yield (name, ok, detail) for each bundled property; the solver's are
+    checked on the solve of ``plant`` and ``fsm`` with ``settings``."""
     from .quadrature import GaussianExpectationOperator, is_symmetric_nondecreasing
 
     rng = np.random.default_rng(20240817)
@@ -285,9 +306,6 @@ def _verify_properties(grid_points=None):
              for h in op.apply(np.array(step_fns)))
     yield ("expectation operator preserves symmetric monotone shape", ok, "")
 
-    plant = PlantModel(a=1.1, sigma2=1.0, horizon=8)
-    fsm = ch.energy_harvesting_fsm(4, 2, 0.3)
-    settings = dps.SolverSettings(num_points=grid_points or 801)
     result = dps.solve_and_extract(plant, fsm, settings=settings)
     table = result.table
     structure = dps.check_value_structure(table)
@@ -346,8 +364,11 @@ def _random_discrete_instance(rng) -> oracle_sim.DiscreteInstance:
 
 
 def cmd_verify(args) -> int:
+    plant, fsm = PlantModel(a=1.1, sigma2=1.0, horizon=8), ch.energy_harvesting_fsm(4, 2, 0.3)
+    settings = dps.SolverSettings(num_points=args.grid_points or 801)
+    _grid_table_fits(plant, fsm, settings)
     failures = []
-    for name, ok, detail in _verify_properties(args.grid_points):
+    for name, ok, detail in _verify_properties(plant, fsm, settings):
         status = "pass" if ok else "FAIL"
         print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
         if not ok:

@@ -67,7 +67,7 @@ class SolverSettings:
         if self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd, got {self.num_points}")
         if (hw := self.half_width) != "auto":
-            if not (is_number(hw) and 0 < hw < math.inf):
+            if not (is_number(hw) and 0 < 2 * hw < math.inf):  # the grid's span too
                 raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
             object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
         if not (is_number(self.value_cap) and 0 < self.value_cap < math.inf):
@@ -176,7 +176,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
         send = transmit[s] = c1 < c0
         values[s] = np.where(send, c1, c0)
         worst = np.max(np.abs(values[s]))
-        if not worst <= settings.value_cap:  # NaN too: a gain whose square overflows
+        if not worst <= settings.value_cap:  # growth; the operator refuses what overflows
             raise SolverOverflowError(
                 f"stage {s + 1}: value magnitude {worst:.3g} exceeds cap "
                 f"{settings.value_cap:.3g}; widen the grid")

@@ -39,9 +39,9 @@ from .dp_iid import conditional_estimates
 ENUMERATION_LIMIT = 10 ** 7
 # Trials stepped together over all workers.count(ceil(trials / BLOCK_TRIALS))
 # threads: each steps blocks of BLOCK_TRIALS // threads trials, so its
-# per-stage rows stay cache-resident. Each thread holds three buffers of its
-# block (the drawn uniforms, then stage-major normals and uniforms, the latter
-# overwritten by the costs), so all threads' buffers hold three blocks.
+# per-stage rows stay cache-resident. Each thread holds two stage-major
+# buffers of its block, the normals and the uniforms (which the costs
+# overwrite), so all threads' buffers hold two blocks.
 BLOCK_TRIALS = 2 ** 15
 _TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
                  ("c", bool), ("q", np.intp))
@@ -115,17 +115,18 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     ``rng.normal(0.0, sigma)``. Trials are stepped in blocks, stage-major,
     on ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
     :func:`workers.run_each` runs and ends, each stepping blocks of
-    ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and
-    draws its rows of uniforms while holding one lock, so the stream is
-    consumed in block order; it steps the block outside the lock on
-    stage-major copies of its normals and uniforms, writes each stage's
-    costs over that stage's uniforms once read, and then the block's costs
-    over its normals in the cost table. Every step is
-    elementwise and the counts are integers, so neither the blocking nor the
-    thread count changes a bit. Only the estimator step differs: on a white
-    source the decision sees the stage's fresh sample and an undelivered one
-    is estimated by its conditional mean given (attempt, state); on the
-    chain it sees the carried error, which a delivery resets and the plant
+    ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and,
+    holding one lock, draws its rows of uniforms trial-major into its
+    normals' buffer, so the stream is consumed in block order. Outside the
+    lock it copies them stage-major into its uniforms' buffer, then the
+    block's normals over them, steps the block, writes each stage's costs
+    over that stage's uniforms once read, and then the block's costs over
+    its normals in the cost table. Every step is elementwise and the counts
+    are integers, so neither the blocking nor the thread count changes a
+    bit. Both accountings share one estimator step, an undelivered sample
+    estimated per (stage, attempt, state): on a white source the decision
+    sees the stage's fresh sample, estimated by its conditional mean; on the
+    chain it sees the carried error, estimated by 0, which the plant
     propagates.
     """
     if trials < 1:
@@ -134,9 +135,9 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     white = policy.kind == "interval_pair"
     n_stages, m = plant.horizon, fsm.num_states
     successor = fsm.successor.reshape(-1)  # indexed by slot = 2 q + r
-    if white:
-        xhat = np.stack(conditional_estimates(plant.sigma2, policy.intervals[..., 0],
-                                              policy.intervals[..., 1]), -1).reshape(n_stages, -1)
+    xhat = (np.stack(conditional_estimates(plant.sigma2, policy.intervals[..., 0],
+                                           policy.intervals[..., 1]), -1).reshape(n_stages, -1)
+            if white else np.zeros((n_stages, 2 * m)))  # per (stage, slot); 0 on the chain
     n_costs = n_stages if white else n_stages + 1
 
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -146,11 +147,11 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     threads = workers.count(-(-trials // BLOCK_TRIALS))
     block = min(trials, BLOCK_TRIALS // threads)  # each buffer, over all threads, is one block
 
-    def normals(start, k):  # the block's (k, n_stages) normals: its cost rows' head
-        return stage_costs[start:start + k].reshape(-1)[:k * n_stages].reshape(k, n_stages)
+    def head(table, k):  # its first k * n_stages entries, viewed trial-major
+        return table.reshape(-1)[:k * n_stages].reshape(k, n_stages)
 
     for start in range(0, trials, block):  # what rng.normal(0.0, sigma) computes
-        w = rng.standard_normal(out=normals(start, min(block, trials - start)))
+        w = rng.standard_normal(out=head(stage_costs[start:], min(block, trials - start)))
         w *= math.sqrt(plant.sigma2)
         w += 0.0
     starts = iter(range(0, trials, block))
@@ -160,7 +161,6 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
         """Step blocks until none is left; return this thread's counts."""
         sends = np.zeros(n_stages, dtype=np.int64)
         occupancy = np.zeros(m, dtype=np.int64)
-        drawn = np.empty((block, n_stages))
         w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
         while True:
             with lock:
@@ -168,11 +168,11 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                 if start is None:
                     return sends, occupancy
                 k = min(block, trials - start)
-                rng.random(out=drawn[:k])
+                rng.random(out=head(w_buf, k))  # trial-major, in the normals' buffer
             rows = slice(start, start + k)
             w, u = w_buf[:, :k], u_buf[:, :k]
-            np.copyto(w, normals(start, k).T)
-            np.copyto(u, drawn[:k].T)
+            np.copyto(u, head(w_buf, k).T)
+            np.copyto(w, head(stage_costs[start:], k).T)  # over the uniforms just copied
             e = np.zeros(k)
             q = np.full(k, fsm.initial_state, dtype=np.intp)
             if collect_trace and not white:
@@ -186,21 +186,17 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                 slot = 2 * q + r
                 success = u[s] >= fsm.drop[q]
                 delivered = r & success
-                if white:
-                    est = np.where(delivered, e, xhat[s][slot])
-                    residual = e - est
-                else:
-                    residual = np.where(delivered, 0.0, e)
+                residual = np.where(delivered, 0.0, e - xhat[s][slot])
                 np.multiply(residual, residual, out=u[s])  # over the uniforms just read
                 sends[s] += np.count_nonzero(r)
                 if collect_trace:
-                    if not white:
-                        est = np.where(delivered, x, est)
-                    row = (e, est, residual) if white else (x, est, e)
+                    if white:
+                        row = (e, np.where(delivered, e, xhat[s][slot]), residual)
+                    else:  # the row keeps this stage's arrays; the plant propagates both
+                        row = (x, np.where(delivered, x, est), e)
+                        est, x = plant.a * row[1], plant.a * x + w[s]
                     for (key, _), value in zip(_TRACE_FIELDS, row + (r, success, q)):
                         trace[key][rows, s] = value
-                    if not white:
-                        est, x = plant.a * est, plant.a * x + w[s]
                 if not white:
                     e = plant.a * residual + w[s]
                 q = successor[slot]

@@ -273,7 +273,7 @@ def _width(meta):
     """The positive finite number on the ``# grid_half_width=`` header line."""
     text = meta["grid_half_width"]
     try:
-        if 0 < float(text) < math.inf:
+        if 0 < 2 * float(text) < math.inf:  # the grid's span too
             return float(text)
     except ValueError:
         pass

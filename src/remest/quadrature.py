@@ -145,7 +145,7 @@ class ErrorGrid:
     num_points: int
 
     def __post_init__(self):
-        if not 0 < self.half_width < math.inf:
+        if not 0 < 2 * self.half_width < math.inf:  # the span too, or linspace overflows
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.num_points < 3 or self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd and >= 3, got {self.num_points}")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remest.channel import (ChannelFsm, energy_harvesting_fsm, reachable_pairs,
-                            workload_chain_fsm)
+from remest import channel
+from remest.channel import (MAX_BUILT_STATES, ChannelFsm, energy_harvesting_fsm,
+                            reachable_pairs, workload_chain_fsm)
 from remest.oracle_sim import simulate
 from remest.policy import TransmitPolicy
 from remest.process import PlantModel
@@ -53,6 +54,15 @@ class TestEnergyBuilder:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             energy_harvesting_fsm(*args)
 
+    @pytest.mark.parametrize("capacity", [2 ** 63, 10 ** 30])
+    def test_state_count_over_cap_refused_before_building(self, capacity):
+        # the build loops over every state in Python: this returned in no
+        # reasonable time before the cap
+        with pytest.raises(ValueError, match=f"^capacity {capacity} gives {capacity + 1} "
+                                             f"states, more than the builders' cap of "
+                                             f"{MAX_BUILT_STATES}$"):
+            energy_harvesting_fsm(capacity, 2, 0.3)
+
     def test_battery_bookkeeping_along_trajectories(self, energy):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -94,6 +104,21 @@ class TestWorkloadBuilder:
     def test_mistyped_parameter_named(self, window, drop_probs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             workload_chain_fsm(window, drop_probs)
+
+    @pytest.mark.parametrize("window", [2 ** 63, 10 ** 30])
+    def test_state_count_over_cap_refused_before_building(self, window):
+        with pytest.raises(ValueError, match=f"^window {window} gives {window + 1} states, "
+                                             f"more than the builders' cap of "
+                                             f"{MAX_BUILT_STATES}$"):
+            workload_chain_fsm(window, [0.5])
+
+    def test_state_count_at_cap_builds(self, monkeypatch):
+        monkeypatch.setattr(channel, "MAX_BUILT_STATES", 3)
+        assert workload_chain_fsm(2, [0.5] * 3).num_states == 3
+        assert energy_harvesting_fsm(2, 2, 0.3).num_states == 3
+        with pytest.raises(ValueError, match="^window 3 gives 4 states, more than the "
+                                             "builders' cap of 3$"):
+            workload_chain_fsm(3, [0.5] * 4)
 
 
 def violations(*args, **kwargs):

@@ -146,8 +146,16 @@ class TestExitCodes:
         (["--grid-points", "3", "solve-symmetric"], "--grid-points: num_points must be >= 5"),
         (["--grid-points", "3", "verify"], "--grid-points: num_points must be >= 5"),
         (["--seed", "-1", "simulate", "policy.csv"], "seed must lie in [0, 2**128)"),
+        # more points than numpy can index: an empty linspace raised IndexError
+        (["--grid-points", str(2 ** 63 + 1), "solve-symmetric"],
+         f"the grid solver's table (N+1)*m*n = 7 * 5 * {2 ** 63 + 1} floats"),
+        (["--grid-points", str(2 ** 63 + 1), "verify"],
+         f"the grid solver's table (N+1)*m*n = 9 * 5 * {2 ** 63 + 1} floats"),
+        (["--grid-points", str(2 ** 63 + 1), "simulate", "policy.csv"],
+         f"the grid solver's table (N+1)*m*n = 7 * 5 * {2 ** 63 + 1} floats"),
     ], ids=["solve-symmetric", "verify", "solve-symmetric-3-points", "verify-3-points",
-            "simulate"])
+            "simulate", "solve-symmetric-2**63+1-points", "verify-2**63+1-points",
+            "simulate-2**63+1-points"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, args, message):
         config = [] if "verify" in args else ["--config", str(write_config(tmp_path))]
         assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
@@ -180,12 +188,29 @@ class TestExitCodes:
         ("sim.trials", True, "sim.trials must be an integer, got True"),
         ("sim.seed", "7", "sim.seed must be an integer, got '7'"),
         ("policy.n", 5, "data row 1: (n, q) = (5, 0) is outside the policy shape"),
+        # a grid whose span 2 * half_width overflows a float
+        ("solver.grid.half_width", 1e308,
+         "solver settings: half_width must be 'auto' or positive and finite, got 1e+308"),
+        # tables whose bytes numpy cannot index: numpy raised ValueError
+        ("plant.horizon", 2 ** 63, f"the grid solver's table (N+1)*m*n = {2 ** 63 + 1} * 5 "
+                                   "* 201 floats, more bytes than numpy can index"),
+        ("plant.horizon", 10 ** 30, f"the grid solver's table (N+1)*m*n = {10 ** 30 + 1} * 5 "
+                                    "* 201 floats, more bytes than numpy can index"),
+        ("sim.trials", 2 ** 63, f"the simulator's cost table trials*(N+1) = {2 ** 63} * 5 "
+                                "floats, more bytes than numpy can index"),
+        ("sim.trials", 10 ** 30, f"the simulator's cost table trials*(N+1) = {10 ** 30} * 5 "
+                                 "floats, more bytes than numpy can index"),
+        # numpy indexes 5 * 2**58 elements, but not their 8 * 5 * 2**58 bytes
+        ("sim.trials", 2 ** 58, f"the simulator's cost table trials*(N+1) = {2 ** 58} * 5 "
+                                "floats, more bytes than numpy can index"),
     ], ids=["plant.horizon", "plant.sigma2", "sim.trials", "plant.a",
             "solver.grid.half_width", "plant.x0", "solver.value_cap-nan",
             "solver.value_cap-inf", "policy.e", "plant.a-string", "plant.a-bool",
             "plant.x0-null", "solver.value_cap-bool", "solver.value_cap-string",
             "solver.grid.half_width-null", "sim.trials-float", "sim.trials-bool",
-            "sim.seed-string", "policy.n"])
+            "sim.seed-string", "policy.n", "solver.grid.half_width-1e308",
+            "plant.horizon-2**63", "plant.horizon-10**30", "sim.trials-2**63",
+            "sim.trials-10**30", "sim.trials-2**58"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
         # JSON's NaN and Infinity literals, and a policy row off the grid
         config = json.loads(write_config(
@@ -250,10 +275,14 @@ class TestExitCodes:
         ({"channel": {"builder": "energy_harvesting",
                       "params": {"capacity": 4, "tx_cost": 2, "p_tx": True}}},
          "channel builder 'energy_harvesting': p_tx must be a number, got True"),
+        ({"channel": {"builder": "energy_harvesting",
+                      "params": {"capacity": 2 ** 63, "tx_cost": 2, "p_tx": 0.3}}},
+         f"channel builder 'energy_harvesting': capacity {2 ** 63} gives {2 ** 63 + 1} "
+         "states, more than the builders' cap of 100000"),
     ], ids=["plant", "grid", "sim", "params", "builder", "plant-missing", "plant.a-missing",
             "plant.horizon-missing", "fsm.transmit_allowed-missing", "fsm", "window",
             "window-float", "workload-drop_probs-number", "capacity-string", "tx_cost-float",
-            "p_tx-bool"])
+            "p_tx-bool", "capacity-2**63"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "10",
@@ -450,6 +479,13 @@ class TestSolveIid:
                            solver={"grid": {"num_point": 8001}})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
         assert "unknown solver" in capsys.readouterr().err
+
+    def test_horizon_numpy_cannot_index_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "horizon": 2 ** 63})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
+        assert (f"error: the white-source table (N+1)*m = {2 ** 63 + 1} * 5 floats, more "
+                "bytes than numpy can index" in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
 
 class TestSimulate:

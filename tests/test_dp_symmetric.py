@@ -419,6 +419,7 @@ class TestSolverSettings:
         ({"half_width": math.inf}, "half_width must be 'auto' or positive and finite"),
         ({"half_width": math.nan}, "half_width must be 'auto' or positive and finite"),
         ({"half_width": 0.0}, "half_width must be 'auto' or positive and finite"),
+        ({"half_width": 1e308}, "half_width must be 'auto' or positive and finite"),
         ({"value_cap": math.nan}, "value_cap must be positive and finite"),
         ({"value_cap": math.inf}, "value_cap must be positive and finite"),
         ({"value_cap": 0.0}, "value_cap must be positive and finite"),

@@ -539,15 +539,16 @@ def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
     # over all trials; the blocked loop holds only blocks of them, however
     # many threads share them. The normals live in the cost table's rows and
     # the summary takes no cost-sized temporary, so the cost table, the
-    # per-trial totals with their std (16 bytes a trial), three buffers of one
-    # block (drawn uniforms, stage-major normals and uniforms) and a slack of
-    # twelve one-block vectors for the per-stage temporaries are all there
-    # is: a fourth block buffer or a second table fails this
+    # per-trial totals with their std (16 bytes a trial), two buffers of one
+    # block (stage-major normals and uniforms; the uniforms are drawn into the
+    # normals' buffer) and a slack of twelve one-block vectors for the
+    # per-stage temporaries are all there is: a third block buffer or a
+    # second table fails this
     trials, horizon = 200_000, 20
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
-    bound = (8 * trials * (horizon + 1) + 16 * trials + 3 * BLOCK_TRIALS * horizon * 8
+    bound = (8 * trials * (horizon + 1) + 16 * trials + 2 * BLOCK_TRIALS * horizon * 8
              + 12 * BLOCK_TRIALS * 8)
     for threads in (1, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: threads)

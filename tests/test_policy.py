@@ -501,7 +501,8 @@ class TestCsvLoading:
 
     @pytest.mark.parametrize("key, value", [
         ("horizon", "2.0"), ("horizon", "0"), ("num_states", "-1")] + [
-        ("grid_half_width", value) for value in ("abc", "nan", "0", "-1", "inf")] + [
+        # 1e308 is finite, but the grid's span 2 * 1e308 overflows a float
+        ("grid_half_width", value) for value in ("abc", "nan", "0", "-1", "inf", "1e308")] + [
         ("kind", "circle")])
     def test_bad_header_value_is_rejected(self, tmp_path, capsys, key, value):
         path = tmp_path / "policy.csv"

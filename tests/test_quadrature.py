@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -54,10 +55,15 @@ class TestErrorGrid:
         with pytest.raises(ValueError):
             ErrorGrid(4.0, 10)
 
-    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan])
+    # 1e308 is finite, but linspace's span 2 * 1e308 overflowed with RuntimeWarnings
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan, 1e308])
     def test_requires_finite_positive_half_width(self, half_width):
         with pytest.raises(ValueError, match="half_width must be positive and finite"):
             ErrorGrid(half_width, 11)
+
+    def test_widest_grid_has_a_finite_span(self):
+        grid = ErrorGrid(sys.float_info.max / 2, 5)
+        assert grid.points[-1] == sys.float_info.max / 2 and grid.points[2] == 0.0
 
     @pytest.mark.parametrize("e", [math.inf, -math.inf, math.nan])
     def test_index_of_rejects_non_finite_points(self, e):
