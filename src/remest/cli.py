@@ -167,11 +167,14 @@ def cmd_solve_symmetric(args) -> int:
         "channel": dataclasses.asdict(fsm),
         "grid": dataclasses.asdict(table.grid),
         "value_at_origin": dp_value,
+        # max |V|, against the config's value_cap, with no table-sized temporary
+        "max_abs_value": max(float(table.values.max()), -float(table.values.min())),
         "structure_ok": structure.ok,
         "structure_violations": len(structure.violations),
         "growth_bound_ok": growth.ok,
         "growth_bound_slack": growth.slack,
         "drop_margin": {"v": v, "threshold": margin, "satisfied": satisfied},
+        "near_ties": table.near_ties(),
         "threshold_witnesses": [
             {"n": n, "q": q, "witness": list(w)} for n, q, w in result.witnesses],
         "asymmetric_fits": [{"n": n, "q": q} for n, q in result.asymmetric],

@@ -76,7 +76,7 @@ def _interval_terms(sigma2, lo, hi):
     The one difference from :func:`gaussian_partial_moments` is the inside
     mass, taken as ``ndtr(zb) - ndtr(za)`` also where lo > 0, where that
     difference cancels. Reflecting it moves solved intervals, so it waits
-    for the benchmark re-baseline (ROADMAP item 1). Both ends go through one
+    for the benchmark re-baseline (ROADMAP item 1b). Both ends go through one
     :func:`ndtr` call, which has a fixed cost of a few dozen numpy calls.
     """
     sigma = math.sqrt(sigma2)

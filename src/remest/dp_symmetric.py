@@ -15,7 +15,10 @@ states are forced silent. Gaussian expectations run through one
 :class:`~remest.quadrature.GaussianExpectationOperator`, built per solve and
 applied once per stage to all channel states. The value table keeps those
 smoothed slices E[V(a e + W, q)], so the growth check reads them instead of
-smoothing the values again.
+smoothing the values again. A stage's C0, C1, transmit set and V are
+closed-form in them, so beside the operator's band the recursion keeps only
+those and one value slice, and derives the other four tables once the band
+is freed: a solve's peak memory is the band plus one table.
 
 The module also houses the structure checks: symmetry/monotonicity of every
 value slice, the linear-in-horizon bound on difference quotients of the
@@ -67,8 +70,11 @@ class SolverSettings:
         if self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd, got {self.num_points}")
         if (hw := self.half_width) != "auto":
-            if not (is_number(hw) and 0 < 2 * hw < math.inf):  # the grid's span too
+            if not (is_number(hw) and 0 < hw < math.inf):
                 raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
+            if 2 * hw == math.inf:
+                raise ValueError(f"half_width {hw!r}: the grid's span 2 * half_width "
+                                 "overflows a float")
             object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
         if not (is_number(self.value_cap) and 0 < self.value_cap < math.inf):
             raise ValueError(f"value_cap must be positive and finite, got {self.value_cap!r}")
@@ -109,7 +115,8 @@ class ValueTable:
     ``smoothed[s, q]`` is the Gaussian smoothing E[V(a e + W)] of
     ``values[s, q]``: the expectations backward induction took of every
     next-stage slice, plus one of the stage-1 slices. The growth check reads
-    it. The five arrays are read-only; corrupt a copy for a defect test.
+    it, and the other four arrays are derived from it. The five arrays are
+    read-only; corrupt a copy for a defect test.
     """
 
     grid: ErrorGrid
@@ -135,6 +142,16 @@ class ValueTable:
         """Optimal cost from zero initial error in the initial channel state."""
         return float(self.values[0, self.fsm.initial_state, self.grid.center_index])
 
+    def near_ties(self) -> list:
+        """The sorted [n, q, e] of transmit-allowed states where the actions
+        nearly tie, |C1 - C0| < 1e-9 |C0| (C1 is NaN, never close, if masked).
+        One stage at a time, so the temporaries stay one stage."""
+        x, ties = self.grid.points.tolist(), []
+        for s, (c0, c1) in enumerate(zip(self.cost_wait, self.cost_send)):
+            close = (np.abs(c1 - c0) < 1e-9 * np.abs(c0)) & self.fsm.allowed[:, None]
+            ties += [[s + 1, q, x[i]] for q, i in np.argwhere(close).tolist()]
+        return ties
+
 
 def backward_induction(plant: PlantModel, fsm: ChannelFsm,
                        settings: SolverSettings = SolverSettings()) -> ValueTable:
@@ -146,41 +163,49 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
     configured cap, which signals that the grid half-width is too small for
     the instance, and before any work when the expectation operator refuses
     the gain, variance and grid as outside the float range.
+
+    The recursion holds the operator's band beside the smoothed table and
+    one value slice, and checks each stage against the cap; once the band is
+    freed, the same stage step fills the other four tables stage by stage.
     """
     grid = settings.make_grid(plant)
     op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
-    m = fsm.num_states
-    n_stages = plant.horizon
-    center = grid.center_index
-
-    values = np.empty((n_stages + 1, m, grid.num_points))
-    smoothed = np.empty_like(values)
-    cost_wait = np.empty((n_stages, m, grid.num_points))
-    cost_send = np.empty_like(cost_wait)
-    transmit = np.empty(cost_wait.shape, dtype=bool)
-
+    m, n_stages, center = fsm.num_states, plant.horizon, grid.center_index
     x_sq = grid.points ** 2
-    values[n_stages, :, :] = x_sq[None, :]
     q0, q1 = fsm.successor.T
     p = fsm.drop[:, None]
     tie = np.flatnonzero(q0 == q1)  # an exact tie at e = 0, which must stay silent
 
-    for s in range(n_stages - 1, -1, -1):
-        h = smoothed[s + 1] = op.apply(values[s + 1])
-        c0 = cost_wait[s] = x_sq + h[q0]
+    def stage(h):
+        """(C0, C1, transmit, V) of one stage from the smoothed next-stage slices h."""
+        c0 = x_sq + h[q0]
         reset = h[q1, center]
         c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset[:, None]
         c1[tie, center] = reset[tie]
         c1[~fsm.allowed] = np.nan
-        cost_send[s] = c1
-        send = transmit[s] = c1 < c0
-        values[s] = np.where(send, c1, c0)
-        worst = np.max(np.abs(values[s]))
+        send = c1 < c0
+        return c0, c1, send, np.where(send, c1, c0)
+
+    smoothed = np.empty((n_stages + 1, m, grid.num_points))
+    v = np.tile(x_sq, (m, 1))
+    for s in range(n_stages - 1, -1, -1):
+        smoothed[s + 1] = op.apply(v)
+        v = stage(smoothed[s + 1])[3]
+        worst = np.max(np.abs(v))
         if not worst <= settings.value_cap:  # growth; the operator refuses what overflows
             raise SolverOverflowError(
                 f"stage {s + 1}: value magnitude {worst:.3g} exceeds cap "
                 f"{settings.value_cap:.3g}; widen the grid")
-    smoothed[0] = op.apply(values[0])
+    smoothed[0] = op.apply(v)
+    del op, v  # the band is freed before the four derived tables are allocated
+
+    values = np.empty_like(smoothed)
+    values[n_stages] = x_sq
+    cost_wait = np.empty((n_stages, m, grid.num_points))
+    cost_send = np.empty_like(cost_wait)
+    transmit = np.empty(cost_wait.shape, dtype=bool)
+    for s in range(n_stages):  # one stage at a time, so its temporaries stay one stage
+        cost_wait[s], cost_send[s], transmit[s], values[s] = stage(smoothed[s + 1])
 
     return ValueTable(grid=grid, values=values, smoothed=smoothed,
                       cost_wait=cost_wait, cost_send=cost_send,

@@ -273,9 +273,13 @@ def _width(meta):
     """The positive finite number on the ``# grid_half_width=`` header line."""
     text = meta["grid_half_width"]
     try:
-        if 0 < 2 * float(text) < math.inf:  # the grid's span too
-            return float(text)
+        width = float(text)
     except ValueError:
-        pass
-    raise ValueError(f"header line '# grid_half_width={text}' must be a positive "
-                     "finite number")
+        width = math.nan
+    if not 0 < width < math.inf:
+        raise ValueError(f"header line '# grid_half_width={text}' must be a positive "
+                         "finite number")
+    if 2 * width == math.inf:
+        raise ValueError(f"header line '# grid_half_width={text}': the grid's span "
+                         "2 * half_width overflows a float")
+    return width

@@ -145,8 +145,11 @@ class ErrorGrid:
     num_points: int
 
     def __post_init__(self):
-        if not 0 < 2 * self.half_width < math.inf:  # the span too, or linspace overflows
+        if not 0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if 2 * self.half_width == math.inf:  # linspace would overflow
+            raise ValueError(f"half_width {self.half_width}: the grid's span 2 * half_width "
+                             "overflows a float")
         if self.num_points < 3 or self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd and >= 3, got {self.num_points}")
         pts = np.linspace(-self.half_width, self.half_width, self.num_points)

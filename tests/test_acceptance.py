@@ -94,6 +94,18 @@ def test_criterion_02_workload_instance_thresholds(workload_run):
                   "every reachable (stage, state)")
 
 
+def test_presets_numerical_health(energy_run, workload_run):
+    """The structure report's health fields on the two presets: the e = 0
+    near-ties (energy's (19, 4) is a 1-ulp tie that transmits) and max |V|,
+    far below the default value cap."""
+    tables = {"energy": energy_run[1].table, "workload": workload_run[1].table}
+    assert tables["energy"].near_ties() == [[19, 4, 0.0], [20, 2, 0.0], [20, 3, 0.0],
+                                            [20, 4, 0.0]]
+    assert tables["workload"].near_ties() == [[20, q, 0.0] for q in range(5)]
+    for name, want in (("energy", 16299.86), ("workload", 16725.78)):
+        assert float(np.abs(tables[name].values).max()) == pytest.approx(want, abs=0.01)
+
+
 def test_criterion_03_margin_regime_has_no_witnesses(margin_sweep):
     witnesses = sum(w for w, _ in margin_sweep)
     report(3, witnesses == 0,

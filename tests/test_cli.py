@@ -55,6 +55,13 @@ class TestSolveSymmetric:
         assert report["structure_ok"] and report["growth_bound_ok"]
         assert not report["drop_margin"]["satisfied"]
         assert report["policy_kind"] == "symmetric_threshold"
+        # numerical health: the largest |V| and the points where the actions nearly tie
+        config = json.loads(cfg.read_text())
+        table = dp_symmetric.backward_induction(plant_from_config(config),
+                                                fsm_from_config(config),
+                                                settings_from_config(config))
+        assert report["max_abs_value"] == float(np.abs(table.values).max())
+        assert report["near_ties"] == table.near_ties() != []
 
     def test_invalid_fsm_exits_2_with_violations(self, tmp_path, capsys):
         cfg = write_config(tmp_path, channel={"fsm": {
@@ -190,7 +197,8 @@ class TestExitCodes:
         ("policy.n", 5, "data row 1: (n, q) = (5, 0) is outside the policy shape"),
         # a grid whose span 2 * half_width overflows a float
         ("solver.grid.half_width", 1e308,
-         "solver settings: half_width must be 'auto' or positive and finite, got 1e+308"),
+         "solver settings: half_width 1e+308: the grid's span 2 * half_width overflows "
+         "a float"),
         # tables whose bytes numpy cannot index: numpy raised ValueError
         ("plant.horizon", 2 ** 63, f"the grid solver's table (N+1)*m*n = {2 ** 63 + 1} * 5 "
                                    "* 201 floats, more bytes than numpy can index"),

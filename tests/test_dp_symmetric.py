@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from remest.dp_symmetric import (GROWTH_BOUNDARY_FRACTION, SolverSettings,
                                  solve_and_extract,
                                  threshold_optimality_condition)
 from remest.process import PlantModel, predicted_open_loop_cost
+from remest import quadrature
 from remest.quadrature import GaussianExpectationOperator
 
 
@@ -67,6 +69,59 @@ def _per_state_stages(plant, fsm, solver):
     return values, smoothed, cost_wait, cost_send, transmit
 
 
+def _single_pass_stages(plant, fsm, solver):
+    """Reference for backward_induction's two phases: the single pass they
+    replaced, which held all five tables beside the operator's band, kept as
+    it was. Returns (values, smoothed, cost_wait, cost_send, transmit)."""
+    grid = solver.make_grid(plant)
+    op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
+    m = fsm.num_states
+    n_stages = plant.horizon
+    center = grid.center_index
+
+    values = np.empty((n_stages + 1, m, grid.num_points))
+    smoothed = np.empty_like(values)
+    cost_wait = np.empty((n_stages, m, grid.num_points))
+    cost_send = np.empty_like(cost_wait)
+    transmit = np.empty(cost_wait.shape, dtype=bool)
+
+    x_sq = grid.points ** 2
+    values[n_stages, :, :] = x_sq[None, :]
+    q0, q1 = fsm.successor.T
+    p = fsm.drop[:, None]
+    tie = np.flatnonzero(q0 == q1)  # an exact tie at e = 0, which must stay silent
+
+    for s in range(n_stages - 1, -1, -1):
+        h = smoothed[s + 1] = op.apply(values[s + 1])
+        c0 = cost_wait[s] = x_sq + h[q0]
+        reset = h[q1, center]
+        c1 = p * (x_sq + h[q1]) + (1.0 - p) * reset[:, None]
+        c1[tie, center] = reset[tie]
+        c1[~fsm.allowed] = np.nan
+        cost_send[s] = c1
+        send = transmit[s] = c1 < c0
+        values[s] = np.where(send, c1, c0)
+        worst = np.max(np.abs(values[s]))
+        if not worst <= solver.value_cap:  # growth; the operator refuses what overflows
+            raise SolverOverflowError(
+                f"stage {s + 1}: value magnitude {worst:.3g} exceeds cap "
+                f"{solver.value_cap:.3g}; widen the grid")
+    smoothed[0] = op.apply(values[0])
+    return values, smoothed, cost_wait, cost_send, transmit
+
+
+TABLE_NAMES = ("values", "smoothed", "cost_wait", "cost_send", "transmit")
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of ``call()``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @st.composite
 def channel_fsms(draw):
     """Random FSMs with masked states (some with an r=1 arc, some without),
@@ -91,8 +146,7 @@ class TestTerminalAndRecursion:
         solver = SolverSettings(num_points=num_points)
         table = backward_induction(plant, fsm, solver)
         reference = _per_state_stages(plant, fsm, solver)
-        for name, want in zip(("values", "smoothed", "cost_wait", "cost_send", "transmit"),
-                              reference):
+        for name, want in zip(TABLE_NAMES, reference):
             got = getattr(table, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         # V is C1 where the table transmits and C0 elsewhere, masked states included
@@ -185,6 +239,98 @@ class TestTerminalAndRecursion:
     def test_invalid_fsm_rejected(self):
         with pytest.raises(ValueError, match="dangling"):
             ChannelFsm(2, ((1, 1), (0, 2)), (0.5, 0.5), 0, (True, True))
+
+
+class TestTwoPhaseSolve:
+    """backward_induction keeps only the smoothed table and one value slice
+    while the operator's band is held, and derives C0, C1, transmit and V
+    after freeing it: the same bits as the single pass, less memory."""
+
+    @staticmethod
+    def assert_matches_the_single_pass(plant, fsm, solver):
+        table = backward_induction(plant, fsm, solver)
+        for name, want in zip(TABLE_NAMES, _single_pass_stages(plant, fsm, solver)):
+            got = getattr(table, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        return table
+
+    @pytest.mark.parametrize("a", [0.0, 0.6, 1.1, -0.9])
+    @pytest.mark.parametrize("fsm", [energy_harvesting_fsm(4, 2, 0.3),
+                                     workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9])],
+                             ids=["energy", "workload"])
+    def test_presets_match_the_single_pass_bitwise(self, fsm, a):
+        plant = PlantModel(a=a, sigma2=1.0, horizon=20)
+        self.assert_matches_the_single_pass(plant, fsm, SolverSettings(num_points=401))
+
+    def test_one_state_tie_matches_the_single_pass_bitwise(self):
+        # q0 == q1, so sending ties staying silent exactly at e = 0
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=10)
+        table = self.assert_matches_the_single_pass(plant, single_state(0.4),
+                                                    SolverSettings(num_points=401))
+        center = table.grid.center_index
+        assert not table.transmit[:, :, center].any()
+
+    def test_masked_states_match_the_single_pass_bitwise(self):
+        # state 0 is masked with no r=1 arc, state 2 has q0 == q1 and never drops
+        fsm = ChannelFsm(3, ((1, None), (2, 0), (2, 2)), (1.0, 0.4, 0.0), 0,
+                         (False, True, True))
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=8)
+        table = self.assert_matches_the_single_pass(plant, fsm, SolverSettings(num_points=401))
+        assert np.isnan(table.cost_send[:, 0]).all() and not table.transmit[:, 0].any()
+        assert table.transmit[:, 1:].any()
+
+    @pytest.mark.parametrize("cap", [1e3, 1e5])
+    def test_value_cap_overflow_raises_at_the_same_stage(self, cap):
+        plant = PlantModel(a=2.0, sigma2=1.0, horizon=6)
+        solver = SolverSettings(num_points=801, value_cap=cap)
+        with pytest.raises(SolverOverflowError) as want:
+            _single_pass_stages(plant, single_state(1.0), solver)
+        with pytest.raises(SolverOverflowError) as got:
+            backward_induction(plant, single_state(1.0), solver)
+        assert str(got.value) == str(want.value)
+        assert re.match(r"stage [2-6]: value magnitude ", str(got.value))
+
+    def test_solve_holds_the_band_beside_one_table(self, monkeypatch):
+        """The peak is the larger of the band plus the smoothed table (the
+        recursion) and the five tables (the derivation after the band is
+        freed), plus a few stage slices of temporaries. The operator fill's
+        chunk is cut so that its temporaries stay below one table: each row
+        is filled on its own, so the chunk changes no bit. The single pass,
+        which holds all five tables beside the band, does not fit."""
+        monkeypatch.setattr(quadrature, "FILL_ENTRIES", 2 ** 12)
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=20)
+        fsm, solver = energy_harvesting_fsm(4, 2, 0.3), SolverSettings(num_points=2001)
+        op = GaussianExpectationOperator(solver.make_grid(plant), plant.a, plant.sigma2)
+        band = op._tail_moments.nbytes + sum(
+            arr.nbytes for w in op._shares for arr in (w.data, w.indices, w.indptr))
+        del op
+        stage = fsm.num_states * solver.num_points * 8
+        table = (plant.horizon + 1) * stage
+        bound = max(band + table, 5 * table) + 8 * stage
+        assert 3 * table < band < 5 * table  # about 6.7 MB against 1.7 MB a table
+        table_got, peak = _traced_peak(lambda: backward_induction(plant, fsm, solver))
+        want, reference_peak = _traced_peak(lambda: _single_pass_stages(plant, fsm, solver))
+        assert table_got.values.tobytes() == want[0].tobytes()
+        assert peak <= bound
+        assert reference_peak > bound
+
+
+class TestNearTies:
+    @pytest.mark.parametrize("fsm", [energy_harvesting_fsm(4, 2, 0.3), single_state(0.4)],
+                             ids=["energy-masked", "one-state-tie"])
+    def test_matches_a_per_point_scan(self, fsm):
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)
+        table = backward_induction(plant, fsm, SolverSettings(num_points=101))
+        want = [[s + 1, q, float(e)]
+                for s in range(plant.horizon) for q in range(fsm.num_states)
+                if fsm.transmit_allowed[q]
+                for e, c0, c1 in zip(table.grid.points, table.cost_wait[s, q],
+                                     table.cost_send[s, q])
+                if abs(float(c1) - float(c0)) < 1e-9 * abs(float(c0))]
+        assert table.near_ties() == want
+        if fsm.num_states == 1:  # q0 == q1: C1 == C0 exactly at e = 0, every stage
+            assert want == [[s + 1, 0, 0.0] for s in range(plant.horizon)]
 
 
 class TestStructureChecks:
@@ -419,7 +565,8 @@ class TestSolverSettings:
         ({"half_width": math.inf}, "half_width must be 'auto' or positive and finite"),
         ({"half_width": math.nan}, "half_width must be 'auto' or positive and finite"),
         ({"half_width": 0.0}, "half_width must be 'auto' or positive and finite"),
-        ({"half_width": 1e308}, "half_width must be 'auto' or positive and finite"),
+        ({"half_width": 1e308},
+         "half_width 1e+308: the grid's span 2 * half_width overflows a float"),
         ({"value_cap": math.nan}, "value_cap must be positive and finite"),
         ({"value_cap": math.inf}, "value_cap must be positive and finite"),
         ({"value_cap": 0.0}, "value_cap must be positive and finite"),

@@ -515,6 +515,8 @@ class TestCsvLoading:
         path.write_text("".join(head + rows))
         message = (f"unknown policy kind {value!r}" if key == "kind"
                    else f"header line '# {key}={value}'")
+        if value == "1e308":  # a positive finite width, refused for its span
+            message += ": the grid's span 2 * half_width overflows a float"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_policy_csv(path)
         config = tmp_path / "config.json"
