@@ -39,9 +39,9 @@ from .dp_iid import conditional_estimates
 ENUMERATION_LIMIT = 10 ** 7
 # Trials stepped together over all workers.count(ceil(trials / BLOCK_TRIALS))
 # threads: each steps blocks of BLOCK_TRIALS // threads trials, so its
-# per-stage rows stay cache-resident. Each thread holds two stage-major
-# buffers of its block, the normals and the uniforms (which the costs
-# overwrite), so all threads' buffers hold two blocks.
+# per-stage rows stay cache-resident. Each thread holds one stage-major
+# buffer of its block, the normals (which the costs overwrite), so all
+# threads' buffers hold one block; the uniforms sit in the block's cost rows.
 BLOCK_TRIALS = 2 ** 15
 _TRACE_FIELDS = (("x", float), ("xhat", float), ("e", float), ("r", bool),
                  ("c", bool), ("q", np.intp))
@@ -109,25 +109,25 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     ``seed`` gives a bit-identical summary.
 
     Stream contract (same seed, same summary): one Philox(key=seed)
-    generator draws the (trials, stages) normals, then the uniforms, both
-    trial-major; the normals go in block order into the head of each block's
-    own cost rows, the stream and values of one whole-table
-    ``rng.normal(0.0, sigma)``. Trials are stepped in blocks, stage-major,
-    on ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
+    generator draws the (trials, stages) standard normals, then the
+    uniforms, both trial-major; the normals go in block order into the head
+    of each block's own cost rows and are scaled as ``rng.normal(0.0,
+    sigma)`` scales them. Trials are stepped in blocks, stage-major, on
+    ``workers.count(ceil(trials / BLOCK_TRIALS))`` threads that
     :func:`workers.run_each` runs and ends, each stepping blocks of
-    ``BLOCK_TRIALS // threads`` trials. A thread takes the next block and,
-    holding one lock, draws its rows of uniforms trial-major into its
-    normals' buffer, so the stream is consumed in block order. Outside the
-    lock it copies them stage-major into its uniforms' buffer, then the
-    block's normals over them, steps the block, writes each stage's costs
-    over that stage's uniforms once read, and then the block's costs over
-    its normals in the cost table. Every step is elementwise and the counts
-    are integers, so neither the blocking nor the thread count changes a
-    bit. Both accountings share one estimator step, an undelivered sample
-    estimated per (stage, attempt, state): on a white source the decision
-    sees the stage's fresh sample, estimated by its conditional mean; on the
-    chain it sees the carried error, estimated by 0, which the plant
-    propagates.
+    ``BLOCK_TRIALS // threads`` trials on one stage-major buffer. A thread
+    takes the next block and, holding one lock, copies its normals into its
+    buffer and draws its uniforms trial-major into the rows the normals
+    left, so the stream is consumed in block order. Outside the lock it
+    scales the normals in its buffer, and each stage reads its uniforms in
+    the rows and writes its costs over the normals it has just read; the
+    buffer then becomes the block's cost rows. Every step is elementwise
+    and the counts are integers, so neither the blocking nor the
+    thread count changes a bit. Both accountings share one estimator step,
+    an undelivered sample estimated per (stage, attempt, state): on a white
+    source the decision sees the stage's fresh sample, estimated by its
+    conditional mean; on the chain it sees the carried error, estimated by
+    0, which the plant propagates.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -150,10 +150,8 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     def head(table, k):  # its first k * n_stages entries, viewed trial-major
         return table.reshape(-1)[:k * n_stages].reshape(k, n_stages)
 
-    for start in range(0, trials, block):  # what rng.normal(0.0, sigma) computes
-        w = rng.standard_normal(out=head(stage_costs[start:], min(block, trials - start)))
-        w *= math.sqrt(plant.sigma2)
-        w += 0.0
+    for start in range(0, trials, block):
+        rng.standard_normal(out=head(stage_costs[start:], min(block, trials - start)))
     starts = iter(range(0, trials, block))
     lock = threading.Lock()
 
@@ -161,18 +159,19 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
         """Step blocks until none is left; return this thread's counts."""
         sends = np.zeros(n_stages, dtype=np.int64)
         occupancy = np.zeros(m, dtype=np.int64)
-        w_buf, u_buf = np.empty((n_stages, block)), np.empty((n_stages, block))
+        buf = np.empty((n_stages, block))
         while True:
-            with lock:
+            with lock:  # blocks take their uniforms in block order
                 start = next(starts, None)
                 if start is None:
                     return sends, occupancy
                 k = min(block, trials - start)
-                rng.random(out=head(w_buf, k))  # trial-major, in the normals' buffer
-            rows = slice(start, start + k)
-            w, u = w_buf[:, :k], u_buf[:, :k]
-            np.copyto(u, head(w_buf, k).T)
-            np.copyto(w, head(stage_costs[start:], k).T)  # over the uniforms just copied
+                rows, cells = slice(start, start + k), head(stage_costs[start:], k)
+                w = buf[:, :k]
+                np.copyto(w, cells.T)
+                rng.random(out=cells)  # trial-major, over the normals just copied
+            w *= math.sqrt(plant.sigma2)  # what rng.normal(0.0, sigma) computes
+            w += 0.0
             e = np.zeros(k)
             q = np.full(k, fsm.initial_state, dtype=np.intp)
             if collect_trace and not white:
@@ -184,10 +183,9 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                     e = w[s]
                 r = decide_many(policy, s + 1, q, e) & fsm.allowed[q]
                 slot = 2 * q + r
-                success = u[s] >= fsm.drop[q]
+                success = cells[:, s] >= fsm.drop[q]
                 delivered = r & success
                 residual = np.where(delivered, 0.0, e - xhat[s][slot])
-                np.multiply(residual, residual, out=u[s])  # over the uniforms just read
                 sends[s] += np.count_nonzero(r)
                 if collect_trace:
                     if white:
@@ -199,18 +197,22 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
                         trace[key][rows, s] = value
                 if not white:
                     e = plant.a * residual + w[s]
+                np.multiply(residual, residual, out=w[s])  # over the normals just read
                 q = successor[slot]
-            stage_costs[rows, :n_stages] = u.T
+            stage_costs[rows, :n_stages] = w.T
             if not white:
                 stage_costs[rows, n_stages] = e * e
 
     counts = workers.run_each(lambda _: step_blocks(), range(threads))
     sends, occupancy = (sum(c) for c in zip(*counts))
 
-    # the totals and the mean first; then the cost table, read no more, holds
-    # its squared deviations: numpy's own std steps, with no cost-sized temporary
+    # numpy's own std steps, in place: the per-trial totals hold their squared
+    # deviations, then the cost table, read no more after its mean, holds its own
     ddof = min(1, trials - 1)  # one trial has no spread
-    total_sd = float(stage_costs.sum(axis=1).std(ddof=ddof))
+    totals = stage_costs.sum(axis=1)
+    totals -= totals.sum() / trials
+    np.square(totals, out=totals)
+    total_sd = math.sqrt(totals.sum() / (trials - ddof))
     stage_mse = stage_costs.mean(axis=0)
     stage_costs -= stage_mse
     np.square(stage_costs, out=stage_costs)

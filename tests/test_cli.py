@@ -7,15 +7,19 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import remest
-from remest import dp_symmetric
-from remest.cli import fsm_from_config, main, plant_from_config, settings_from_config
+from remest import dp_symmetric, quadrature
+from remest.channel import energy_harvesting_fsm
+from remest.cli import (_verify_properties, fsm_from_config, main, plant_from_config,
+                        settings_from_config)
 from remest.policy import TransmitPolicy, decide_many, export_policy_csv, load_policy_csv
+from remest.process import PlantModel
 from remest.quadrature import ErrorGrid
 
 
@@ -703,6 +707,30 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "verification failed at: check_value_structure" in out
+
+    def test_operator_properties_free_their_operator(self, monkeypatch):
+        # the first two properties' 801-point operator is dense; held through
+        # the suite, it adds its size to the solve's peak
+        built = []
+        init = quadrature.GaussianExpectationOperator.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(quadrature.GaussianExpectationOperator, "__init__", recording)
+        plant, fsm = PlantModel(a=1.1, sigma2=1.0, horizon=8), energy_harvesting_fsm(4, 2, 0.3)
+        properties = _verify_properties(plant, fsm, dp_symmetric.SolverSettings(num_points=801))
+        try:
+            for name, _, _ in properties:
+                if name == "expectation operator preserves symmetric monotone shape":
+                    theirs = list(built)
+                if name == "check_value_structure":
+                    alive = [ref for ref in theirs if ref() is not None]
+                    break
+        finally:
+            properties.close()
+        assert len(theirs) == 1 and alive == []
 
     def test_config_flag_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -533,22 +534,49 @@ class TestBlockedLoopMatchesReference:
             simulate(plant, fsm, policy, 3 * BLOCK_TRIALS, 2)
         assert threading.active_count() == before
 
+    # more threads than cores, switching as often as the interpreter allows,
+    # share one block counter and one generator over about 600 blocks: a
+    # block stepped twice or not at all, or uniforms drawn out of block
+    # order, change the summary
+    @pytest.mark.parametrize("kind", ["threshold", "interval"])
+    def test_many_threads_share_the_block_counter(self, policy_cases, monkeypatch, kind):
+        plant, fsm, policy = policy_cases[kind]
+        monkeypatch.setattr(workers, "MAX_WORKERS", 8)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(oracle_sim, "BLOCK_TRIALS", 256)
+        trials = 600 * (256 // 8)
+        results = []
+        runner = threading.Thread(target=lambda: results.append(
+            simulate(plant, fsm, policy, trials, 3, collect_trace=True)), daemon=True)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(results) == 1
+        assert threading.active_count() == before
+        assert_summaries_identical(
+            results[0], reference_simulate(plant, fsm, policy, trials, 3, collect_trace=True))
 
-def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch):
+
+@pytest.mark.parametrize("trials, horizon", [(200_000, 20), (1_000_000, 2)])
+def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch, trials, horizon):
     # the whole-table loops also held every uniform and per-stage temporaries
     # over all trials; the blocked loop holds only blocks of them, however
-    # many threads share them. The normals live in the cost table's rows and
-    # the summary takes no cost-sized temporary, so the cost table, the
-    # per-trial totals with their std (16 bytes a trial), two buffers of one
-    # block (stage-major normals and uniforms; the uniforms are drawn into the
-    # normals' buffer) and a slack of twelve one-block vectors for the
-    # per-stage temporaries are all there is: a third block buffer or a
-    # second table fails this
-    trials, horizon = 200_000, 20
+    # many threads share them. The normals live in the cost table's rows, the
+    # uniforms replace them there and the summary's spreads are taken in
+    # place, so the cost table, the per-trial totals (8 bytes a trial), one
+    # stage-major buffer of one block over all threads and a slack of twelve
+    # one-block vectors for the per-stage temporaries are all there is: a
+    # second block buffer fails the first case, a second trials-sized vector
+    # the second, and a second table both
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
-    bound = (8 * trials * (horizon + 1) + 16 * trials + 2 * BLOCK_TRIALS * horizon * 8
+    bound = (8 * trials * (horizon + 1) + 8 * trials + BLOCK_TRIALS * horizon * 8
              + 12 * BLOCK_TRIALS * 8)
     for threads in (1, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
