@@ -40,10 +40,10 @@ import numpy as np
 from . import channel as ch
 from . import dp_iid
 from . import dp_symmetric as dps
-from . import oracle_sim
+from . import oracle_sim, workers
 from .policy import export_policy_csv, load_policy_csv
 from .process import PlantModel, is_number
-from .quadrature import ErrorGrid
+from .quadrature import BandTooLargeError, ErrorGrid
 
 
 class ConfigError(ValueError):
@@ -84,11 +84,15 @@ def _check_keys(where: str, section: dict, keys) -> None:
 
 def _indexable(what: str, *factors: int) -> None:
     """Refuse, before any allocation, a table of ``math.prod(factors)``
-    floats whose bytes numpy cannot index (it raises on allocating one);
-    the error names the product."""
-    if 8 * math.prod(factors) > np.iinfo(np.intp).max:
-        raise ConfigError(f"{what} = {' * '.join(map(str, factors))} floats, more bytes "
-                          f"than numpy can index ({np.iinfo(np.intp).max})")
+    floats whose bytes numpy cannot index (it raises on allocating one) or
+    the host's physical memory cannot hold (numpy may map them and fault
+    later); the error names the product, and the bytes past memory."""
+    product, nbytes = f"{what} = {' * '.join(map(str, factors))} floats", 8 * math.prod(factors)
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{product}, more bytes than numpy can index ({np.iinfo(np.intp).max})")
+    if (memory := workers.physical_memory()) is not None and nbytes > memory:
+        raise ConfigError(f"{product}, {nbytes} bytes, more than the host's physical "
+                          f"memory ({memory} bytes)")
 
 
 def _grid_table_fits(plant: PlantModel, fsm: ch.ChannelFsm, settings: dps.SolverSettings):
@@ -240,11 +244,11 @@ def cmd_simulate(args) -> int:
     dp_value = _read(where, float, meta["dp_value"]) if "dp_value" in meta else None
     expected = dps.provenance_hash(plant, fsm,
                                    None if policy.kind == "interval_pair" else settings)
-    if "provenance" in meta and meta["provenance"] != expected:
-        print(f"warning: policy provenance {meta['provenance']} does not match "
-              f"config ({expected})", file=sys.stderr)
     summary = oracle_sim.simulate(plant, fsm, policy, trials=trials, seed=seed,
                                   collect_trace=bool(args.trace))
+    if "provenance" in meta and meta["provenance"] != expected:  # once the run has not failed
+        print(f"warning: policy provenance {meta['provenance']} does not match "
+              f"config ({expected})", file=sys.stderr)
     out = _out_dir(args)
     (out / "sim_summary.json").write_text(json.dumps(summary.to_dict(), indent=2))
     if args.trace:
@@ -434,7 +438,7 @@ def main(argv=None) -> int:
         if args.grid_points is not None:
             _read("--grid-points", dps.SolverSettings, num_points=args.grid_points)
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, BandTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except dps.SolverOverflowError as exc:

@@ -34,6 +34,7 @@ from . import workers
 from .channel import ChannelFsm, reachable_pairs
 from .policy import TransmitPolicy, decide_many, write_csv
 from .process import PlantModel
+from .quadrature import SolverOverflowError
 from .dp_iid import conditional_estimates
 
 ENUMERATION_LIMIT = 10 ** 7
@@ -155,6 +156,7 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     starts = iter(range(0, trials, block))
     lock = threading.Lock()
 
+    @np.errstate(over="ignore", invalid="ignore")  # the summary's spread is checked
     def step_blocks():
         """Step blocks until none is left; return this thread's counts."""
         sends = np.zeros(n_stages, dtype=np.int64)
@@ -209,14 +211,19 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     # numpy's own std steps, in place: the per-trial totals hold their squared
     # deviations, then the cost table, read no more after its mean, holds its own
     ddof = min(1, trials - 1)  # one trial has no spread
-    totals = stage_costs.sum(axis=1)
-    totals -= totals.sum() / trials
-    np.square(totals, out=totals)
-    total_sd = math.sqrt(totals.sum() / (trials - ddof))
-    stage_mse = stage_costs.mean(axis=0)
-    stage_costs -= stage_mse
-    np.square(stage_costs, out=stage_costs)
-    stage_sd = np.sqrt(stage_costs.sum(axis=0) / (trials - ddof))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN reaches the spread
+        totals = stage_costs.sum(axis=1)
+        totals -= totals.sum() / trials
+        np.square(totals, out=totals)
+        total_sd = math.sqrt(totals.sum() / (trials - ddof))
+        stage_mse = stage_costs.mean(axis=0)
+        stage_costs -= stage_mse
+        np.square(stage_costs, out=stage_costs)
+        stage_sd = np.sqrt(stage_costs.sum(axis=0) / (trials - ddof))
+    if not (math.isfinite(total_sd) and np.isfinite(stage_sd).all()):
+        raise SolverOverflowError(
+            f"simulated costs or their spread overflow a float (a = {plant.a:.3g}, "
+            f"sigma2 = {plant.sigma2:.3g}, horizon {n_stages})")
     return SimSummary(trials=trials, seed=seed, stage_mse=stage_mse,
                       stage_se=stage_sd / math.sqrt(trials), total=float(stage_mse.sum()),
                       total_se=total_sd / math.sqrt(trials), transmit_rate=sends / trials,

@@ -203,14 +203,6 @@ class ErrorGrid:
 TAIL_FRACTION = 0.1
 
 
-def _fit_tails(x, values):
-    """(left, right) quadratic least-squares fits to the outer samples on each
-    side, along the last axis of ``values``: one column per stacked slice."""
-    k = max(3, int(len(x) * TAIL_FRACTION))
-    y = np.moveaxis(values, -1, 0)
-    return np.polyfit(x[:k], y[:k], 2), np.polyfit(x[-k:], y[-k:], 2)
-
-
 # Half-width of each operator row's band, in noise standard deviations.
 # Phi(-10) ~ 7.6e-24, so the weights dropped outside the band change no value
 # by more than about 1e-20 of the largest sample.
@@ -229,8 +221,15 @@ FILL_ENTRIES = 2 ** 15
 
 
 class SolverOverflowError(RuntimeError):
-    """A grid solve left the float range: :class:`GaussianExpectationOperator`
-    refused its gain, variance and grid, or its values passed the solver's cap."""
+    """A grid solve or a simulation left the float range:
+    :class:`GaussianExpectationOperator` refused its gain, variance and grid,
+    the solver's values passed its cap, or simulated costs or their spread
+    overflowed."""
+
+
+class BandTooLargeError(MemoryError):
+    """:class:`GaussianExpectationOperator` refused a band with more bytes than
+    the host's physical memory, before allocating it."""
 
 
 class GaussianExpectationOperator:
@@ -246,16 +245,18 @@ class GaussianExpectationOperator:
     of the model, about ``spacing**2 / 6`` in absolute terms, which cancels
     in difference quotients. It raises :class:`SolverOverflowError` where its
     squared centers or cell z^2 would overflow a float, or the half-width's
-    fourth power underflows one and leaves the tail fit no scale.
+    fourth power underflows one and leaves the tail fits no scale.
 
     The cells within ``BAND_Z`` standard deviations of the center are stored
     as a sparse matrix with a fixed band width per row, plus analytic
-    integrals of the quadratic tails beyond the grid. The build costs
-    O(n * band) rather than O(n^2), and one application is a sparse product
-    over a stack of sample vectors. The stored arrays are read-only. The
-    build fills chunks of rows of about ``FILL_ENTRIES`` band entries over
-    all shares, so its temporaries stay a few MB however wide the rows are;
-    each row is filled on its own, so the chunk changes no bit.
+    integrals of the quadratic tails beyond the grid, each side's fit a 3 x k
+    map of its outer samples. The build costs O(n * band) rather than
+    O(n^2), and one application is a sparse product over a stack of sample
+    vectors. The stored arrays are read-only. A band with more bytes than the
+    host's physical memory raises :class:`BandTooLargeError` before it is
+    allocated. The build fills chunks of rows of about ``FILL_ENTRIES`` band
+    entries over all shares, so its temporaries stay a few MB however wide
+    the rows are; each row is filled on its own, so the chunk changes no bit.
 
     The band is a block sparse (BSR) matrix of 1 x ``BAND_BLOCK`` blocks:
     each row holds its weights in a zero-padded run of whole blocks, with one
@@ -269,8 +270,10 @@ class GaussianExpectationOperator:
     (CSR): each weight comes from the same elementwise ufuncs, each row's sum
     runs in column order through scipy's sequential kernel, which with
     one-row blocks adds the same products in the same order as its CSR
-    kernel, the padding adds only exact zeros for finite samples, and the
-    tails are fitted once to the whole stack.
+    kernel, the padding adds only exact zeros for finite samples, and each
+    slice's tails are sums in a fixed order over the two maps. So a slice
+    gets the same bits in any stack of two or more (a lone slice goes
+    through scipy's one-vector kernel, which rounds differently).
 
     The cells take their CDFs from scipy's ``ndtr``: :func:`ndtr` gives the
     same values at about 8x the time per argument, and an 8001-point build
@@ -293,8 +296,8 @@ class GaussianExpectationOperator:
         if not math.isfinite(reach * reach / sigma2):
             raise SolverOverflowError(
                 f"gain {a:.3g}: ((|a| + 1) * half_width)^2 / sigma2 overflows a float")
-        # np.polyfit scales the tail fit's x^2 column by sqrt(sum(x^4)); were
-        # that 0, LAPACK would get NaN and may never return
+        # the tail maps divide by half^2, where half, half the span of a side's
+        # fitted samples, is about half_width / 20 or more: half^2 stays normal
         hw_sq = grid.half_width * grid.half_width
         if hw_sq * hw_sq < sys.float_info.min:
             raise SolverOverflowError(f"half_width {grid.half_width:.3g}: half_width^4 underflows "
@@ -316,6 +319,11 @@ class GaussianExpectationOperator:
         start = np.minimum(first // BAND_BLOCK, col_blocks - per_row)
         self._band_columns = col_blocks * BAND_BLOCK
         index_dtype = np.int32 if n * per_row < 2 ** 31 else np.int64  # half the bytes
+        memory, band_bytes = workers.physical_memory(), n * per_row * BAND_BLOCK * 8
+        if memory is not None and band_bytes > memory:
+            raise BandTooLargeError(
+                f"the expectation operator's band, {n} rows of {per_row * BAND_BLOCK} weights, "
+                f"is {band_bytes} bytes, more than the host's physical memory ({memory} bytes)")
         num_shares = workers.count(n * width // SHARE_ENTRIES)
         chunk = max(1, FILL_ENTRIES // (num_shares * per_row * BAND_BLOCK))
 
@@ -354,15 +362,18 @@ class GaussianExpectationOperator:
             (first[lo:hi], start[lo:hi], centers[lo:hi],
              np.zeros((hi - lo, per_row * BAND_BLOCK)))
             for lo, hi in zip(bounds, bounds[1:])])
-        # moments (x^2, x, 1) beyond the left grid end, then the right one (the
-        # tail fit's order), from those of x - center ~ N(0, sigma2)
-        hw = grid.half_width
-        tails = []
-        for lo, hi in ((-math.inf, -hw - centers), (hw - centers, math.inf)):
+        # each side's least-squares quadratic in ((x - mid)^2, x - mid, 1), a 3 x k
+        # map solved in t = (x - mid) / half on [-1, 1]; those terms' moments past the end
+        hw, k = grid.half_width, max(3, int(n * TAIL_FRACTION))
+        fits, tails = [], []
+        for lo, hi, x in ((-math.inf, -hw - centers, xs[:k]), (hw - centers, math.inf, xs[-k:])):
+            mid, half = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0])
+            fits.append(np.linalg.pinv(np.vander((x - mid) / half, 3)) / [[half ** 2], [half], [1]])
             m0, m1, m2 = gaussian_partial_moments(sigma2, lo, hi)
-            tails += [m2 + 2.0 * centers * m1 + centers ** 2 * m0, m1 + centers * m0, m0]
-        self._tail_moments = np.stack(tails)
-        for arr in (self._tail_moments,
+            shift = centers - mid
+            tails += [m2 + 2.0 * shift * m1 + shift ** 2 * m0, m1 + shift * m0, m0]
+        self._tail_fit, self._tail_moments = np.stack(fits), np.stack(tails)
+        for arr in (self._tail_fit, self._tail_moments,
                     *(arr for w in self._shares for arr in (w.data, w.indices, w.indptr))):
             arr.flags.writeable = False
 
@@ -379,7 +390,10 @@ class GaussianExpectationOperator:
         columns = np.zeros((self._band_columns, len(stack)))
         columns[:n] = stack.T
         h = np.concatenate(workers.run_each(lambda w: w @ columns, self._shares)).T
-        h += np.concatenate(_fit_tails(self.grid.points, stack)).T @ self._tail_moments
+        (left, right), k = self._tail_fit, self._tail_fit.shape[-1]
+        fit = [(stack[:, None, :k] * left).sum(-1), (stack[:, None, -k:] * right).sum(-1)]
+        for coef, moments in zip(np.concatenate(fit, axis=1).T, self._tail_moments):
+            h += coef[:, None] * moments  # each slice's tails, added in a fixed order
         return h.reshape(v.shape)
 
 

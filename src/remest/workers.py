@@ -1,4 +1,5 @@
-"""How many workers a parallel step gets, and how threads run them."""
+"""How many workers a parallel step gets, how threads run them, and how
+much memory the host has."""
 
 import os
 
@@ -11,6 +12,14 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def physical_memory():
+    """The host's physical memory in bytes, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
 
 
 def count(units: int) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import remest
-from remest import dp_symmetric, quadrature
+from remest import dp_symmetric, quadrature, workers
 from remest.channel import energy_harvesting_fsm
 from remest.cli import (_verify_properties, fsm_from_config, main, plant_from_config,
                         settings_from_config)
@@ -171,6 +171,61 @@ class TestExitCodes:
         config = [] if "verify" in args else ["--config", str(write_config(tmp_path))]
         assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
         assert message in capsys.readouterr().err
+
+    # sizes that numpy can index but the host's memory cannot hold are refused
+    # before numpy allocates them; the host's memory reads as 8 GiB here, so
+    # the refusal is the same on any host
+    @pytest.mark.parametrize("args, message", [
+        (["--grid-points", "1000001", "solve-symmetric"],
+         "the expectation operator's band, 1000001 rows of 185824 weights, is "
+         "1486593486592 bytes"),
+        (["--grid-points", "1000001", "verify"],
+         "the expectation operator's band, 1000001 rows of 583152 weights, is "
+         "4665220665216 bytes"),
+        (["--grid-points", "9999999999999999", "solve-symmetric"],
+         "the grid solver's table (N+1)*m*n = 21 * 5 * 9999999999999999 floats, "
+         "8399999999999999160 bytes"),
+        (["--trials", "1000000000", "simulate"],
+         "the simulator's cost table trials*(N+1) = 1000000000 * 21 floats, 168000000000 "
+         "bytes"),
+    ], ids=["band-solve-symmetric", "band-verify", "grid-table", "cost-table"])
+    def test_size_past_physical_memory_exits_2_before_allocating(self, tmp_path, capsys,
+                                                                 monkeypatch, args, message):
+        monkeypatch.setattr(workers, "physical_memory", lambda: 2 ** 33)
+        assert main(["--out", str(tmp_path / "p"), "export-examples"]) == 0
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((20, 5))), policy)
+        config = [] if "verify" in args else [
+            "--config", str(tmp_path / "p" / "energy_harvesting.json")]
+        extra = [str(policy)] if "simulate" in args else []
+        out = tmp_path / "x"
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(config + ["--out", str(out)] + args + extra) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err == (f"error: {message}, more than the host's physical memory "
+                       f"({2 ** 33} bytes)\n")
+        assert peak < 2 ** 27  # the grid's few n-point vectors at most
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("memory, code", [(560_000, 0), (559_999, 2)])
+    def test_a_cost_table_of_physical_memory_is_the_largest_allowed(
+            self, tmp_path, capsys, monkeypatch, memory, code):
+        # 10,000 trials at horizon 6: 10000 * 7 floats are 560,000 bytes; the
+        # grid solver's table and band at 101 points take less
+        monkeypatch.setattr(workers, "physical_memory", lambda: memory)
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy)
+        assert main(["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "x"),
+                     "--trials", "10000", "--grid-points", "101", "simulate", str(policy)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "error: the simulator's cost table trials*(N+1) = 10000 * 7 floats, 560000 "
+                "bytes, more than the host's physical memory (559999 bytes)\n")
 
     @pytest.mark.parametrize("field, value, message", [
         ("plant.horizon", math.inf, "plant: horizon must be an integer >= 1, got inf"),
@@ -400,10 +455,10 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
         assert not caught
 
-    # below a half-width of about 1.2e-77 the tail fit's scale sqrt(sum(x^4))
-    # underflows to 0 and LAPACK, handed NaN, may never return; this test
-    # catches no warnings, so under pytest's error::RuntimeWarning a grid that
-    # slipped past the check fails at once instead of hanging
+    # below a half-width of about 1.2e-77 the operator refuses the grid: its
+    # tail maps divide by the square of a twentieth of the half-width or more;
+    # this test catches no warnings, so under pytest's error::RuntimeWarning a
+    # grid that slipped past the check fails at once
     @pytest.mark.parametrize("sigma2, half_width, code", [
         (1e-300, "auto", 2), (1.0, 1e-90, 2), (1.0, 1e-300, 2), (1e-150, "auto", 0)],
         ids=["sigma2-1e-300", "half_width-1e-90", "half_width-1e-300", "sigma2-1e-150"])
@@ -518,6 +573,21 @@ class TestSimulate:
         # reloaded policy reproduces the solver's decisions bit for bit
         policy, meta = load_policy_csv(out / "policy.csv")
         assert meta["provenance"] == report["provenance"]
+
+    def test_costs_past_the_float_range_exit_2_with_one_line(self, tmp_path, capsys):
+        # the policy's provenance does not match, but the run fails before the
+        # warning, so its error is the one line on stderr
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((3, 5))), policy,
+                          metadata={"provenance": "0"})
+        cfg = write_config(tmp_path, plant={"a": 1e300, "sigma2": 1.0, "x0": 0.0, "horizon": 3})
+        out = tmp_path / "x"
+        assert main(["--config", str(cfg), "--out", str(out), "--trials", "100", "simulate",
+                     str(policy)]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: simulated costs or their spread overflow a float (a = 1e+300, "
+            "sigma2 = 1, horizon 3)\n")
+        assert not out.exists()
 
     def test_provenance_mismatch_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

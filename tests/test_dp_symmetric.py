@@ -427,16 +427,21 @@ class TestGrowthRateBound:
         assert [(n, q) for n, q, _, _ in report.violations] == [(2, 2)]
         assert not math.isfinite(report.violations[0][2])
 
-    def test_max_quotient_matches_a_fresh_smoothing_bitwise(self):
+    @pytest.mark.parametrize("fsm", [energy_harvesting_fsm(4, 2, 0.3),
+                                     workload_chain_fsm(4, [0.1, 0.3, 0.5, 0.7, 0.9])],
+                             ids=["energy", "workload"])
+    def test_max_quotient_matches_a_fresh_smoothing_bitwise(self, fsm):
         # the check as it ran before the table carried its smoothings: one
-        # stacked apply of a fresh operator over every value slice
+        # stacked apply of a fresh operator over every value slice, which
+        # gives the smoothings the solve took five slices at a time, bit for bit
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=20)
-        table = backward_induction(plant, energy_harvesting_fsm(4, 2, 0.3))
+        table = backward_induction(plant, fsm)
         grid, x = table.grid, table.grid.points
         center = grid.center_index
         last = grid.num_points - 1 - max(1, int(grid.num_points * GROWTH_BOUNDARY_FRACTION))
         denom = x[center + 1:last + 1] ** 2 - x[center:last] ** 2
         h = GaussianExpectationOperator(grid, plant.a, plant.sigma2).apply(table.values)
+        assert h.tobytes() == table.smoothed.tobytes()
         expected = ((h[..., center + 1:last + 1] - h[..., center:last]) / denom).max(axis=-1)
         report = check_growth_rate_bound(table)
         assert report.max_quotient.tobytes() == expected.tobytes()

@@ -22,7 +22,7 @@ from remest.oracle_sim import (BLOCK_TRIALS, DiscreteInstance,
                                write_trace_csv)
 from remest.policy import TransmitPolicy, decide_many
 from remest.process import PlantModel, predicted_open_loop_cost
-from remest.quadrature import ErrorGrid
+from remest.quadrature import ErrorGrid, SolverOverflowError
 
 
 def single_state(p_drop):
@@ -176,6 +176,21 @@ class TestSimulatorBasics:
         policy = TransmitPolicy.interval(intervals)
         with pytest.raises(ValueError, match="gain 0"):
             simulate(plant, single_state(0.5), policy, trials=10, seed=1)
+
+    # a cost past the float range is inf and its spread NaN; unrefused, numpy's
+    # RuntimeWarnings fail these cases under pytest's error::RuntimeWarning
+    @pytest.mark.parametrize("a, sigma2, policy", [
+        (1e300, 1.0, never_policy(5, 1)),  # the carried error overflows on the chain
+        (10.0 ** 30, 1.0, never_policy(5, 1)),
+        (1.1, 1e308, never_policy(5, 1)),
+        (0.0, 1e308, TransmitPolicy.interval(np.tile([-1.0, 1.0], (5, 1, 1)))),  # white
+    ])
+    def test_costs_past_the_float_range_are_refused(self, a, sigma2, policy):
+        plant = PlantModel(a=a, sigma2=sigma2, horizon=5)
+        with pytest.raises(SolverOverflowError, match=re.escape(
+                f"simulated costs or their spread overflow a float (a = {a:.3g}, "
+                f"sigma2 = {sigma2:.3g}, horizon 5)")):
+            simulate(plant, single_state(0.5), policy, trials=1000, seed=1)
 
     def test_seed_determinism_is_bitwise(self):
         plant = PlantModel(a=1.1, sigma2=1.0, horizon=6)

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import operator
 import re
 import sys
 import threading
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
 from remest.process import PlantModel
 from remest.quadrature import (BAND_BLOCK, BAND_Z, MAX_HALF_WIDTH, TAIL_FRACTION,
-                               ErrorGrid, GaussianExpectationOperator,
-                               ShapeViolation, SolverOverflowError, _fit_tails,
+                               BandTooLargeError, ErrorGrid, GaussianExpectationOperator,
+                               ShapeViolation, SolverOverflowError,
                                gaussian_partial_moments,
                                is_symmetric_nondecreasing)
 
@@ -308,9 +310,27 @@ class TestGaussianExpectation:
                 assert v[k] <= max(v[i], v[j]) + 1e-12
 
 
+def exact_quadratic_fit(t, y):
+    """Least-squares coefficients of (t^2, t, 1) to the samples y at t, solved
+    in exact rational arithmetic on the floats' values and rounded once each."""
+    cols = [[Fraction(v) ** p for v in t.tolist()] for p in (2, 1, 0)]
+    ys = [Fraction(v) for v in y.tolist()]
+    rows = [[sum(map(operator.mul, u, w)) for w in cols] + [sum(map(operator.mul, u, ys))]
+            for u in cols]  # the normal equations, solved by Gauss-Jordan elimination
+    for i in range(3):
+        rows[i] = [r / rows[i][i] for r in rows[i]]
+        for j in range(3):
+            if j != i:
+                rows[j] = [r - rows[j][i] * q for r, q in zip(rows[j], rows[i])]
+    return np.array([float(row[3]) for row in rows])
+
+
 def dense_expectation(grid, a, sigma2, values):
     """Reference h = E[f(a e + W)] from a dense matrix of every cell's
-    closed-form weights plus the analytic tail moments, one slice at a time."""
+    closed-form weights plus the analytic tail moments, one slice at a time.
+    Each tail is the exact least-squares quadratic in t = (x - mid) / half
+    over its side's outer samples, against the moments of (t^2, t, 1) beyond
+    that grid end."""
     sigma = math.sqrt(sigma2)
     xs, dx, hw = grid.points, grid.spacing, grid.half_width
     c = a * xs[:, None]
@@ -321,20 +341,20 @@ def dense_expectation(grid, a, sigma2, values):
     weights = np.zeros((grid.num_points, grid.num_points))
     weights[:, :-1] += (xs[None, 1:] * p0 - p1) / dx
     weights[:, 1:] += (p1 - xs[None, :-1] * p0) / dx
-    c = c[:, 0]
-    sr, pr = norm.sf(hw, loc=c, scale=sigma), norm.pdf(hw, loc=c, scale=sigma)
-    sl, pl = norm.cdf(-hw, loc=c, scale=sigma), norm.pdf(-hw, loc=c, scale=sigma)
-    right = np.stack([(c ** 2 + sigma2) * sr + sigma2 * pr * (hw + c),
-                      c * sr + sigma2 * pr, sr])
-    left = np.stack([(c ** 2 + sigma2) * sl - sigma2 * pl * (c - hw),
-                     c * sl - sigma2 * pl, sl])
+    out = np.array([weights @ v for v in values])
     k = max(3, int(grid.num_points * TAIL_FRACTION))
-    out = []
-    for v in values:
-        tail_left = np.polyfit(xs[:k], v[:k], 2)
-        tail_right = np.polyfit(xs[-k:], v[-k:], 2)
-        out.append(weights @ v + tail_right @ right + tail_left @ left)
-    return np.array(out)
+    for side, sign in ((slice(None, k), -1.0), (slice(-k, None), 1.0)):
+        x = xs[side]
+        mid, half = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0])
+        # s = x - mid ~ N(mu, sigma2), beyond the grid end at s = end
+        mu, end = c[:, 0] - mid, sign * hw - mid
+        m0 = norm.sf(end, loc=mu, scale=sigma) if sign > 0 else norm.cdf(end, loc=mu, scale=sigma)
+        pdf = sign * sigma2 * norm.pdf(end, loc=mu, scale=sigma)
+        moments = np.stack([((mu ** 2 + sigma2) * m0 + pdf * (mu + end)) / half ** 2,
+                            (mu * m0 + pdf) / half, m0])
+        for h, v in zip(out, values):
+            h += exact_quadratic_fit((x - mid) / half, v[side]) @ moments
+    return out
 
 
 def reference_csr_band(grid, a, sigma2):
@@ -401,8 +421,20 @@ class TestBandedOperator:
         h = op.apply(stack)
         assert h.shape == stack.shape
         rows = np.array([[op.apply(v) for v in block] for block in stack])
-        # the stacked tail fit differs from the one-slice fit only by rounding
+        # scipy multiplies one slice with its one-vector kernel, which rounds
+        # differently from its kernel for a stack
         assert np.max(np.abs(h - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("shares", [1, 3])
+    def test_a_slice_is_bit_identical_in_stacks_of_2_and_35(self, monkeypatch, shares):
+        force_shares(monkeypatch, shares)
+        grid = ErrorGrid(20.0, 401)
+        op = GaussianExpectationOperator(grid, 1.1, 0.7)
+        stack = np.cumsum(np.random.default_rng(8).normal(size=(35, grid.num_points)), axis=-1)
+        whole = op.apply(stack)
+        for j in range(35):
+            pair = op.apply(stack[[j, (j + 1) % 35]])
+            assert pair[0].tobytes() == whole[j].tobytes(), j
 
     def test_solve_and_growth_check_build_the_operator_once(self, monkeypatch):
         builds = []
@@ -413,6 +445,7 @@ class TestBandedOperator:
             for share in self._shares:
                 for arr in (share.data, share.indices, share.indptr):
                     assert not arr.flags.writeable
+            assert not self._tail_fit.flags.writeable
             assert not self._tail_moments.flags.writeable
             builds.append(weakref.ref(self))
 
@@ -462,7 +495,12 @@ class TestBandedOperator:
                 op = GaussianExpectationOperator(grid, a, sigma2)
                 band, width = reference_csr_band(grid, a, sigma2)
                 want = (band @ np.ascontiguousarray(stack.T)).T
-                want += np.concatenate(_fit_tails(grid.points, stack)).T @ op._tail_moments
+                # the tails from the operator's own map, in the order apply sums them
+                (left, right), k = op._tail_fit, op._tail_fit.shape[-1]
+                fit = np.concatenate([(stack[:, None, :k] * left).sum(-1),
+                                      (stack[:, None, -k:] * right).sum(-1)], axis=1)
+                for coef, moments in zip(fit.T, op._tail_moments):
+                    want += coef[:, None] * moments
                 got = op.apply(stack)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (a, sigma2)
                 per_row = -(-(width + BAND_BLOCK - 1) // BAND_BLOCK)
@@ -533,6 +571,23 @@ class TestBandedOperator:
         bound = band_bytes + 10 * quadrature.FILL_ENTRIES * 8
         assert peak <= bound
         assert csr_peak > bound
+
+    @pytest.mark.parametrize("shares", [1, 3])
+    def test_a_band_of_physical_memory_is_the_largest_allowed(self, monkeypatch, shares):
+        force_shares(monkeypatch, shares)
+        grid = ErrorGrid(20.0, 401)
+        op = GaussianExpectationOperator(grid, 1.1, 0.7)
+        nbytes = sum(share.data.nbytes for share in op._shares)
+        monkeypatch.setattr(workers, "physical_memory", lambda: nbytes)
+        GaussianExpectationOperator(grid, 1.1, 0.7)
+        monkeypatch.setattr(workers, "physical_memory", lambda: nbytes - 1)
+        fills = []
+        monkeypatch.setattr(quadrature, "_std_pdf", lambda z: fills.append(z))
+        with pytest.raises(BandTooLargeError, match=re.escape(
+                f"the expectation operator's band, 401 rows of {nbytes // 401 // 8} weights, "
+                f"is {nbytes} bytes, more than the host's physical memory ({nbytes - 1} bytes)")):
+            GaussianExpectationOperator(grid, 1.1, 0.7)
+        assert not fills  # refused before the fill
 
     def test_no_share_thread_outlives_a_build_or_an_apply(self, monkeypatch):
         force_shares(monkeypatch, 3)

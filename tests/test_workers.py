@@ -30,6 +30,13 @@ def test_usable_cpus_without_affinity_masks_reads_cpu_count(monkeypatch, cpu_cou
     assert workers.usable_cpus() == expected
 
 
+def test_physical_memory_is_positive_or_unknown(monkeypatch):
+    memory = workers.physical_memory()
+    assert memory is None or memory > 0
+    monkeypatch.delattr(workers.os, "sysconf")  # a platform without sysconf
+    assert workers.physical_memory() is None
+
+
 def test_run_each_keeps_order_and_runs_the_first_item_in_the_caller():
     caller = threading.current_thread()
     before = set(threading.enumerate())
