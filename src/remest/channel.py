@@ -20,10 +20,8 @@ import numpy as np
 from .process import is_number
 
 # The builders and the FSM's own check loop over the states in Python, about
-# half a second per 10**5 states, and every solver table has a state axis
-# (each of the grid solver's (N+1)*m*n float tables takes 34 GB at 10**5
-# states on the presets' 21 stages and 2001 points): a builder refuses a
-# larger count before its loop.
+# half a second per 10**5 states: a builder refuses a larger count before its
+# loop (each solver refuses its own tables past the host's memory).
 MAX_BUILT_STATES = 10 ** 5
 
 

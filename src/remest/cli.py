@@ -15,8 +15,8 @@ Commands
 - ``export-examples``: writes the two bundled application configs.
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
-config, flag or policy CSV, a non-finite number or a table numpy cannot
-index included, or solver overflow), 3 internal error (the traceback goes
+config, flag or policy CSV, a non-finite number or a size past the host's
+memory included, or solver overflow), 3 internal error (the traceback goes
 to stderr). Plant, channel and solver settings check themselves when
 built, an unknown plant or fsm key included; ``_read`` turns the error
 into a :class:`ConfigError` that names the input. The other sections
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import numbers
 import sys
 import traceback
@@ -43,7 +42,7 @@ from . import dp_symmetric as dps
 from . import oracle_sim, workers
 from .policy import export_policy_csv, load_policy_csv
 from .process import PlantModel, is_number
-from .quadrature import BandTooLargeError, ErrorGrid
+from .quadrature import ErrorGrid
 
 
 class ConfigError(ValueError):
@@ -80,24 +79,6 @@ def _check_keys(where: str, section: dict, keys) -> None:
     """A key of ``section`` outside ``keys`` is a :class:`ConfigError`."""
     if unknown := sorted(set(section) - set(keys)):
         raise ConfigError(f"unknown {where} keys {unknown}")
-
-
-def _indexable(what: str, *factors: int) -> None:
-    """Refuse, before any allocation, a table of ``math.prod(factors)``
-    floats whose bytes numpy cannot index (it raises on allocating one) or
-    the host's physical memory cannot hold (numpy may map them and fault
-    later); the error names the product, and the bytes past memory."""
-    product, nbytes = f"{what} = {' * '.join(map(str, factors))} floats", 8 * math.prod(factors)
-    if nbytes > np.iinfo(np.intp).max:
-        raise ConfigError(f"{product}, more bytes than numpy can index ({np.iinfo(np.intp).max})")
-    if (memory := workers.physical_memory()) is not None and nbytes > memory:
-        raise ConfigError(f"{product}, {nbytes} bytes, more than the host's physical "
-                          f"memory ({memory} bytes)")
-
-
-def _grid_table_fits(plant: PlantModel, fsm: ch.ChannelFsm, settings: dps.SolverSettings):
-    _indexable("the grid solver's table (N+1)*m*n", plant.horizon + 1, fsm.num_states,
-               settings.num_points)
 
 
 def load_config(path) -> dict:
@@ -151,11 +132,9 @@ def cmd_solve_symmetric(args) -> int:
     plant = plant_from_config(config)
     fsm = fsm_from_config(config)
     settings = settings_from_config(config, args.grid_points)
-    _grid_table_fits(plant, fsm, settings)
-    out = _out_dir(args)
-
     result = dps.solve_and_extract(plant, fsm, settings=settings)
     table = result.table
+    out = _out_dir(args)
     dps.export_value_table_csv(table, out / "value_table.csv")
     dp_value = table.value_at_origin()
     export_policy_csv(result.policy, out / "policy.csv",
@@ -199,11 +178,10 @@ def cmd_solve_iid(args) -> int:
             f"solve-iid requires plant gain a = 0 (got a={plant.a}); "
             "use solve-symmetric for a coupled plant")
     fsm = fsm_from_config(config)
-    _indexable("the white-source table (N+1)*m", plant.horizon + 1, fsm.num_states)
     settings_from_config(config)  # checked, though no setting shapes the intervals
     provenance = dps.provenance_hash(plant, fsm)
-    out = _out_dir(args)
     table = dp_iid.iid_backward_induction(fsm, plant.sigma2, plant.horizon)
+    out = _out_dir(args)
     dp_iid.export_iid_table_csv(table, out / "iid_table.csv")
     export_policy_csv(table.policy(), out / "policy.csv",
                       metadata={"provenance": provenance,
@@ -235,9 +213,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
-    _indexable("the simulator's cost table trials*(N+1)", trials, plant.horizon + 1)
     settings = settings_from_config(config, args.grid_points)
-    _grid_table_fits(plant, fsm, settings)  # the provenance hash builds its grid
     where = f"policy {args.policy}"
     policy, meta = _read("policy", load_policy_csv, args.policy)  # its errors name the path
     _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
@@ -374,7 +350,6 @@ def _random_discrete_instance(rng) -> oracle_sim.DiscreteInstance:
 def cmd_verify(args) -> int:
     plant, fsm = PlantModel(a=1.1, sigma2=1.0, horizon=8), ch.energy_harvesting_fsm(4, 2, 0.3)
     settings = dps.SolverSettings(num_points=args.grid_points or 801)
-    _grid_table_fits(plant, fsm, settings)
     failures = []
     for name, ok, detail in _verify_properties(plant, fsm, settings):
         status = "pass" if ok else "FAIL"
@@ -438,7 +413,7 @@ def main(argv=None) -> int:
         if args.grid_points is not None:
             _read("--grid-points", dps.SolverSettings, num_points=args.grid_points)
         return handler(args)
-    except (ConfigError, BandTooLargeError) as exc:
+    except (ConfigError, workers.PastMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except dps.SolverOverflowError as exc:

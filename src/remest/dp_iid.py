@@ -19,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import workers
 from .channel import ChannelFsm
 from .policy import TransmitPolicy, write_csv
 from .quadrature import MASS_FLOOR, _moments_given_mass, gaussian_partial_moments, ndtr
@@ -251,18 +252,21 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
     and every stage picks from it. Masked states skip the optimization and
     stay silent (stage cost equal to the source variance). The terminal
     slice is zero. No value reads the closed-form symmetric comparison, so
-    it runs once after the loop, over every (stage, allowed state) row.
-    Raises ``ValueError`` unless horizon >= 1 and sigma2 > 0 is finite.
+    it runs after the loop, ``COARSE`` stages at a time. Raises
+    ``ValueError`` unless horizon >= 1 and sigma2 > 0 is finite.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     _check_settings(sigma2, fsm.drop)
-    m = fsm.num_states
+    m, allowed = fsm.num_states, np.flatnonzero(fsm.allowed)
+    # values, intervals, p_transmit, objs; the coarse terms; 2 floats a cell per searched row
+    workers.refuse_past_memory(f"the white-source solver's tables at (N, m) = ({horizon}, {m})",
+                               8 * ((horizon + 1) * m + horizon * (3 * m + len(allowed))
+                                    + COARSE ** 2 * (3 + 2 * len(allowed))))
     values = np.zeros((horizon + 1, m))
     intervals = np.full((horizon, m, 2), NEVER_TRANSMIT)
     p_transmit = np.zeros((horizon, m))
     q0, q1 = fsm.successor.T
-    allowed = np.flatnonzero(fsm.allowed)
     p = fsm.drop[allowed]
     search = _interval_search(sigma2)
     objs = np.empty((horizon, len(allowed)))
@@ -273,14 +277,17 @@ def iid_backward_induction(fsm: ChannelFsm, sigma2: float, horizon: int) -> IidV
         lo, hi, objs[s] = search(p, values[s + 1, q1[allowed]] - silent_next)
         values[s, allowed] = objs[s] + silent_next
         intervals[s, allowed, 0], intervals[s, allowed, 1] = lo, hi
-    _, p_transmit[:, allowed] = iid_stage_cost(sigma2, p, intervals[:, allowed, 0],
-                                               intervals[:, allowed, 1])
-    gaps = values[1:, q1[allowed]] - values[1:, q0[allowed]]
-    _, obj_sym = optimize_symmetric_threshold(sigma2, np.tile(p, horizon), gaps.ravel())
-    obj_sym = obj_sym.reshape(objs.shape)
-    wins = obj_sym - objs > ASYMMETRY_TOL * sigma2
-    log = [(s + 1, int(allowed[k]), float(obj_sym[s, k]), float(objs[s, k]))
-           for s in range(horizon - 1, -1, -1) for k in np.flatnonzero(wins[s])]
+    log = []
+    for first in reversed(range(0, horizon, COARSE)):  # temporaries below the search's
+        chunk, after = slice(first, first + COARSE), values[first + 1:first + 1 + COARSE]
+        _, p_transmit[chunk, allowed] = iid_stage_cost(sigma2, p, intervals[chunk, allowed, 0],
+                                                       intervals[chunk, allowed, 1])
+        gaps = after[:, q1[allowed]] - after[:, q0[allowed]]
+        _, obj_sym = optimize_symmetric_threshold(sigma2, np.tile(p, len(gaps)), gaps.ravel())
+        obj_sym = obj_sym.reshape(gaps.shape)
+        wins = obj_sym - objs[chunk] > ASYMMETRY_TOL * sigma2
+        log += [(first + s + 1, int(allowed[k]), float(obj_sym[s, k]), float(objs[first + s, k]))
+                for s in range(len(gaps) - 1, -1, -1) for k in np.flatnonzero(wins[s])]
     return IidValueTable(fsm=fsm, values=values, intervals=intervals,
                          p_transmit=p_transmit, asymmetry_log=log)
 

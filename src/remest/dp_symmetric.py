@@ -18,7 +18,7 @@ smoothed slices E[V(a e + W, q)], so the growth check reads them instead of
 smoothing the values again. A stage's C0, C1, transmit set and V are
 closed-form in them, so beside the operator's band the recursion keeps only
 those and one value slice, and derives the other four tables once the band
-is freed: a solve's peak memory is the band plus one table.
+is freed: a solve's peak is the band plus one table, or the five tables.
 
 The module also houses the structure checks: symmetry/monotonicity of every
 value slice, the linear-in-horizon bound on difference quotients of the
@@ -72,10 +72,8 @@ class SolverSettings:
         if (hw := self.half_width) != "auto":
             if not (is_number(hw) and 0 < hw < math.inf):
                 raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
-            if 2 * hw == math.inf:
-                raise ValueError(f"half_width {hw!r}: the grid's span 2 * half_width "
-                                 "overflows a float")
             object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
+            ErrorGrid(self.half_width, 3)  # which refuses a span 2 * half_width past floats
         if not (is_number(self.value_cap) and 0 < self.value_cap < math.inf):
             raise ValueError(f"value_cap must be positive and finite, got {self.value_cap!r}")
         object.__setattr__(self, "value_cap", float(self.value_cap))
@@ -160,17 +158,21 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
 
     Returns the value table, whose ``transmit`` is the optimal gridded
     policy. Raises :class:`SolverOverflowError` when any value exceeds the
-    configured cap, which signals that the grid half-width is too small for
-    the instance, and before any work when the expectation operator refuses
-    the gain, variance and grid as outside the float range.
+    cap, which signals that the grid half-width is too small for the
+    instance, and before any work when the operator refuses the gain,
+    variance and grid as outside the float range, or the five tables or the
+    band pass the host's memory (:class:`workers.PastMemoryError`).
 
     The recursion holds the operator's band beside the smoothed table and
     one value slice, and checks each stage against the cap; once the band is
     freed, the same stage step fills the other four tables stage by stage.
     """
     grid = settings.make_grid(plant)
+    m, n_stages, n, center = fsm.num_states, plant.horizon, grid.num_points, grid.center_index
+    # smoothed and values, (N+1)*m*n floats; cost_wait, cost_send, transmit, N*m*n (bools)
+    workers.refuse_past_memory(f"the grid solver's tables at (N, m, n) = ({n_stages}, {m}, {n})",
+                               (16 * (n_stages + 1) + 17 * n_stages) * m * n)
     op = GaussianExpectationOperator(grid, plant.a, plant.sigma2)
-    m, n_stages, center = fsm.num_states, plant.horizon, grid.center_index
     x_sq = grid.points ** 2
     q0, q1 = fsm.successor.T
     p = fsm.drop[:, None]
@@ -186,7 +188,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
         send = c1 < c0
         return c0, c1, send, np.where(send, c1, c0)
 
-    smoothed = np.empty((n_stages + 1, m, grid.num_points))
+    smoothed = np.empty((n_stages + 1, m, n))
     v = np.tile(x_sq, (m, 1))
     for s in range(n_stages - 1, -1, -1):
         smoothed[s + 1] = op.apply(v)
@@ -201,7 +203,7 @@ def backward_induction(plant: PlantModel, fsm: ChannelFsm,
 
     values = np.empty_like(smoothed)
     values[n_stages] = x_sq
-    cost_wait = np.empty((n_stages, m, grid.num_points))
+    cost_wait = np.empty((n_stages, m, n))
     cost_send = np.empty_like(cost_wait)
     transmit = np.empty(cost_wait.shape, dtype=bool)
     for s in range(n_stages):  # one stage at a time, so its temporaries stay one stage

@@ -135,18 +135,22 @@ def simulate(plant: PlantModel, fsm: ChannelFsm, policy: TransmitPolicy,
     check_policy_fits(plant, fsm, policy)
     white = policy.kind == "interval_pair"
     n_stages, m = plant.horizon, fsm.num_states
+    n_costs = n_stages if white else n_stages + 1
+    threads = workers.count(-(-trials // BLOCK_TRIALS))
+    block = min(trials, BLOCK_TRIALS // threads)  # each buffer, over all threads, is one block
+    traced = sum(np.dtype(dtype).itemsize for _, dtype in _TRACE_FIELDS) * collect_trace
+    workers.refuse_past_memory(  # the cost table, per-trial totals, block buffers and trace
+        f"the simulator's tables for {trials} trials of {n_stages} stages",
+        8 * trials * (n_costs + 1) + 8 * threads * block * n_stages + trials * n_stages * traced)
     successor = fsm.successor.reshape(-1)  # indexed by slot = 2 q + r
     xhat = (np.stack(conditional_estimates(plant.sigma2, policy.intervals[..., 0],
                                            policy.intervals[..., 1]), -1).reshape(n_stages, -1)
             if white else np.zeros((n_stages, 2 * m)))  # per (stage, slot); 0 on the chain
-    n_costs = n_stages if white else n_stages + 1
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     stage_costs = np.empty((trials, n_costs))
     trace = ({key: np.empty((trials, n_stages), dtype=dtype)
               for key, dtype in _TRACE_FIELDS} if collect_trace else None)
-    threads = workers.count(-(-trials // BLOCK_TRIALS))
-    block = min(trials, BLOCK_TRIALS // threads)  # each buffer, over all threads, is one block
 
     def head(table, k):  # its first k * n_stages entries, viewed trial-major
         return table.reshape(-1)[:k * n_stages].reshape(k, n_stages)

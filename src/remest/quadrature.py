@@ -152,7 +152,9 @@ class ErrorGrid:
                              "overflows a float")
         if self.num_points < 3 or self.num_points % 2 == 0:
             raise ValueError(f"num_points must be odd and >= 3, got {self.num_points}")
-        pts = np.linspace(-self.half_width, self.half_width, self.num_points)
+        n = self.num_points  # linspace's points, then their mirrored difference
+        workers.refuse_past_memory(f"an error grid of {n} points", 16 * n)
+        pts = np.linspace(-self.half_width, self.half_width, n)
         pts = 0.5 * (pts - pts[::-1])  # force exact antisymmetry, 0 at center
         pts.flags.writeable = False
         object.__setattr__(self, "_points", pts)
@@ -227,11 +229,6 @@ class SolverOverflowError(RuntimeError):
     overflowed."""
 
 
-class BandTooLargeError(MemoryError):
-    """:class:`GaussianExpectationOperator` refused a band with more bytes than
-    the host's physical memory, before allocating it."""
-
-
 class GaussianExpectationOperator:
     """Precomputed linear map of grid samples f to h(e) = E[f(a*e + W)].
 
@@ -244,19 +241,20 @@ class GaussianExpectationOperator:
     quadratic tails. Sampled quadratics pick up only the interpolation bias
     of the model, about ``spacing**2 / 6`` in absolute terms, which cancels
     in difference quotients. It raises :class:`SolverOverflowError` where its
-    squared centers or cell z^2 would overflow a float, or the half-width's
-    fourth power underflows one and leaves the tail fits no scale.
+    squared centers or cell z^2 would overflow a float, where the half-width's
+    fourth power underflows one (the tail fits get no scale), and below a
+    half-width of sigma / 100 (the tails amplify the fits' rounding).
 
     The cells within ``BAND_Z`` standard deviations of the center are stored
     as a sparse matrix with a fixed band width per row, plus analytic
     integrals of the quadratic tails beyond the grid, each side's fit a 3 x k
     map of its outer samples. The build costs O(n * band) rather than
     O(n^2), and one application is a sparse product over a stack of sample
-    vectors. The stored arrays are read-only. A band with more bytes than the
-    host's physical memory raises :class:`BandTooLargeError` before it is
-    allocated. The build fills chunks of rows of about ``FILL_ENTRIES`` band
-    entries over all shares, so its temporaries stay a few MB however wide
-    the rows are; each row is filled on its own, so the chunk changes no bit.
+    vectors. The stored arrays are read-only. A band past the host's memory
+    is refused (:func:`workers.refuse_past_memory`) before it is allocated.
+    The build fills chunks of rows of about ``FILL_ENTRIES`` band entries
+    over all shares, so its temporaries stay a few MB however wide the rows
+    are; each row is filled on its own, so the chunk changes no bit.
 
     The band is a block sparse (BSR) matrix of 1 x ``BAND_BLOCK`` blocks:
     each row holds its weights in a zero-padded run of whole blocks, with one
@@ -302,8 +300,15 @@ class GaussianExpectationOperator:
         if hw_sq * hw_sq < sys.float_info.min:
             raise SolverOverflowError(f"half_width {grid.half_width:.3g}: half_width^4 underflows "
                                       "a float; sigma2 or half_width is too small")
-        self.grid = grid
+        # a constant slice's error at a = 1.1, sigma2 = 1, 101 (2001) points, measured:
+        # 4.0e-12 (5.0e-12) at half_width 0.1 sigma, 8.1e-10 (2.3e-10) at 0.01 sigma, 3.7e-8
+        # (6.5e-9) at 1e-3 sigma, 3.1e-2 (3.3e-2) at 1e-6 sigma; the tails scale the fit's
+        # rounding by (sigma / half_width)^2. An auto grid gets here only at sigma > 1e4
         sigma = math.sqrt(sigma2)
+        if grid.half_width < sigma / 100:
+            raise SolverOverflowError(f"half_width {grid.half_width:.3g} is below sigma / 100 = "
+                                      f"{sigma / 100:.3g}; the tail fits would amplify rounding")
+        self.grid = grid
         xs, n, dx = grid.points, grid.num_points, grid.spacing
         centers = float(a) * xs
         # every node within BAND_Z sigma of the center, the window slid back
@@ -319,11 +324,9 @@ class GaussianExpectationOperator:
         start = np.minimum(first // BAND_BLOCK, col_blocks - per_row)
         self._band_columns = col_blocks * BAND_BLOCK
         index_dtype = np.int32 if n * per_row < 2 ** 31 else np.int64  # half the bytes
-        memory, band_bytes = workers.physical_memory(), n * per_row * BAND_BLOCK * 8
-        if memory is not None and band_bytes > memory:
-            raise BandTooLargeError(
-                f"the expectation operator's band, {n} rows of {per_row * BAND_BLOCK} weights, "
-                f"is {band_bytes} bytes, more than the host's physical memory ({memory} bytes)")
+        workers.refuse_past_memory(  # its weights and block indices
+            f"the expectation operator's band, {n} rows of {per_row * BAND_BLOCK} weights",
+            n * per_row * (BAND_BLOCK * 8 + np.dtype(index_dtype).itemsize))
         num_shares = workers.count(n * width // SHARE_ENTRIES)
         chunk = max(1, FILL_ENTRIES // (num_shares * per_row * BAND_BLOCK))
 

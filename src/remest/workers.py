@@ -1,7 +1,9 @@
 """How many workers a parallel step gets, how threads run them, and how
-much memory the host has."""
+much memory the host has; the grid, the operator, both solvers and the
+simulator each pass their own peak bytes to :func:`refuse_past_memory`."""
 
 import os
+import sys
 
 MAX_WORKERS = 4
 
@@ -20,6 +22,20 @@ def physical_memory():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
         return None
+
+
+class PastMemoryError(MemoryError):
+    """An allocation refused before it was made, by :func:`refuse_past_memory`."""
+
+
+def refuse_past_memory(what: str, nbytes: int) -> None:
+    """Refuse ``what``'s ``nbytes`` past numpy's index range (``sys.maxsize``;
+    numpy raises) or the host's physical memory (numpy may map, then fault)."""
+    limit, name = sys.maxsize, "numpy can index"
+    if (memory := physical_memory()) is not None and memory < limit:
+        limit, name = memory, "the host's physical memory"
+    if nbytes > limit:
+        raise PastMemoryError(f"{what}: {nbytes} bytes, more than {name} ({limit} bytes)")
 
 
 def count(units: int) -> int:

@@ -157,41 +157,49 @@ class TestExitCodes:
         (["--grid-points", "3", "solve-symmetric"], "--grid-points: num_points must be >= 5"),
         (["--grid-points", "3", "verify"], "--grid-points: num_points must be >= 5"),
         (["--seed", "-1", "simulate", "policy.csv"], "seed must lie in [0, 2**128)"),
-        # more points than numpy can index: an empty linspace raised IndexError
+        # more points than numpy can index (an empty linspace raised IndexError):
+        # the grid refuses them, in simulate when the provenance hash builds it
         (["--grid-points", str(2 ** 63 + 1), "solve-symmetric"],
-         f"the grid solver's table (N+1)*m*n = 7 * 5 * {2 ** 63 + 1} floats"),
+         f"error: an error grid of {2 ** 63 + 1} points: {16 * (2 ** 63 + 1)} bytes, more than"),
         (["--grid-points", str(2 ** 63 + 1), "verify"],
-         f"the grid solver's table (N+1)*m*n = 9 * 5 * {2 ** 63 + 1} floats"),
+         f"error: an error grid of {2 ** 63 + 1} points: {16 * (2 ** 63 + 1)} bytes, more than"),
         (["--grid-points", str(2 ** 63 + 1), "simulate", "policy.csv"],
-         f"the grid solver's table (N+1)*m*n = 7 * 5 * {2 ** 63 + 1} floats"),
+         f"error: an error grid of {2 ** 63 + 1} points: {16 * (2 ** 63 + 1)} bytes, more than"),
     ], ids=["solve-symmetric", "verify", "solve-symmetric-3-points", "verify-3-points",
             "simulate", "solve-symmetric-2**63+1-points", "verify-2**63+1-points",
             "simulate-2**63+1-points"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, args, message):
         config = [] if "verify" in args else ["--config", str(write_config(tmp_path))]
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy)
+        args = [str(policy) if arg == "policy.csv" else arg for arg in args]
         assert main(config + ["--out", str(tmp_path / "x")] + args) == 2
         assert message in capsys.readouterr().err
 
     # sizes that numpy can index but the host's memory cannot hold are refused
-    # before numpy allocates them; the host's memory reads as 8 GiB here, so
-    # the refusal is the same on any host
+    # by what allocates them, before it does; the host's memory reads as 8 GiB
+    # and its CPUs as 2 here, so the refusal is the same on any host. The
+    # band's 136 bytes a block are 16 weights and an int64 block index; the
+    # grid's 16 bytes a point are its points and their mirror; the
+    # simulator's bytes are the cost table and the per-trial totals (22
+    # floats a trial) and two threads' buffers of 16384 trials by 20 stages
     @pytest.mark.parametrize("args, message", [
         (["--grid-points", "1000001", "solve-symmetric"],
-         "the expectation operator's band, 1000001 rows of 185824 weights, is "
-         "1486593486592 bytes"),
+         "the expectation operator's band, 1000001 rows of 185824 weights: "
+         f"{1000001 * 185824 // 16 * 136} bytes"),
         (["--grid-points", "1000001", "verify"],
-         "the expectation operator's band, 1000001 rows of 583152 weights, is "
-         "4665220665216 bytes"),
+         "the expectation operator's band, 1000001 rows of 583152 weights: "
+         f"{1000001 * 583152 // 16 * 136} bytes"),
         (["--grid-points", "9999999999999999", "solve-symmetric"],
-         "the grid solver's table (N+1)*m*n = 21 * 5 * 9999999999999999 floats, "
-         "8399999999999999160 bytes"),
+         f"an error grid of 9999999999999999 points: {16 * 9999999999999999} bytes"),
         (["--trials", "1000000000", "simulate"],
-         "the simulator's cost table trials*(N+1) = 1000000000 * 21 floats, 168000000000 "
-         "bytes"),
+         "the simulator's tables for 1000000000 trials of 20 stages: "
+         f"{8 * 10 ** 9 * 22 + 8 * 2 * 16384 * 20} bytes"),
     ], ids=["band-solve-symmetric", "band-verify", "grid-table", "cost-table"])
     def test_size_past_physical_memory_exits_2_before_allocating(self, tmp_path, capsys,
                                                                  monkeypatch, args, message):
         monkeypatch.setattr(workers, "physical_memory", lambda: 2 ** 33)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         assert main(["--out", str(tmp_path / "p"), "export-examples"]) == 0
         policy = tmp_path / "policy.csv"
         export_policy_csv(TransmitPolicy.symmetric(np.zeros((20, 5))), policy)
@@ -212,11 +220,12 @@ class TestExitCodes:
         assert peak < 2 ** 27  # the grid's few n-point vectors at most
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("memory, code", [(560_000, 0), (559_999, 2)])
+    @pytest.mark.parametrize("memory, code", [(1_120_000, 0), (1_119_999, 2)])
     def test_a_cost_table_of_physical_memory_is_the_largest_allowed(
             self, tmp_path, capsys, monkeypatch, memory, code):
-        # 10,000 trials at horizon 6: 10000 * 7 floats are 560,000 bytes; the
-        # grid solver's table and band at 101 points take less
+        # 10,000 trials at horizon 6, on one thread: the cost table and the
+        # per-trial totals, 10000 * 8 floats, and one buffer of 10000 trials by
+        # 6 stages are 1,120,000 bytes; the 101-point grid takes less
         monkeypatch.setattr(workers, "physical_memory", lambda: memory)
         policy = tmp_path / "policy.csv"
         export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy)
@@ -224,8 +233,40 @@ class TestExitCodes:
                      "--trials", "10000", "--grid-points", "101", "simulate", str(policy)]) == code
         if code == 2:
             assert capsys.readouterr().err == (
-                "error: the simulator's cost table trials*(N+1) = 10000 * 7 floats, 560000 "
-                "bytes, more than the host's physical memory (559999 bytes)\n")
+                "error: the simulator's tables for 10000 trials of 6 stages: 1120000 bytes, "
+                "more than the host's physical memory (1119999 bytes)\n")
+
+    # sizes whose one table the command line used to count fits, but not what
+    # its owner allocates: the grid solver's five tables (33 bytes a cell
+    # against 8), the simulator's trace (34 bytes a trial and stage besides its
+    # cost table, totals and buffer) and the white-source search's objective
+    # and one temporary over 121 x 121 intervals per state. The host's memory
+    # reads as a few MB here, so each is refused on any host, while its real
+    # size stays a few tens of MB
+    @pytest.mark.parametrize("memory, overrides, args, message", [
+        (2 ** 23, {"plant": {"a": 1.1, "sigma2": 1.0, "x0": 0.0, "horizon": 200}},
+         ["--grid-points", "401", "solve-symmetric"],
+         f"the grid solver's tables at (N, m, n) = (200, 5, 401): {(33 * 200 + 16) * 5 * 401}"),
+        (2 ** 21, {}, ["--trials", "10000", "--grid-points", "101", "simulate", "--trace"],
+         f"the simulator's tables for 10000 trials of 6 stages: {1_120_000 + 34 * 10000 * 6}"),
+        (2 ** 24, {"plant": {"a": 0.0, "sigma2": 1.0, "x0": 0.0, "horizon": 3},
+                   "channel": {"builder": "workload_chain",
+                               "params": {"window": 99, "drop_probs": [0.5] * 100}}},
+         ["solve-iid"], "the white-source solver's tables at (N, m) = (3, 100): "
+                        f"{8 * (4 * 100 + 3 * 4 * 100 + 121 ** 2 * (3 + 2 * 100))}"),
+    ], ids=["solve-horizon", "trace", "states"])
+    def test_owner_refuses_the_peak_a_one_table_count_missed(self, tmp_path, capsys, monkeypatch,
+                                                            memory, overrides, args, message):
+        monkeypatch.setattr(workers, "physical_memory", lambda: memory)
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy)
+        extra = [str(policy)] if "simulate" in args else []
+        out = tmp_path / "x"
+        assert main(["--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]
+                    + args + extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message} bytes, more than the host's physical memory ({memory} bytes)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value, message", [
         ("plant.horizon", math.inf, "plant: horizon must be an integer >= 1, got inf"),
@@ -258,24 +299,29 @@ class TestExitCodes:
         ("solver.grid.half_width", 1e308,
          "solver settings: half_width 1e+308: the grid's span 2 * half_width overflows "
          "a float"),
-        # tables whose bytes numpy cannot index: numpy raised ValueError
-        ("plant.horizon", 2 ** 63, f"the grid solver's table (N+1)*m*n = {2 ** 63 + 1} * 5 "
-                                   "* 201 floats, more bytes than numpy can index"),
-        ("plant.horizon", 10 ** 30, f"the grid solver's table (N+1)*m*n = {10 ** 30 + 1} * 5 "
-                                    "* 201 floats, more bytes than numpy can index"),
-        ("sim.trials", 2 ** 63, f"the simulator's cost table trials*(N+1) = {2 ** 63} * 5 "
-                                "floats, more bytes than numpy can index"),
-        ("sim.trials", 10 ** 30, f"the simulator's cost table trials*(N+1) = {10 ** 30} * 5 "
-                                 "floats, more bytes than numpy can index"),
+        # a JSON integer doubles exactly, but its float does not: this exited 3
+        ("solver.grid.half_width", 10 ** 308,
+         "solver settings: half_width 1e+308: the grid's span 2 * half_width overflows "
+         "a float"),
+        # tables past numpy's index range, and so past any host's memory: numpy
+        # raised ValueError; the grid solver's tables are 33 bytes a cell
+        ("plant.horizon", 2 ** 63, "the grid solver's tables at (N, m, n) = "
+                                   f"({2 ** 63}, 5, 201): {(33 * 2 ** 63 + 16) * 5 * 201} "
+                                   "bytes, more than"),
+        ("plant.horizon", 10 ** 30, "the grid solver's tables at (N, m, n) = "
+                                    f"({10 ** 30}, 5, 201): {(33 * 10 ** 30 + 16) * 5 * 201} "
+                                    "bytes, more than"),
+        ("sim.trials", 2 ** 63, f"the simulator's tables for {2 ** 63} trials of 4 stages: "),
+        ("sim.trials", 10 ** 30, f"the simulator's tables for {10 ** 30} trials of 4 stages: "),
         # numpy indexes 5 * 2**58 elements, but not their 8 * 5 * 2**58 bytes
-        ("sim.trials", 2 ** 58, f"the simulator's cost table trials*(N+1) = {2 ** 58} * 5 "
-                                "floats, more bytes than numpy can index"),
+        ("sim.trials", 2 ** 58, f"the simulator's tables for {2 ** 58} trials of 4 stages: "),
     ], ids=["plant.horizon", "plant.sigma2", "sim.trials", "plant.a",
             "solver.grid.half_width", "plant.x0", "solver.value_cap-nan",
             "solver.value_cap-inf", "policy.e", "plant.a-string", "plant.a-bool",
             "plant.x0-null", "solver.value_cap-bool", "solver.value_cap-string",
             "solver.grid.half_width-null", "sim.trials-float", "sim.trials-bool",
             "sim.seed-string", "policy.n", "solver.grid.half_width-1e308",
+            "solver.grid.half_width-10**308",
             "plant.horizon-2**63", "plant.horizon-10**30", "sim.trials-2**63",
             "sim.trials-10**30", "sim.trials-2**58"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
@@ -477,6 +523,25 @@ class TestExitCodes:
             assert "underflows a float; sigma2 or half_width is too small" in err
             assert not out.exists() or not any(out.iterdir())
 
+    # an explicit half-width below sigma / 100 solved to wrong values: the
+    # tails amplify the fit's rounding by (sigma / half_width)^2
+    @pytest.mark.parametrize("sigma2, half_width, code", [
+        (1.0, 1e-6, 2), (1.0, 1e-4, 2), (1.0, 0.01, 0), (1e10, "auto", 2)],
+        ids=["half_width-1e-6", "half_width-1e-4", "half_width-0.01", "sigma2-1e10-auto"])
+    def test_grid_narrower_than_a_hundredth_of_sigma_is_a_solver_error(
+            self, tmp_path, capsys, sigma2, half_width, code):
+        cfg = write_config(tmp_path, plant={"a": 1.1, "sigma2": sigma2, "x0": 0.0, "horizon": 3},
+                           solver={"grid": {"half_width": half_width, "num_points": 101}})
+        out = tmp_path / "x"
+        assert main(["--config", str(cfg), "--out", str(out), "solve-symmetric"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and (out / "value_table.csv").exists()
+        else:
+            assert re.fullmatch(r"solver error: half_width \S+ is below sigma / 100 = \S+; "
+                                r"the tail fits would amplify rounding\n", err)
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("solve-symmetric", "--seed"), ("solve-symmetric", "--trials"),
         ("solve-iid", "--seed"), ("solve-iid", "--trials"), ("solve-iid", "--grid-points"),
@@ -547,11 +612,14 @@ class TestSolveIid:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
         assert "unknown solver" in capsys.readouterr().err
 
-    def test_horizon_numpy_cannot_index_exits_2(self, tmp_path, capsys):
+    def test_horizon_numpy_cannot_index_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a platform that reports no memory: numpy's index range is the limit
+        monkeypatch.setattr(workers, "physical_memory", lambda: None)
         cfg = write_config(tmp_path, plant={"a": 0.0, "sigma2": 1.0, "horizon": 2 ** 63})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "solve-iid"]) == 2
-        assert (f"error: the white-source table (N+1)*m = {2 ** 63 + 1} * 5 floats, more "
-                "bytes than numpy can index" in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the white-source solver's tables at (N, m) = ({2 ** 63}, 5): ")
+        assert err.endswith(f" bytes, more than numpy can index ({2 ** 63 - 1} bytes)\n")
         assert not (tmp_path / "x").exists()
 
 

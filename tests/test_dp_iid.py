@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from remest.dp_iid import (ASYMMETRY_TOL, NEVER_TRANSMIT, REFINE_TOL, SPAN,
                            optimize_interval, optimize_symmetric_threshold)
 from remest.quadrature import MASS_FLOOR, gaussian_partial_moments
 from test_channel import built_fsms
+from test_quadrature import record_refusals
 
 
 def quad_stage_cost(sigma2, p_drop, lo, hi):
@@ -334,6 +336,27 @@ class TestBackwardInduction:
         iid_backward_induction(energy_harvesting_fsm(4, 2, 0.3), 1.0, horizon)
         assert shapes == [(1, dp_iid.COARSE, dp_iid.COARSE)]
 
+    @pytest.mark.parametrize("window, horizon", [(40, 3), (4, 130)], ids=["states", "stages"])
+    def test_peak_is_the_counted_tables_and_search(self, monkeypatch, window, horizon):
+        """The solver counts, before it allocates, its four tables, the coarse
+        terms and, per searched state, the objective and one temporary over
+        the coarse table. The symmetric comparison after the loop runs COARSE
+        stages at a time (two chunks at 130 stages), so its temporaries
+        stay below the search's; the peak passes the count by less than one
+        coarse table."""
+        fsm = workload_chain_fsm(window, np.linspace(0.1, 0.9, window + 1).tolist())
+        m, cells = window + 1, dp_iid.COARSE ** 2
+        counted = record_refusals(monkeypatch)
+        tracemalloc.start()
+        try:
+            iid_backward_induction(fsm, 1.0, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [(f"the white-source solver's tables at (N, m) = ({horizon}, {m})",
+                            8 * ((horizon + 1) * m + 4 * horizon * m + cells * (3 + 2 * m)))]
+        assert peak <= counted[0][1] + 8 * cells
+
     def test_policy_export_shape(self):
         fsm = energy_harvesting_fsm(4, 2, 0.3)
         table = iid_backward_induction(fsm, 1.0, 2)
@@ -487,6 +510,16 @@ def assert_tables_identical(got, want):
 
 
 class TestBatchedSearchMatchesReference:
+    @pytest.mark.parametrize("coarse", [5, 7])
+    def test_symmetric_comparison_in_chunks_bit_identical(self, monkeypatch, coarse):
+        # the attempt probabilities and the symmetric comparison run COARSE
+        # stages at a time; a small coarse table cuts 12 stages into chunks
+        fsm = energy_harvesting_fsm(4, 2, 0.3)
+        monkeypatch.setattr(dp_iid, "COARSE", coarse)
+        got = iid_backward_induction(fsm, 1.0, 12)
+        assert len({n for n, *_ in got.asymmetry_log} - set(range(1, coarse + 1))) > 0
+        assert_tables_identical(got, reference_backward_induction(fsm, 1.0, 12, coarse))
+
     @pytest.mark.parametrize("fsm, horizon", [
         (energy_harvesting_fsm(4, 2, 0.3), 20),
         (workload_chain_fsm(4, (0.1, 0.3, 0.5, 0.7, 0.9)), 20),

@@ -20,6 +20,7 @@ from remest.dp_symmetric import (GROWTH_BOUNDARY_FRACTION, SolverSettings,
 from remest.process import PlantModel, predicted_open_loop_cost
 from remest import quadrature
 from remest.quadrature import GaussianExpectationOperator
+from test_quadrature import record_refusals
 
 
 def single_state(p_drop):
@@ -314,6 +315,20 @@ class TestTwoPhaseSolve:
         assert table_got.values.tobytes() == want[0].tobytes()
         assert peak <= bound
         assert reference_peak > bound
+
+    @pytest.mark.parametrize("num_points", [401, 801])
+    def test_peak_is_the_counted_tables_plus_stage_slices(self, monkeypatch, num_points):
+        """At 100 stages the five tables outweigh the band beside the smoothed
+        table. The solve counts them, 33 bytes a cell, before it builds the
+        operator, and its peak passes that by a few stage slices."""
+        plant = PlantModel(a=1.1, sigma2=1.0, horizon=100)
+        fsm, stage = energy_harvesting_fsm(4, 2, 0.3), 5 * num_points
+        counted = record_refusals(monkeypatch)
+        _, peak = _traced_peak(lambda: backward_induction(plant, fsm,
+                                                          SolverSettings(num_points=num_points)))
+        tables = [nbytes for what, nbytes in counted if "tables" in what]
+        assert tables == [(33 * plant.horizon + 16) * stage]
+        assert peak <= tables[0] + 8 * stage * 8
 
 
 class TestNearTies:

@@ -23,6 +23,7 @@ from remest.oracle_sim import (BLOCK_TRIALS, DiscreteInstance,
 from remest.policy import TransmitPolicy, decide_many
 from remest.process import PlantModel, predicted_open_loop_cost
 from remest.quadrature import ErrorGrid, SolverOverflowError
+from test_quadrature import record_refusals
 
 
 def single_state(p_drop):
@@ -577,29 +578,37 @@ class TestBlockedLoopMatchesReference:
             results[0], reference_simulate(plant, fsm, policy, trials, 3, collect_trace=True))
 
 
-@pytest.mark.parametrize("trials, horizon", [(200_000, 20), (1_000_000, 2)])
-def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch, trials, horizon):
+@pytest.mark.parametrize("trials, horizon, trace", [
+    (200_000, 20, False), (1_000_000, 2, False), (20_000, 20, True), (100_000, 4, True)],
+    ids=["200000-20", "1000000-2", "20000-20-trace", "100000-4-trace"])
+def test_peak_memory_is_noise_and_cost_tables_plus_blocks(monkeypatch, trials, horizon, trace):
     # the whole-table loops also held every uniform and per-stage temporaries
     # over all trials; the blocked loop holds only blocks of them, however
     # many threads share them. The normals live in the cost table's rows, the
     # uniforms replace them there and the summary's spreads are taken in
     # place, so the cost table, the per-trial totals (8 bytes a trial), one
-    # stage-major buffer of one block over all threads and a slack of twelve
-    # one-block vectors for the per-stage temporaries are all there is: a
-    # second block buffer fails the first case, a second trials-sized vector
-    # the second, and a second table both
+    # stage-major buffer of one block over all threads, the trace's six
+    # fields (34 bytes a trial and stage) when it is kept, and a slack of
+    # twelve one-block vectors for the per-stage temporaries are all there
+    # is: a second block buffer fails the first case, a second trials-sized
+    # vector the second, and a second table both. simulate counts the same
+    # bytes, but the slack, before it allocates
     plant = PlantModel(a=1.1, sigma2=1.0, horizon=horizon)
     fsm = energy_harvesting_fsm(4, 2, 0.3)
     policy = TransmitPolicy.symmetric(np.full((horizon, 5), 1.5))
-    bound = (8 * trials * (horizon + 1) + 8 * trials + BLOCK_TRIALS * horizon * 8
-             + 12 * BLOCK_TRIALS * 8)
     for threads in (1, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: threads)
+        used = workers.count(-(-trials // BLOCK_TRIALS))  # 20,000 trials take one thread
+        buffers = 8 * used * min(trials, BLOCK_TRIALS // used) * horizon
+        counted = record_refusals(monkeypatch)
         tracemalloc.start()
         try:
-            simulate(plant, fsm, policy, trials, seed=1)
+            simulate(plant, fsm, policy, trials, seed=1, collect_trace=trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert counted == [(f"the simulator's tables for {trials} trials of {horizon} stages",
+                            8 * trials * (horizon + 2) + buffers + 34 * trace * trials * horizon)]
+        bound = counted[0][1] + 12 * BLOCK_TRIALS * 8
         assert peak < bound, f"{threads} threads: peak {peak / 1e6:.1f} MB over " \
                              f"{bound / 1e6:.1f} MB"

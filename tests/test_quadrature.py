@@ -22,7 +22,7 @@ from remest.dp_symmetric import (SolverSettings, backward_induction,
                                  check_growth_rate_bound, solve_and_extract)
 from remest.process import PlantModel
 from remest.quadrature import (BAND_BLOCK, BAND_Z, MAX_HALF_WIDTH, TAIL_FRACTION,
-                               BandTooLargeError, ErrorGrid, GaussianExpectationOperator,
+                               ErrorGrid, GaussianExpectationOperator,
                                ShapeViolation, SolverOverflowError,
                                gaussian_partial_moments,
                                is_symmetric_nondecreasing)
@@ -42,6 +42,19 @@ def truncated_moments(sigma2, lo, hi):
     """Mass, mean and second moment of N(0, sigma2) conditioned on [lo, hi]."""
     m0, m1, m2 = gaussian_partial_moments(sigma2, lo, hi)
     return m0, m1 / m0, m2 / m0
+
+
+def record_refusals(monkeypatch):
+    """The list that each later ``workers.refuse_past_memory`` call appends
+    its ``(what, nbytes)`` to; the calls still refuse."""
+    calls, refuse = [], workers.refuse_past_memory
+
+    def recording(what, nbytes):
+        calls.append((what, nbytes))
+        refuse(what, nbytes)
+
+    monkeypatch.setattr(workers, "refuse_past_memory", recording)
+    return calls
 
 
 class TestErrorGrid:
@@ -68,6 +81,21 @@ class TestErrorGrid:
         message = f"half_width {half_width}: the grid's span 2 * half_width overflows a float"
         with pytest.raises(ValueError, match=re.escape(message)):
             ErrorGrid(half_width, 11)
+
+    @pytest.mark.parametrize("num_points", [100_001, 400_001])
+    def test_peak_is_the_counted_points(self, monkeypatch, num_points):
+        """The grid counts linspace's points and their mirrored copy, 16 bytes
+        a point, before it allocates them; its peak passes that by no more
+        than a few of Python's own small objects."""
+        counted = record_refusals(monkeypatch)
+        tracemalloc.start()
+        try:
+            ErrorGrid(10.0, num_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [(f"an error grid of {num_points} points", 16 * num_points)]
+        assert peak <= 16 * num_points + 4096
 
     def test_widest_grid_has_a_finite_span(self):
         grid = ErrorGrid(sys.float_info.max / 2, 5)
@@ -234,6 +262,21 @@ class TestGaussianExpectation:
     def test_bad_input_is_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    # a constant slice's error at a = 1.1, sigma2 = 1 on 101 points was 9.5e-6
+    # at half_width 1e-4 and 0.031 at 1e-6, with no error or warning
+    @pytest.mark.parametrize("half_width, sigma2", [(1e-4, 1.0), (1e-6, 1.0), (0.0199, 4.0)])
+    def test_grid_narrower_than_a_hundredth_of_sigma_is_refused(self, half_width, sigma2):
+        sigma = math.sqrt(sigma2)
+        with pytest.raises(SolverOverflowError, match=re.escape(
+                f"half_width {half_width:.3g} is below sigma / 100 = {sigma / 100:.3g}")):
+            GaussianExpectationOperator(ErrorGrid(half_width, 101), 1.1, sigma2)
+
+    @pytest.mark.parametrize("half_width, sigma2", [(0.01, 1.0), (0.02, 4.0)])
+    def test_grid_of_a_hundredth_of_sigma_builds(self, half_width, sigma2):
+        for n in (101, 2001):
+            op = GaussianExpectationOperator(ErrorGrid(half_width, n), 1.1, sigma2)
+            assert np.max(np.abs(op.apply(np.ones((2, n))) - 1.0)) < 1e-9
 
     def test_gain_whose_squares_fit_builds(self):
         grid, a = ErrorGrid(53.8, 201), 1e100
@@ -553,6 +596,7 @@ class TestBandedOperator:
         force_shares(monkeypatch, 1)
         grid, a, sigma2 = ErrorGrid(half_width, num_points), 1.1, 1.0
         GaussianExpectationOperator(ErrorGrid(4.0, 9), a, sigma2)  # imports scipy
+        counted = record_refusals(monkeypatch)
 
         def traced_peak(build):
             tracemalloc.start()
@@ -568,24 +612,29 @@ class TestBandedOperator:
         band_bytes = n * padded_width * 8 + n * (padded_width // BAND_BLOCK) * 4 + (n + 1) * 4
         assert sum(w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
                    for w in op._shares) == band_bytes
-        bound = band_bytes + 10 * quadrature.FILL_ENTRIES * 8
+        # the refusal counts the weights and block indices, all but indptr
+        assert counted[0] == (f"the expectation operator's band, {n} rows of {padded_width} "
+                              "weights", band_bytes - (n + 1) * 4)
+        bound = counted[0][1] + 10 * quadrature.FILL_ENTRIES * 8
         assert peak <= bound
         assert csr_peak > bound
 
     @pytest.mark.parametrize("shares", [1, 3])
     def test_a_band_of_physical_memory_is_the_largest_allowed(self, monkeypatch, shares):
+        # the band's weights and block indices; the grid's few vectors take less
         force_shares(monkeypatch, shares)
         grid = ErrorGrid(20.0, 401)
         op = GaussianExpectationOperator(grid, 1.1, 0.7)
-        nbytes = sum(share.data.nbytes for share in op._shares)
+        nbytes = sum(share.data.nbytes + share.indices.nbytes for share in op._shares)
+        weights = op._shares[0].data.size // op._shares[0].shape[0]
         monkeypatch.setattr(workers, "physical_memory", lambda: nbytes)
         GaussianExpectationOperator(grid, 1.1, 0.7)
         monkeypatch.setattr(workers, "physical_memory", lambda: nbytes - 1)
         fills = []
         monkeypatch.setattr(quadrature, "_std_pdf", lambda z: fills.append(z))
-        with pytest.raises(BandTooLargeError, match=re.escape(
-                f"the expectation operator's band, 401 rows of {nbytes // 401 // 8} weights, "
-                f"is {nbytes} bytes, more than the host's physical memory ({nbytes - 1} bytes)")):
+        with pytest.raises(workers.PastMemoryError, match=re.escape(
+                f"the expectation operator's band, 401 rows of {weights} weights: "
+                f"{nbytes} bytes, more than the host's physical memory ({nbytes - 1} bytes)")):
             GaussianExpectationOperator(grid, 1.1, 0.7)
         assert not fills  # refused before the fill
 

@@ -1,6 +1,8 @@
+import sys
 import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from remest import workers
@@ -83,3 +85,26 @@ def test_worker_error_is_raised_in_the_caller():
     assert len(started) == 3
     assert not any(t.is_alive() for t in started if t is not caller)
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("memory, nbytes, limit", [
+    (1000, 1000, None),
+    (1000, 1001, "the host's physical memory (1000 bytes)"),
+    (None, sys.maxsize, None),
+    (None, sys.maxsize + 1, f"numpy can index ({sys.maxsize} bytes)"),
+    (2 ** 80, sys.maxsize + 1, f"numpy can index ({sys.maxsize} bytes)"),
+], ids=["memory", "past-memory", "index-range", "past-index-range", "memory-past-index-range"])
+def test_refuse_past_memory_takes_the_smaller_limit(monkeypatch, memory, nbytes, limit):
+    monkeypatch.setattr(workers, "physical_memory", lambda: memory)
+    if limit is None:
+        workers.refuse_past_memory("a table", nbytes)
+        return
+    with pytest.raises(workers.PastMemoryError) as refused:
+        workers.refuse_past_memory("a table", nbytes)
+    assert str(refused.value) == f"a table: {nbytes} bytes, more than {limit}"
+    assert isinstance(refused.value, MemoryError)
+
+
+def test_numpy_index_range_is_sys_maxsize():
+    # numpy's intp is Python's Py_ssize_t, so the refusal needs no numpy import
+    assert sys.maxsize == np.iinfo(np.intp).max
