@@ -15,13 +15,13 @@ Commands
 - ``export-examples``: writes the two bundled application configs.
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (bad
-config, flag or policy CSV, a non-finite number or a size past the host's
-memory included, or solver overflow), 3 internal error (the traceback goes
-to stderr). Plant, channel and solver settings check themselves when
-built, an unknown plant or fsm key included; ``_read`` turns the error
-into a :class:`ConfigError` that names the input. The other sections
-(the top level, ``channel``, ``solver``, ``solver.grid`` and ``sim``) are
-checked for unknown keys here.
+config, flag, ``--out`` or policy CSV, a non-finite number or a size past
+the host's memory included, or solver overflow), 3 internal error (the
+traceback goes to stderr). Plant, channel and solver settings (through
+their :class:`ErrorGrid`) check themselves when built, an unknown plant or
+fsm key included; ``_read`` turns the error into a :class:`ConfigError`
+that names the input. The other sections (the top level, ``channel``,
+``solver``, ``solver.grid`` and ``sim``) are checked for unknown keys here.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import sys
 import traceback
@@ -121,10 +122,9 @@ def settings_from_config(config: dict, grid_points=None) -> dps.SolverSettings:
     return _read("solver settings", dps.SolverSettings, **grid, **cap)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args) -> Path:  # made once the work is done, so a refused run leaves none
+    _read("--out", Path(args.out).mkdir, parents=True, exist_ok=True)
+    return Path(args.out)
 
 
 def cmd_solve_symmetric(args) -> int:
@@ -218,6 +218,8 @@ def cmd_simulate(args) -> int:
     policy, meta = _read("policy", load_policy_csv, args.policy)  # its errors name the path
     _read(where, oracle_sim.check_policy_fits, plant, fsm, policy)
     dp_value = _read(where, float, meta["dp_value"]) if "dp_value" in meta else None
+    if dp_value is not None and not math.isfinite(dp_value):
+        raise ConfigError(f"{where}: header line '# dp_value={meta['dp_value']}' must be finite")
     expected = dps.provenance_hash(plant, fsm,
                                    None if policy.kind == "interval_pair" else settings)
     summary = oracle_sim.simulate(plant, fsm, policy, trials=trials, seed=seed,

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -54,26 +53,23 @@ MIN_GRID_POINTS = 5
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid sizing and overflow guard for the grid solver. Construction
-    checks the grid :meth:`make_grid` will build and the cap."""
+    """Grid sizing and overflow guard for the grid solver. Construction builds
+    the grid the settings describe (half-width 1.0 for ``"auto"``), which checks
+    both grid fields; the settings check ``"auto"``, ``MIN_GRID_POINTS`` and the cap."""
 
-    half_width: object = "auto"  # "auto" or a positive float
+    half_width: object = "auto"  # "auto" or a positive number, kept as a float
     num_points: int = 2001
     value_cap: float = 1e12
 
     def __post_init__(self):
-        if not is_number(self.num_points, numbers.Integral):
-            raise ValueError(f"num_points must be an integer, got {self.num_points!r}")
+        auto = isinstance(self.half_width, str)
+        if auto and self.half_width != "auto":
+            raise ValueError(f"half_width must be 'auto' or a number, got {self.half_width!r}")
+        grid = ErrorGrid(1.0 if auto else self.half_width, self.num_points)
+        object.__setattr__(self, "half_width", "auto" if auto else grid.half_width)
         if self.num_points < MIN_GRID_POINTS:
             raise ValueError(f"num_points must be >= {MIN_GRID_POINTS} for the growth "
                              f"check, got {self.num_points}")
-        if self.num_points % 2 == 0:
-            raise ValueError(f"num_points must be odd, got {self.num_points}")
-        if (hw := self.half_width) != "auto":
-            if not (is_number(hw) and 0 < hw < math.inf):
-                raise ValueError(f"half_width must be 'auto' or positive and finite, got {hw!r}")
-            object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
-            ErrorGrid(self.half_width, 3)  # which refuses a span 2 * half_width past floats
         if not (is_number(self.value_cap) and 0 < self.value_cap < math.inf):
             raise ValueError(f"value_cap must be positive and finite, got {self.value_cap!r}")
         object.__setattr__(self, "value_cap", float(self.value_cap))

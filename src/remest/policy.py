@@ -179,7 +179,7 @@ def export_policy_csv(policy: TransmitPolicy, path, metadata: Optional[dict] = N
     meta = {**(metadata or {}), "kind": policy.kind, "horizon": policy.horizon,
             "num_states": policy.num_states}
     if policy.kind == "gridded":
-        meta.update(grid_half_width=repr(float(policy.grid.half_width)),
+        meta.update(grid_half_width=repr(policy.grid.half_width),
                     grid_num_points=policy.grid.num_points)
         e = list(map(repr, policy.grid.points.tolist()))
         write_csv(path, ("n", "q", "e", "transmit"), meta,
@@ -270,16 +270,10 @@ def _count(meta, key):
 
 
 def _width(meta):
-    """The positive finite number on the ``# grid_half_width=`` header line."""
+    """The number on the ``# grid_half_width=`` header line; the grid built
+    from it checks its value."""
     text = meta["grid_half_width"]
     try:
-        width = float(text)
+        return float(text)
     except ValueError:
-        width = math.nan
-    if not 0 < width < math.inf:
-        raise ValueError(f"header line '# grid_half_width={text}' must be a positive "
-                         "finite number")
-    if 2 * width == math.inf:
-        raise ValueError(f"header line '# grid_half_width={text}': the grid's span "
-                         "2 * half_width overflows a float")
-    return width
+        raise ValueError(f"header line '# grid_half_width={text}' must be a number") from None

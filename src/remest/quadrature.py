@@ -18,6 +18,7 @@ scipy, and the symmetry/monotonicity check used to validate solver output.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import workers
+from .process import is_number
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -135,24 +137,27 @@ MAX_HALF_WIDTH = 100.0
 
 @dataclass(frozen=True)
 class ErrorGrid:
-    """Uniform symmetric grid on [-half_width, half_width].
-
-    ``num_points`` must be odd so that 0 is a grid point. Points are stored
-    exactly antisymmetric (``points[i] == -points[-i-1]`` bitwise).
+    """Uniform symmetric grid on [-half_width, half_width], and the one owner
+    of the rule for a valid grid (the solver settings and the policy CSV
+    loader check a grid by building it): ``half_width`` is a positive finite
+    number, kept as a float, whose span ``2 * half_width`` is a float, and
+    ``num_points`` an odd integer >= 3, so that 0 is a grid point; a bool is
+    neither. Points are exactly antisymmetric (``points[i] == -points[-i-1]`` bitwise).
     """
 
     half_width: float
     num_points: int
 
     def __post_init__(self):
-        if not 0 < self.half_width < math.inf:
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
-        if 2 * self.half_width == math.inf:  # linspace would overflow
-            raise ValueError(f"half_width {self.half_width}: the grid's span 2 * half_width "
-                             "overflows a float")
-        if self.num_points < 3 or self.num_points % 2 == 0:
-            raise ValueError(f"num_points must be odd and >= 3, got {self.num_points}")
-        n = self.num_points  # linspace's points, then their mirrored difference
+        hw, n = self.half_width, self.num_points
+        if not (is_number(hw) and 0 < hw < math.inf):
+            raise ValueError(f"half_width must be positive and finite, got {hw!r}")
+        if not hw <= sys.float_info.max / 2:  # so that linspace's span is a float
+            raise ValueError(f"half_width {hw!r}: the grid's span 2 * half_width overflows a float")
+        if not (is_number(n, numbers.Integral) and n >= 3 and n % 2 == 1):
+            raise ValueError(f"num_points must be an odd integer >= 3, got {n!r}")
+        object.__setattr__(self, "half_width", float(hw))  # so 3 and 3.0 hash the same
+        # 16 bytes a point: linspace's points, then their mirrored difference
         workers.refuse_past_memory(f"an error grid of {n} points", 16 * n)
         pts = np.linspace(-self.half_width, self.half_width, n)
         pts = 0.5 * (pts - pts[::-1])  # force exact antisymmetry, 0 at center

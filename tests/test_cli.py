@@ -101,10 +101,12 @@ class TestSolveSymmetric:
                      "--grid-points", "401", "solve-symmetric"]) == 0
 
     @pytest.mark.parametrize("grid, message", [
-        ({"num_points": 2001.9}, "solver settings: num_points must be an integer, got 2001.9"),
-        ({"num_points": "2001"}, "solver settings: num_points must be an integer, got '2001'"),
-        ({"half_width": "3.0"},
-         "solver settings: half_width must be 'auto' or positive and finite, got '3.0'"),
+        ({"num_points": 2001.9},
+         "solver settings: num_points must be an odd integer >= 3, got 2001.9"),
+        ({"num_points": "2001"},
+         "solver settings: num_points must be an odd integer >= 3, got '2001'"),
+        ({"half_width": "3.0"}, "solver settings: half_width must be 'auto' or a number, "
+                                "got '3.0'"),
     ], ids=["num_points-float", "num_points-string", "half_width-string"])
     def test_misspelled_grid_field_exits_2(self, tmp_path, capsys, grid, message):
         cfg = write_config(tmp_path, solver={"grid": grid})
@@ -152,8 +154,10 @@ class TestSolveSymmetric:
 
 class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
-        (["--grid-points", "400", "solve-symmetric"], "--grid-points: num_points must be odd"),
-        (["--grid-points", "400", "verify"], "--grid-points: num_points must be odd"),
+        (["--grid-points", "400", "solve-symmetric"],
+         "--grid-points: num_points must be an odd integer >= 3, got 400"),
+        (["--grid-points", "400", "verify"],
+         "--grid-points: num_points must be an odd integer >= 3, got 400"),
         (["--grid-points", "3", "solve-symmetric"], "--grid-points: num_points must be >= 5"),
         (["--grid-points", "3", "verify"], "--grid-points: num_points must be >= 5"),
         (["--seed", "-1", "simulate", "policy.csv"], "seed must lie in [0, 2**128)"),
@@ -274,7 +278,7 @@ class TestExitCodes:
         ("sim.trials", math.inf, "sim.trials must be an integer, got inf"),
         ("plant.a", math.nan, "plant: a must be finite, got nan"),
         ("solver.grid.half_width", math.inf,
-         "solver settings: half_width must be 'auto' or positive and finite, got inf"),
+         "solver settings: half_width must be positive and finite, got inf"),
         ("plant.x0", math.nan, "plant: x0 must be finite, got nan"),
         ("solver.value_cap", math.nan, "solver settings: value_cap must be positive and "
                                        "finite, got nan"),
@@ -290,7 +294,7 @@ class TestExitCodes:
         ("solver.value_cap", "1e12", "solver settings: value_cap must be positive and "
                                      "finite, got '1e12'"),
         ("solver.grid.half_width", None,
-         "solver settings: half_width must be 'auto' or positive and finite, got None"),
+         "solver settings: half_width must be positive and finite, got None"),
         ("sim.trials", 2000.9, "sim.trials must be an integer, got 2000.9"),
         ("sim.trials", True, "sim.trials must be an integer, got True"),
         ("sim.seed", "7", "sim.seed must be an integer, got '7'"),
@@ -301,8 +305,8 @@ class TestExitCodes:
          "a float"),
         # a JSON integer doubles exactly, but its float does not: this exited 3
         ("solver.grid.half_width", 10 ** 308,
-         "solver settings: half_width 1e+308: the grid's span 2 * half_width overflows "
-         "a float"),
+         f"solver settings: half_width {10 ** 308}: the grid's span 2 * half_width "
+         "overflows a float"),
         # tables past numpy's index range, and so past any host's memory: numpy
         # raised ValueError; the grid solver's tables are 33 bytes a cell
         ("plant.horizon", 2 ** 63, "the grid solver's tables at (N, m, n) = "
@@ -572,6 +576,29 @@ class TestExitCodes:
                      "solve-symmetric"]) == 2
         assert f"config {cfg} is not a JSON object" in capsys.readouterr().err
 
+    # mkdir raised FileExistsError or NotADirectoryError, which exited 3 with
+    # a traceback, and for the two solve commands only after the whole solve
+    @pytest.mark.parametrize("command", ["export-examples", "solve-symmetric", "solve-iid",
+                                         "simulate"])
+    def test_out_that_is_or_lies_under_a_file_exits_2(self, tmp_path, capsys, command):
+        plant = {"a": 0.0 if command == "solve-iid" else 1.1, "sigma2": 1.0, "x0": 0.0,
+                 "horizon": 6}
+        config = ([] if command == "export-examples"
+                  else ["--config", str(write_config(tmp_path, plant=plant))])
+        flags = ["--grid-points", "201"] if command == "solve-symmetric" else []
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy)
+        extra = [str(policy)] if command == "simulate" else []
+        a_file = tmp_path / "a_file"
+        a_file.write_text("kept\n")
+        for out in (a_file, a_file / "run"):
+            capsys.readouterr()
+            assert main(config + ["--out", str(out)] + flags + [command] + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out: ") and f"'{out}'" in err
+            assert err.count("\n") == 1
+        assert a_file.read_text() == "kept\n"
+
     def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
         def planted(*args, **kwargs):
             raise ValueError("planted solver bug")
@@ -657,6 +684,19 @@ class TestSimulate:
             "sigma2 = 1, horizon 3)\n")
         assert not out.exists()
 
+    # simulate printed "solver value nan | gap nan (nan standard errors)"
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_value_exits_2(self, tmp_path, capsys, value):
+        policy = tmp_path / "policy.csv"
+        export_policy_csv(TransmitPolicy.symmetric(np.zeros((6, 5))), policy,
+                          metadata={"dp_value": value})
+        out = tmp_path / "x"
+        assert main(["--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--trials", "50", "simulate", str(policy)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: policy {policy}: header line '# dp_value={value}' must be finite\n")
+        assert not out.exists()
+
     def test_provenance_mismatch_warns(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -726,7 +766,7 @@ class TestSimulate:
         (None, "No such file or directory"),
         ("# kind=gridded\n# horizon=1\n# num_states=1\n# grid_half_width=1.0\n"
          "# grid_num_points=2\nn,q,e,transmit\n1,0,-1.0,0\n1,0,1.0,0\n",
-         "num_points must be odd and >= 3, got 2"),
+         "num_points must be an odd integer >= 3, got 2"),
         ("# kind=symmetric_threshold\n# horizon=1\n# num_states=1\n"
          "n,q,kind,tau_lo,tau_hi\n1,0,symmetric_threshold,-1.0,2.0\n",
          "symmetric threshold at (n, q) = (1, 0) has tau_lo -1.0 != -tau_hi 2.0"),

@@ -581,20 +581,20 @@ class TestExports:
 
 class TestSolverSettings:
     @pytest.mark.parametrize("fields, message", [
-        ({"num_points": 400}, "num_points must be odd"),
-        ({"half_width": math.inf}, "half_width must be 'auto' or positive and finite"),
-        ({"half_width": math.nan}, "half_width must be 'auto' or positive and finite"),
-        ({"half_width": 0.0}, "half_width must be 'auto' or positive and finite"),
+        ({"num_points": 400}, "num_points must be an odd integer >= 3, got 400"),
+        ({"half_width": math.inf}, "half_width must be positive and finite, got inf"),
+        ({"half_width": math.nan}, "half_width must be positive and finite, got nan"),
+        ({"half_width": 0.0}, "half_width must be positive and finite, got 0.0"),
         ({"half_width": 1e308},
          "half_width 1e+308: the grid's span 2 * half_width overflows a float"),
         ({"value_cap": math.nan}, "value_cap must be positive and finite"),
         ({"value_cap": math.inf}, "value_cap must be positive and finite"),
         ({"value_cap": 0.0}, "value_cap must be positive and finite"),
-        ({"num_points": 2001.0}, "num_points must be an integer, got 2001.0"),
-        ({"num_points": "2001"}, "num_points must be an integer, got '2001'"),
-        ({"num_points": True}, "num_points must be an integer, got True"),
-        ({"half_width": "3.0"}, "half_width must be 'auto' or positive and finite, got '3.0'"),
-        ({"half_width": None}, "half_width must be 'auto' or positive and finite, got None"),
+        ({"num_points": 2001.0}, "num_points must be an odd integer >= 3, got 2001.0"),
+        ({"num_points": "2001"}, "num_points must be an odd integer >= 3, got '2001'"),
+        ({"num_points": True}, "num_points must be an odd integer >= 3, got True"),
+        ({"half_width": "3.0"}, "half_width must be 'auto' or a number, got '3.0'"),
+        ({"half_width": None}, "half_width must be positive and finite, got None"),
         ({"value_cap": True}, "value_cap must be positive and finite, got True"),
         ({"value_cap": "1e12"}, "value_cap must be positive and finite, got '1e12'"),
     ])

@@ -513,11 +513,15 @@ class TestCsvLoading:
         head = [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
                 for line in head]
         path.write_text("".join(head + rows))
-        message = (f"unknown policy kind {value!r}" if key == "kind"
-                   else f"header line '# {key}={value}'")
-        if value == "1e308":  # a positive finite width, refused for its span
-            message += ": the grid's span 2 * half_width overflows a float"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        if key == "kind":
+            message = f"unknown policy kind {value!r}"
+        elif key == "grid_half_width" and value != "abc":  # a number, which the grid refuses
+            message = (f"half_width must be positive and finite, got {float(value)!r}"
+                       if value != "1e308" else  # positive and finite, refused for its span
+                       "half_width 1e+308: the grid's span 2 * half_width overflows a float")
+        else:
+            message = f"header line '# {key}={value}'"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_policy_csv(path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -526,7 +530,7 @@ class TestCsvLoading:
                         "params": {"capacity": 4, "tx_cost": 2, "p_tx": 0.3}}}))
         assert main(["--config", str(config), "--out", str(tmp_path / "sim"),
                      "--trials", "10", "simulate", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: policy: {path}: {message}")
 
 
 def _csv_writer_bytes(metadata, header, rows):

@@ -66,17 +66,25 @@ class TestErrorGrid:
         # exact antisymmetry, bitwise
         assert np.array_equal(grid.points, -grid.points[::-1])
 
-    def test_requires_odd_count(self):
-        with pytest.raises(ValueError):
-            ErrorGrid(4.0, 10)
+    # a float or a bool count failed inside linspace or built a grid
+    @pytest.mark.parametrize("num_points", [10, 1, 5.0, True, pytest.param("5", id="'5'")])
+    def test_requires_odd_count(self, num_points):
+        with pytest.raises(ValueError, match=re.escape(
+                f"num_points must be an odd integer >= 3, got {num_points!r}")):
+            ErrorGrid(4.0, num_points)
 
-    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan])
+    # a bool or a string width built a grid or failed inside the comparison
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan, True,
+                                            pytest.param("3", id="'3'"), None])
     def test_requires_finite_positive_half_width(self, half_width):
-        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"half_width must be positive and finite, got {half_width!r}")):
             ErrorGrid(half_width, 11)
 
-    # 1e308 is finite, but linspace's span 2 * 1e308 overflowed with RuntimeWarnings
-    @pytest.mark.parametrize("half_width", [1e308, sys.float_info.max])
+    # 1e308 is finite, but linspace's span 2 * 1e308 overflowed with RuntimeWarnings;
+    # the integer 10**308, which numpy holds as an object, failed inside linspace
+    @pytest.mark.parametrize("half_width", [1e308, sys.float_info.max,
+                                            pytest.param(10 ** 308, id="10**308")])
     def test_span_that_overflows_is_named(self, half_width):
         message = f"half_width {half_width}: the grid's span 2 * half_width overflows a float"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -96,6 +104,13 @@ class TestErrorGrid:
             tracemalloc.stop()
         assert counted == [(f"an error grid of {num_points} points", 16 * num_points)]
         assert peak <= 16 * num_points + 4096
+
+    # numpy held an integer that large as an object and failed inside linspace
+    @pytest.mark.parametrize("half_width", [4, 10 ** 300], ids=["4", "10**300"])
+    def test_integer_half_width_is_kept_as_a_float(self, half_width):
+        grid = ErrorGrid(half_width, 9)
+        assert type(grid.half_width) is float and grid == ErrorGrid(float(half_width), 9)
+        assert np.array_equal(grid.points, ErrorGrid(float(half_width), 9).points)
 
     def test_widest_grid_has_a_finite_span(self):
         grid = ErrorGrid(sys.float_info.max / 2, 5)
